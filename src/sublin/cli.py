@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from fractions import Fraction
 
@@ -26,7 +25,7 @@ from .independence import (
     load_joint_model,
 )
 from .limits import ExperimentTable, _fmt, moment_summary
-from .measures import NumericMode, load_ambiguity_set
+from .measures import NumericMode, is_exact, load_ambiguity_set
 from .phi import parse_phi
 from .recursion import StepSequence, sublinear_eval_sum
 
@@ -38,6 +37,17 @@ class _Parser(argparse.ArgumentParser):
 
 def _mode(args) -> NumericMode:
     return NumericMode.EXACT if args.exact else NumericMode.FLOAT64
+
+
+def _phi(args):
+    """The --phi expression.  Under --exact it must lie in the exact-rational
+    subset and is evaluated exactly on rational arguments (the DP's terminal
+    values); float arguments, as in limit predictions, stay float."""
+    phi = parse_phi(args.phi)
+    if not args.exact:
+        return phi
+    phi.require_exact()
+    return lambda x: phi(x, exact=is_exact(x))
 
 
 def _grid(args) -> GridConfig:
@@ -139,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_eval(args):
     mode = _mode(args)
     aset = load_ambiguity_set(args.model, mode)
-    phi = parse_phi(args.phi)
+    phi = _phi(args)
     seq = StepSequence.iid(aset, args.n, mode)
     exact = mode is NumericMode.EXACT
     if args.normalize == "n":
@@ -149,7 +159,7 @@ def _cmd_eval(args):
     else:
         scale = 1
     direction = "lower" if args.lower else "upper"
-    value = sublinear_eval_sum(seq, lambda s: phi(s / scale, exact=exact), direction)
+    value = sublinear_eval_sum(seq, lambda s: phi(s / scale), direction)
     print(f"value={_fmt(value)}")
     _dump_json(args, {"value": _fmt(value)})
     return 0
@@ -157,7 +167,7 @@ def _cmd_eval(args):
 
 def _cmd_lln(args):
     aset = load_ambiguity_set(args.model, _mode(args))
-    phi = parse_phi(args.phi)
+    phi = _phi(args)
     table = limits.lln_experiment(aset, phi, _schedule(args.n_schedule), _mode(args))
     _emit_table(table, args)
     return 0
@@ -165,7 +175,7 @@ def _cmd_lln(args):
 
 def _cmd_clt(args):
     aset = load_ambiguity_set(args.model, _mode(args))
-    phi = parse_phi(args.phi)
+    phi = _phi(args)
     table = limits.clt_experiment(
         aset,
         phi,
@@ -302,15 +312,6 @@ def _dump_json(args, doc):
         with open(args.json, "w") as fh:
             json.dump(doc, fh, indent=2)
             fh.write("\n")
-
-
-def threads_cap() -> int:
-    """Parallelism cap from SUBLIN_THREADS (engine modules stay sequential
-    below this; numpy obeys its own env vars)."""
-    try:
-        return max(1, int(os.environ.get("SUBLIN_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def main(argv=None) -> int:

@@ -15,7 +15,7 @@ right condition for Lipschitz, asymptotically affine initial data.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np

@@ -19,10 +19,10 @@ import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 from .errors import ModelError, ModelTooLarge, NullHistoryError
-from .linprog import hull_gap, hull_vertices, in_hull
+from .linprog import hull_gap, hull_vertices
 from .measures import NumericMode, parse_number, is_exact
 
 VERDICT_TOL = 1e-9

@@ -231,7 +231,6 @@ def lln_experiment(
     mu_hi = upper_expectation(aset, lambda x: x).value
     mu_lo = lower_expectation(aset, lambda x: x).value
     if lipschitz is None:
-        L = float(mu_hi - mu_lo) if mu_hi != mu_lo else 1.0
         span = max(1.0, abs(float(mu_lo)), abs(float(mu_hi)))
         lipschitz = _numeric_lipschitz(phi, -2 * span, 2 * span)
     _, prediction = lln_bounds(phi, mu_lo, mu_hi, lipschitz, tol=1e-9)
@@ -299,10 +298,10 @@ def clt_experiment(
     prediction = g_normal_expectation(phi, gparams, grid)
     rows = []
     for n in sorted(set(n_schedule)):
-        root = math.sqrt(n)
+        root = _exact_sqrt(n) if mode is NumericMode.EXACT else math.sqrt(n)
         run_set = aset
         if truncate_sqrt_n:
-            run_set = aset.map(lambda x: max(-root, min(float(x), root)))
+            run_set = aset.map(lambda x: max(-root, min(x, root)))
         seq = StepSequence.iid(run_set, n, mode)
         value = sublinear_eval_sum(seq, lambda s, root=root: phi(s / root))
         rows.append(ExperimentRow(n, value, prediction))

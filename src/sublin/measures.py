@@ -14,13 +14,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
 
 from .errors import ModelError, NumericalFailure
-from .linprog import hull_gap, in_hull
+from .linprog import in_hull
 
 WEIGHT_TOL = 1e-12
 HULL_TOL = 1e-9

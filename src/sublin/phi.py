@@ -20,7 +20,6 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .errors import NumericalFailure, UsageError
 
@@ -236,12 +235,17 @@ class PhiExpression:
         self.text = text
 
     def __call__(self, x, exact: bool = False):
-        if exact and not self.exact_capable:
+        if exact:
+            self.require_exact()
+        return _eval(self.root, x, exact)
+
+    def require_exact(self):
+        """Raise UsageError unless the expression is in the exact subset."""
+        if not self.exact_capable:
             raise UsageError(
                 f"expression {self.text!r} uses operations outside the "
                 "exact-rational subset {+,-,*,abs,min,max,clamp}"
             )
-        return _eval(self.root, x, exact)
 
     @property
     def exact_capable(self) -> bool:

@@ -1,7 +1,7 @@
 """Backward recursion for sublinear expectations of partial sums.
 
 The evaluator embeds all step atoms on a common rational lattice, tracks
-the exact reachable set of partial sums forward, and then sweeps backward
+the reachable range of partial sums forward, and then sweeps backward
 
     v_n(x)   = f(x)
     v_{k-1}(x) = max over step-k laws Q of  sum_y Q(y) v_k(x + y)
@@ -9,9 +9,10 @@ the exact reachable set of partial sums forward, and then sweeps backward
 so ``v_0(0)`` is the nested (robust-DP) value, i.e. the supremum over the
 rectangular enlargement of the per-step ambiguity sets.
 
-Float mode uses dense numpy windows over the reachable range with Kahan
-compensation across atom contributions; exact-rational mode uses sparse
-Fraction maps and is capped to small instances.
+One dense numpy sweep serves both numeric modes: float64 arrays in float
+mode, arrays of integer numerators over a common denominator in
+exact-rational mode.  Both are bounded by the reachable-state cap; exact
+mode is further capped to small instances.
 """
 
 from __future__ import annotations
@@ -97,13 +98,9 @@ def lattice_embed(seq: StepSequence, snap_tol=None) -> LatticeEmbedding:
             measures.append((pts, tuple(w for _, w in pairs)))
         pruned_steps.append(measures)
 
-    denom_lcm = 1
-    for r in rationals:
-        denom_lcm = denom_lcm * r.denominator // math.gcd(denom_lcm, r.denominator)
+    denom_lcm = math.lcm(*(r.denominator for r in rationals))
     ints = [r.numerator * (denom_lcm // r.denominator) for r in rationals]
-    g = 0
-    for v in ints:
-        g = math.gcd(g, v)
+    g = math.gcd(*ints)
     h = Fraction(g, denom_lcm) if g else Fraction(1)
 
     out_steps = []
@@ -117,7 +114,7 @@ def lattice_embed(seq: StepSequence, snap_tol=None) -> LatticeEmbedding:
 
 class EvalResult(NamedTuple):
     value: object
-    strategy: object  # per-step argmax measure arrays, or None
+    strategy: object  # per-step (lo_k, argmax measure array), or None
 
 
 def _reachable(emb: LatticeEmbedding, state_cap: int):
@@ -144,108 +141,80 @@ def _reachable(emb: LatticeEmbedding, state_cap: int):
     return out
 
 
-def _eval_float(seq, emb, f, record_strategy, state_cap):
+def _sweep(seq, emb, f, record_strategy, state_cap):
+    """Backward sweep of the recursion over the ``_reachable`` windows.
+
+    ``seq.mode`` picks the arithmetic.  Float mode holds float64 values.
+    Exact mode holds Python-int numerators (dtype object) over one common
+    denominator, which each step multiplies by the lcm of its weight
+    denominators, so the inner loop is bigint arithmetic with no gcd
+    normalization per operation.
+
+    Float error: a step sums at most max_atoms products whose weights sum
+    to 1, so rounding the weights to float64 and the products and sums
+    costs at most about (max_atoms + 1) * 2**-53 * max|f| per step.  The
+    max over measures is non-expansive and each step averages the errors
+    it inherits, so they add up without growing: to first order the value
+    is within n * (max_atoms + 1) * 2**-53 * max|f| of the exact one.
+    """
+    exact = seq.mode is NumericMode.EXACT
+    if exact:
+        work = len(seq) * max(
+            len({a for ints, _ in measures for a in ints}) for measures in emb.steps
+        )
+        if work > EXACT_WORK_CAP:
+            raise StateExplosion(
+                f"exact-rational evaluation capped at n*|support| <= {EXACT_WORK_CAP}"
+            )
     reach = _reachable(emb, state_cap)
-    h = float(emb.h)
     lo_n, mask_n = reach[-1]
-    xs = (np.flatnonzero(mask_n) + lo_n) * h
-    vals = np.fromiter((f(x) for x in xs), dtype=float, count=len(xs))
-    if not np.all(np.isfinite(vals)):
-        raise NumericalFailure("terminal function produced non-finite values")
-    v = np.zeros(len(mask_n))
+    states = np.flatnonzero(mask_n) + lo_n
+    if exact:
+        terminal = [f(s * emb.h) for s in states.tolist()]
+        if any(isinstance(t, float) for t in terminal):
+            raise NumericalFailure("terminal function returned a float in exact mode")
+        terminal = [Fraction(t) for t in terminal]
+        denom = math.lcm(*(t.denominator for t in terminal))
+        vals = [int(t * denom) for t in terminal]
+    else:
+        xs = states * float(emb.h)
+        vals = np.fromiter((f(x) for x in xs), dtype=float, count=len(xs))
+        if not np.all(np.isfinite(vals)):
+            raise NumericalFailure("terminal function produced non-finite values")
+    v = np.zeros(len(mask_n), dtype=object if exact else float)
     v[mask_n] = vals
 
-    strategy = [] if record_strategy else None
+    strategy = []
     for k in range(len(seq) - 1, -1, -1):
         lo_k, mask_k = reach[k]
-        lo_next, mask_next = reach[k + 1]
+        lo_next = reach[k + 1][0]
         width = len(mask_k)
-        best = None
-        argbest = None
-        for mi, (ints, weights) in enumerate(emb.steps[k]):
-            # Kahan compensation across atom contributions
-            acc = np.zeros(width)
-            comp = np.zeros(width)
-            for a, w in zip(ints, weights):
+        if exact:
+            fracs = [[Fraction(w) for w in ws] for _, ws in emb.steps[k]]
+            step_lcm = math.lcm(*(w.denominator for ws in fracs for w in ws))
+            weights = [[int(w * step_lcm) for w in ws] for ws in fracs]
+            denom *= step_lcm
+        else:
+            weights = [[float(w) for w in ws] for _, ws in emb.steps[k]]
+        best = argbest = None
+        for mi, ((ints, _), ws) in enumerate(zip(emb.steps[k], weights)):
+            acc = np.zeros(width, dtype=v.dtype)
+            for a, w in zip(ints, ws):
                 start = lo_k + a - lo_next
-                term = float(w) * v[start : start + width]
-                y = term - comp
-                t = acc + y
-                comp = (t - acc) - y
-                acc = t
+                acc += w * v[start : start + width]
             if best is None:
-                best = acc
-                argbest = np.zeros(width, dtype=np.int32) if record_strategy else None
+                best, argbest = acc, np.zeros(width, dtype=np.int32)
             else:
                 if record_strategy:
                     argbest = np.where(acc > best, mi, argbest)
                 best = np.maximum(best, acc)
-        if not np.all(np.isfinite(best[mask_k])):
+        if not exact and not np.all(np.isfinite(best[mask_k])):
             raise NumericalFailure("non-finite value during backward sweep")
-        v = np.where(mask_k, best, 0.0)
+        v = np.where(mask_k, best, 0)
         if record_strategy:
             strategy.append((lo_k, argbest))
-    lo_0, _ = reach[0]
-    value = float(v[0 - lo_0])
-    if record_strategy:
-        strategy.reverse()
-    return EvalResult(value, strategy)
-
-
-def _lcm(values):
-    out = 1
-    for v in values:
-        out = out * v // math.gcd(out, v)
-    return out
-
-
-def _eval_exact(seq, emb, f, record_strategy):
-    # Values are swept as integer numerators over one growing common
-    # denominator, so the inner loop is pure bigint arithmetic (no gcd
-    # normalization per operation).
-    work = len(seq) * max(
-        len({a for ints, _ in measures for a in ints}) for measures in emb.steps
-    )
-    if work > EXACT_WORK_CAP:
-        raise StateExplosion(
-            f"exact-rational evaluation capped at n*|support| <= {EXACT_WORK_CAP}"
-        )
-    reach = [{0}]
-    for measures in emb.steps:
-        atoms = {a for ints, _ in measures for a in ints}
-        reach.append({s + a for s in reach[-1] for a in atoms})
-    h = emb.h
-    terminal = {s: Fraction(f(s * h)) for s in reach[-1]}
-    denom = _lcm([v.denominator for v in terminal.values()])
-    num = {s: v.numerator * (denom // v.denominator) for s, v in terminal.items()}
-    strategy = [] if record_strategy else None
-    for k in range(len(seq) - 1, -1, -1):
-        weights_k = [
-            [Fraction(w) for w in weights] for _, weights in emb.steps[k]
-        ]
-        step_lcm = _lcm([w.denominator for ws in weights_k for w in ws])
-        int_steps = [
-            (ints, [w.numerator * (step_lcm // w.denominator) for w in ws])
-            for (ints, _), ws in zip(emb.steps[k], weights_k)
-        ]
-        new_num = {}
-        arg = {} if record_strategy else None
-        for s in reach[k]:
-            best, besti = None, -1
-            for mi, (ints, ws) in enumerate(int_steps):
-                val = sum(w * num[s + a] for a, w in zip(ints, ws))
-                if best is None or val > best:
-                    best, besti = val, mi
-            new_num[s] = best
-            if record_strategy:
-                arg[s] = besti
-        num = new_num
-        denom *= step_lcm
-        if record_strategy:
-            strategy.append(arg)
-    if record_strategy:
-        strategy.reverse()
-    return EvalResult(Fraction(num[0], denom), strategy)
+    value = Fraction(v[0], denom) if exact else float(v[0])
+    return EvalResult(value, strategy[::-1] if record_strategy else None)
 
 
 def sublinear_eval_sum(
@@ -259,7 +228,10 @@ def sublinear_eval_sum(
     """Nested sublinear expectation of ``f(S_n)`` (upper) or ``-E[-f]`` (lower).
 
     Returns the value; pass ``record_strategy=True`` to get an
-    :class:`EvalResult` with the per-step maximizing measure indices.
+    :class:`EvalResult` whose strategy lists, for steps k = 0..n-1, a pair
+    ``(lo_k, arg)`` in both numeric modes: ``arg[i]`` is the index of the
+    step-k measure chosen at the lattice point ``lo_k + i`` (partial sum
+    ``(lo_k + i) * h``); unreachable points hold 0.
     """
     if direction not in ("upper", "lower"):
         raise ModelError(f"direction must be 'upper' or 'lower', got {direction!r}")
@@ -270,11 +242,7 @@ def sublinear_eval_sum(
         if record_strategy:
             return EvalResult(-res.value, res.strategy)
         return -res
-    emb = lattice_embed(seq, snap_tol)
-    if seq.mode is NumericMode.EXACT:
-        res = _eval_exact(seq, emb, f, record_strategy)
-    else:
-        res = _eval_float(seq, emb, f, record_strategy, state_cap)
+    res = _sweep(seq, lattice_embed(seq, snap_tol), f, record_strategy, state_cap)
     return res if record_strategy else res.value
 
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from sublin.cli import build_parser, main, threads_cap
+from sublin.cli import build_parser, main
 
 F = Fraction
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -89,6 +89,24 @@ class TestTables:
         )
         assert code == 0
         assert out.startswith("n=16 value=")
+
+    def test_lln_exact_matches_eval(self, capsys):
+        # the DP column of lln --exact is the exact value eval --exact gives
+        model, phi = cfg("bernoulli-band.json"), "max(1-abs(x-1/3),0)"
+        code, out, _ = run(capsys, "eval", "--model", model, "--phi", phi,
+                           "--n", "3", "--normalize", "n", "--exact")
+        assert code == 0 and out.strip() == "value=61/75"
+        code, out, _ = run(capsys, "lln", "--model", model, "--phi", phi,
+                           "--n-schedule", "3", "--exact")
+        assert code == 0
+        assert out.startswith("n=3 value=61/75 ")
+
+    @pytest.mark.parametrize("command", ["lln", "clt"])
+    def test_exact_rejects_non_rational_phi(self, capsys, command):
+        code, _, err = run(capsys, command, "--model", cfg("rademacher.json"),
+                           "--phi", "exp(x)", "--n-schedule", "4", "--exact")
+        assert code == 1
+        assert "exact-rational subset" in err
 
     def test_bad_schedule(self, capsys):
         code, _, err = run(
@@ -251,9 +269,3 @@ class TestExitCodes:
 class TestMisc:
     def test_parser_builds(self):
         assert build_parser().prog == "sublin"
-
-    def test_threads_cap_env(self, monkeypatch):
-        monkeypatch.setenv("SUBLIN_THREADS", "4")
-        assert threads_cap() == 4
-        monkeypatch.setenv("SUBLIN_THREADS", "junk")
-        assert threads_cap() == 1

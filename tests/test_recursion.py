@@ -4,11 +4,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sublin import (
     AmbiguitySet,
     DiscreteDistribution,
     NoCommonLattice,
+    NumericalFailure,
     NumericMode,
     StateExplosion,
     StepSequence,
@@ -202,10 +205,52 @@ class TestEventProbability:
         assert sublinear_event_probability(seq, lambda s: abs(s) >= 7) == F(1, 49)
 
 
+@st.composite
+def rational_steps(draw):
+    """1-3 steps, each 1-3 laws on 1-3 integer atoms in [-3, 3] with rational weights."""
+    steps = []
+    for _ in range(draw(st.integers(1, 3))):
+        members = []
+        for _ in range(draw(st.integers(1, 3))):
+            points = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=3, unique=True))
+            raw = draw(st.lists(st.integers(1, 9), min_size=len(points), max_size=len(points)))
+            members.append(DiscreteDistribution(points, [F(w, sum(raw)) for w in raw]))
+        steps.append(AmbiguitySet(members))
+    return steps
+
+
+class TestSweepProperties:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(steps=rational_steps(), c=st.integers(-2, 2))
+    def test_exact_equals_brute_force_and_float_within_bound(self, steps, c):
+        exact_seq = StepSequence(steps, NumericMode.EXACT)
+        f = lambda s: abs(s - c)
+        exact = sublinear_eval_sum(exact_seq, f)
+        assert exact == brute_force_upper(exact_seq, f)
+
+        float_seq = StepSequence(
+            [
+                AmbiguitySet(
+                    [DiscreteDistribution(d.points, [float(w) for w in d.weights])
+                     for d in a.members]
+                )
+                for a in steps
+            ]
+        )
+        got = sublinear_eval_sum(float_seq, lambda s: abs(s - c))
+        # the sweep's documented bound: n * (max_atoms + 1) * 2**-53 * max|f|
+        n = len(steps)
+        max_atoms = max(len(d.atoms) for a in steps for d in a.members)
+        assert abs(got - exact) <= n * (max_atoms + 1) * 2.0**-53 * (3 * n + abs(c))
+
+
 class TestGuards:
-    def test_state_cap(self):
+    @pytest.mark.parametrize(
+        "mode", [NumericMode.FLOAT64, NumericMode.EXACT], ids=["float", "exact"]
+    )
+    def test_state_cap(self, mode):
         aset = AmbiguitySet([DiscreteDistribution([0, 10**6], [F(1, 2), F(1, 2)])])
-        seq = StepSequence.iid(aset, 50)
+        seq = StepSequence.iid(aset, 50, mode)
         with pytest.raises(StateExplosion):
             sublinear_eval_sum(seq, lambda s: s, state_cap=1000)
 
@@ -215,3 +260,27 @@ class TestGuards:
         res = sublinear_eval_sum(seq, lambda s: s, record_strategy=True)
         assert res.strategy is not None
         assert len(res.strategy) == 2
+
+    def test_exact_strategy_replays_as_classical_recursion(self):
+        # following the recorded argmax laws is a classical (single-law)
+        # recursion, and it must reproduce the robust value exactly
+        rng = random.Random(11)
+        for trial in range(20):
+            seq = small_exact_sequence(rng, rng.randint(1, 4))
+            f = lambda s: max(1 - abs(s - 1), F(0))
+            res = sublinear_eval_sum(seq, f, record_strategy=True)
+            h = lattice_embed(seq).h
+
+            def replay(k, s):
+                if k == len(seq):
+                    return f(s)
+                lo, arg = res.strategy[k]
+                law = seq.steps[k].members[arg[int(s / h) - lo]]
+                return sum(w * replay(k + 1, s + x) for x, w in law.atoms)
+
+            assert replay(0, F(0)) == res.value, f"trial {trial}"
+
+    def test_exact_rejects_float_terminal(self):
+        seq = StepSequence.iid(AmbiguitySet([rademacher()]), 2, NumericMode.EXACT)
+        with pytest.raises(NumericalFailure):
+            sublinear_eval_sum(seq, lambda s: float(s))
