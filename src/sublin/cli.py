@@ -25,7 +25,7 @@ from .independence import (
     load_joint_model,
 )
 from .limits import ExperimentTable, _fmt, moment_summary
-from .measures import NumericMode, is_exact, load_ambiguity_set
+from .measures import NumericMode, load_ambiguity_set
 from .phi import parse_phi
 from .recursion import StepSequence, sublinear_eval_sum
 
@@ -44,10 +44,7 @@ def _phi(args):
     subset and is evaluated exactly on rational arguments (the DP's terminal
     values); float arguments, as in limit predictions, stay float."""
     phi = parse_phi(args.phi)
-    if not args.exact:
-        return phi
-    phi.require_exact()
-    return lambda x: phi(x, exact=is_exact(x))
+    return phi.exact_on_rationals() if args.exact else phi
 
 
 def _grid(args) -> GridConfig:

@@ -22,6 +22,7 @@ import numpy as np
 from scipy import integrate
 
 from .errors import ModelError, NumericalFailure
+from .phi import evaluate_array
 
 
 @dataclass(frozen=True)
@@ -92,9 +93,7 @@ def solve_g_heat(
     L = config.domain if config.domain is not None else default_domain(params)
     n_half = int(round(L / config.dx))
     xs = np.arange(-n_half, n_half + 1) * config.dx
-    u = np.fromiter((phi(x) for x in xs), dtype=float, count=len(xs))
-    if not np.all(np.isfinite(u)):
-        raise NumericalFailure("initial data produced non-finite values")
+    u = evaluate_array(phi, xs)
 
     sig2_hi = params.sigma_hi**2
     sig2_lo = params.sigma_lo**2

@@ -23,9 +23,8 @@ from typing import Callable, Optional
 
 from .errors import ModelError, ModelTooLarge, NullHistoryError
 from .linprog import hull_gap, hull_vertices
-from .measures import NumericMode, parse_number, is_exact
+from .measures import NumericMode, _tolerance, parse_number, is_exact
 
-VERDICT_TOL = 1e-9
 DEFAULT_ENUM_CAP = 10**4
 
 
@@ -226,10 +225,6 @@ def conditional_expectation(model: JointModel, table_index: int, f: Callable, hi
     return sum(w * f(x) for x, w in zip(model.supports[k - 1], law) if w != 0)
 
 
-def _tolerance(model: JointModel, tol):
-    return 0 if (model.exact() and tol is None) else (VERDICT_TOL if tol is None else tol)
-
-
 def positive_histories(model: JointModel, table_index: int, n: int):
     """Positive-probability histories (index tuples) of X_1..X_{n-1}."""
     cache = model.prefix_cache(n - 1) if n > 1 else None
@@ -246,7 +241,7 @@ def check_pseudo_independence(model: JointModel, n: int, tol=None) -> Independen
     if not 1 <= n <= model.n_variables:
         raise ModelError(f"step {n} out of range")
     marginals = [model.marginal_law(ti, n) for ti in range(len(model.tables))]
-    effective = _tolerance(model, tol)
+    effective = _tolerance(model.exact(), tol)
     worst = 0
     for ti in range(len(model.tables)):
         for hist in positive_histories(model, ti, n):
@@ -399,7 +394,7 @@ def check_peng_independence(
     """
     if not 1 <= n <= model.n_variables:
         raise ModelError(f"step {n} out of range")
-    effective = _tolerance(model, tol)
+    effective = _tolerance(model.exact(), tol)
 
     if mode == "probe":
         family = probes if probes is not None else default_probes(model, n)

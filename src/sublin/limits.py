@@ -16,6 +16,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
+import numpy as np
+
 from .errors import ModelError, NumericalFailure, UsageError
 from .gheat import GParams, GridConfig, g_normal_expectation
 from .measures import (
@@ -26,6 +28,7 @@ from .measures import (
     upper_expectation,
     upper_probability,
 )
+from .phi import evaluate_array, lipschitz_estimate
 from .recursion import StepSequence, sublinear_eval_sum, sublinear_event_probability
 
 
@@ -201,10 +204,24 @@ def moment_summary(
     )
 
 
+LLN_GRID_CAP = 2_000_001
+_GRID_CHUNK = 1 << 16
+
+
+def _lln_grid_count(mu_lo: float, mu_bar: float, lipschitz: float, tol: float) -> int:
+    spacing = tol / max(lipschitz, 1e-12)
+    count = max(2, int(math.ceil((mu_bar - mu_lo) / spacing)) + 1)
+    return min(count, LLN_GRID_CAP)
+
+
 def lln_bounds(phi: Callable, mu_lo, mu_bar, lipschitz: float, tol: float = 1e-6):
     """(min, max) of phi over [mu_lo, mu_bar] by grid search.
 
-    Grid spacing <= tol / lipschitz guarantees error <= tol.
+    Grid spacing <= tol / lipschitz guarantees error <= tol, but the grid is
+    capped at LLN_GRID_CAP points; at the cap the error bound is
+    lipschitz * (mu_bar - mu_lo) / (LLN_GRID_CAP - 1), which can exceed tol
+    (``lln_experiment`` reports the bound achieved).  The grid is evaluated
+    in chunks, so it never sits in memory whole.
     """
     mu_lo, mu_bar = float(mu_lo), float(mu_bar)
     if mu_lo > mu_bar:
@@ -212,11 +229,19 @@ def lln_bounds(phi: Callable, mu_lo, mu_bar, lipschitz: float, tol: float = 1e-6
     if mu_lo == mu_bar:
         v = phi(mu_lo)
         return v, v
-    spacing = tol / max(lipschitz, 1e-12)
-    count = max(2, int(math.ceil((mu_bar - mu_lo) / spacing)) + 1)
-    count = min(count, 2_000_001)
-    vals = [phi(mu_lo + (mu_bar - mu_lo) * i / (count - 1)) for i in range(count)]
-    return min(vals), max(vals)
+    count = _lln_grid_count(mu_lo, mu_bar, lipschitz, tol)
+    span = mu_bar - mu_lo
+    lo = hi = None
+    for start in range(0, count, _GRID_CHUNK):
+        i = np.arange(start, min(start + _GRID_CHUNK, count), dtype=float)
+        vals = evaluate_array(phi, mu_lo + span * i / (count - 1))
+        # the first extreme point, as min()/max() over the points would pick
+        low, high = vals[np.argmin(vals)], vals[np.argmax(vals)]
+        if lo is None or low < lo:
+            lo = low
+        if hi is None or high > hi:
+            hi = high
+    return float(lo), float(hi)
 
 
 def lln_experiment(
@@ -225,32 +250,29 @@ def lln_experiment(
     n_schedule: Sequence[int],
     mode: NumericMode = NumericMode.FLOAT64,
     lipschitz: Optional[float] = None,
+    tol: float = 1e-9,
 ) -> ExperimentTable:
     """E[phi(S_n/n)] for each n, against the i.i.d. limit max phi over
-    [-E[-X], E[X]]."""
+    [-E[-X], E[X]].
+
+    The prediction is ``lln_bounds`` at ``tol``; the metadata's
+    ``prediction_error`` is the error bound its grid achieved.
+    """
     mu_hi = upper_expectation(aset, lambda x: x).value
     mu_lo = lower_expectation(aset, lambda x: x).value
     if lipschitz is None:
         span = max(1.0, abs(float(mu_lo)), abs(float(mu_hi)))
-        lipschitz = _numeric_lipschitz(phi, -2 * span, 2 * span)
-    _, prediction = lln_bounds(phi, mu_lo, mu_hi, lipschitz, tol=1e-9)
+        lipschitz = lipschitz_estimate(phi, -2 * span, 2 * span)
+    _, prediction = lln_bounds(phi, mu_lo, mu_hi, lipschitz, tol=tol)
+    lo, hi = float(mu_lo), float(mu_hi)
+    error = lipschitz * (hi - lo) / (_lln_grid_count(lo, hi, lipschitz, tol) - 1)
     rows = []
     for n in sorted(set(n_schedule)):
         seq = StepSequence.iid(aset, n, mode)
         value = sublinear_eval_sum(seq, lambda s, n=n: phi(s / n))
         rows.append(ExperimentRow(n, value, prediction))
-    return ExperimentTable(rows, {"experiment": "lln", "mu": [_fmt(mu_lo), _fmt(mu_hi)]})
-
-
-def _numeric_lipschitz(phi, lo, hi, samples=2001):
-    step = (hi - lo) / (samples - 1)
-    prev = phi(lo)
-    worst = 0.0
-    for i in range(1, samples):
-        cur = phi(lo + i * step)
-        worst = max(worst, abs(cur - prev) / step)
-        prev = cur
-    return 2.0 * worst
+    return ExperimentTable(rows, {"experiment": "lln", "mu": [_fmt(mu_lo), _fmt(mu_hi)],
+                                  "prediction_error": error})
 
 
 def weak_lln_check(seq: StepSequence, eps: float, n: int) -> float:

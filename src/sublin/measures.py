@@ -194,18 +194,27 @@ def lower_probability(aset: AmbiguitySet, event: Callable) -> EnvelopeValue:
     return EnvelopeValue(1 - value, arg)
 
 
-def same_distribution(a: AmbiguitySet, b: AmbiguitySet, tol: float = HULL_TOL) -> bool:
+def _tolerance(exact: bool, tol=None):
+    """The one tolerance policy: ``None`` means 0 (exact) when the inputs are
+    exact and HULL_TOL otherwise; an explicit ``tol`` is honoured."""
+    if tol is None:
+        return 0 if exact else HULL_TOL
+    return tol
+
+
+def same_distribution(a: AmbiguitySet, b: AmbiguitySet, tol=None) -> bool:
     """Whether a and b induce the same sublinear expectation.
 
     On the union support, test functions span the whole space, so equality
     of the envelopes is exactly equality of the convex hulls of the law
-    vectors.  Decided by mutual hull membership; exact for rational inputs
-    (pass ``tol=0``), within ``tol`` for float inputs.
+    vectors.  Decided by mutual hull membership.  ``tol=None`` compares
+    exactly when both sets are rational and within HULL_TOL otherwise; an
+    explicit ``tol`` is honoured (0 is exact).
     """
     support = tuple(sorted(set(a.union_support()) | set(b.union_support())))
     va = [m.law_vector(support) for m in a.members]
     vb = [m.law_vector(support) for m in b.members]
-    effective = 0 if (a.exact() and b.exact() and tol == 0) else tol
+    effective = _tolerance(a.exact() and b.exact(), tol)
     return all(in_hull(v, vb, effective) for v in va) and all(
         in_hull(v, va, effective) for v in vb
     )

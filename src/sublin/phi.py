@@ -16,16 +16,20 @@ evaluation closed over the rationals.
 
 from __future__ import annotations
 
+import copy
+import functools
 import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
+
+import numpy as np
 
 from .errors import NumericalFailure, UsageError
 
 _ARITY = {"abs": (1, 1), "min": (2, None), "max": (2, None),
           "clamp": (3, 3), "pow": (2, 2), "sqrt": (1, 1), "exp": (1, 1)}
-_EXACT_FUNCS = {"abs", "min", "max", "clamp"}
 
 _TOKEN = re.compile(
     r"\s*(?:(?P<num>\d+(?:\.\d+)?|\.\d+)|(?P<name>[A-Za-z_]\w*)|(?P<op>[()+\-*/,]))"
@@ -176,72 +180,149 @@ def _fold(node):
     return node
 
 
-def _eval(node, x, exact: bool):
+def _scalar_div(a, b):
+    if b == 0:
+        raise NumericalFailure("division by zero")
+    return a / b
+
+
+def _scalar_sqrt(a):
+    if a < 0:
+        raise NumericalFailure("sqrt of a negative value")
+    return math.sqrt(a)
+
+
+def _scalar_checked(fn, name):
+    def call(*args):
+        try:
+            return fn(*args)
+        except (OverflowError, ValueError):
+            raise NumericalFailure(f"{name} outside its domain or range") from None
+    return call
+
+
+def _array_div(a, b):
+    if np.any(b == 0):
+        raise NumericalFailure("division by zero")
+    return a / b
+
+
+def _array_sqrt(a):
+    if np.any(a < 0):
+        raise NumericalFailure("sqrt of a negative value")
+    return np.sqrt(a)
+
+
+def _array_checked(fn, name):
+    def call(*args):
+        try:
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                return fn(*args)
+        except FloatingPointError:
+            raise NumericalFailure(f"{name} outside its domain or range") from None
+    return call
+
+
+# Python's min/max keep the earlier operand unless the later one compares
+# strictly smaller/larger; np.where reproduces that for signed zeros and NaN,
+# where np.minimum/np.maximum would not.
+def _array_min(a, b):
+    return np.where(b < a, b, a)
+
+
+def _array_max(a, b):
+    return np.where(b > a, b, a)
+
+
+# Primitive tables for _compile.  '+', '-', '*' and negation are Python
+# operators on every type; the exact table lacks '/', sqrt, exp and pow,
+# which keeps it closed over the rationals.
+_SCALAR_OPS = {"const": float, "/": _scalar_div, "abs": abs, "min": min, "max": max,
+               "sqrt": _scalar_sqrt, "exp": _scalar_checked(math.exp, "exp"),
+               "pow": _scalar_checked(math.pow, "pow")}
+_ARRAY_OPS = {"const": float, "/": _array_div, "abs": np.abs, "min": _array_min,
+              "max": _array_max, "sqrt": _array_sqrt, "exp": _array_checked(np.exp, "exp"),
+              "pow": _array_checked(np.power, "pow")}
+_EXACT_OPS = {"const": Fraction, "abs": abs, "min": min, "max": max}
+
+
+def _compile(node, ops):
+    """The expression as nested closures of x over the primitives in ``ops``.
+
+    Constants are converted once, here.  Raises KeyError when the expression
+    uses a primitive ``ops`` lacks.
+    """
     if isinstance(node, Num):
-        return node.value if exact else float(node.value)
+        c = ops["const"](node.value)
+        return lambda x: c
     if isinstance(node, Var):
-        return x
+        return lambda x: x
     if isinstance(node, Neg):
-        return -_eval(node.child, x, exact)
+        f = _compile(node.child, ops)
+        return lambda x: -f(x)
     if isinstance(node, BinOp):
-        a = _eval(node.left, x, exact)
-        b = _eval(node.right, x, exact)
+        f, g = _compile(node.left, ops), _compile(node.right, ops)
         if node.op == "+":
-            return a + b
+            return lambda x: f(x) + g(x)
         if node.op == "-":
-            return a - b
+            return lambda x: f(x) - g(x)
         if node.op == "*":
-            return a * b
-        if b == 0:
-            raise NumericalFailure("division by zero")
-        return a / b
-    args = [_eval(a, x, exact) for a in node.args]
-    name = node.name
-    if name == "abs":
-        return abs(args[0])
-    if name == "min":
-        return min(args)
-    if name == "max":
-        return max(args)
-    if name == "clamp":
-        return min(max(args[0], args[1]), args[2])
-    if name == "pow":
-        return args[0] ** args[1]
-    if name == "sqrt":
-        if args[0] < 0:
-            raise NumericalFailure("sqrt of a negative value")
-        return math.sqrt(args[0])
-    if name == "exp":
-        return math.exp(args[0])
-    raise AssertionError(name)
-
-
-def _exact_ok(node) -> bool:
-    if isinstance(node, (Num, Var)):
-        return True
-    if isinstance(node, Neg):
-        return _exact_ok(node.child)
-    if isinstance(node, BinOp):
-        # '/' survives folding only with a non-constant operand
-        return node.op != "/" and _exact_ok(node.left) and _exact_ok(node.right)
-    return node.name in _EXACT_FUNCS and all(_exact_ok(a) for a in node.args)
+            return lambda x: f(x) * g(x)
+        div = ops["/"]
+        return lambda x: div(f(x), g(x))
+    fs = [_compile(a, ops) for a in node.args]
+    if node.name == "clamp":
+        mx, mn = ops["max"], ops["min"]
+        f, lo, hi = fs
+        return lambda x: mn(mx(f(x), lo(x)), hi(x))
+    fn = ops[node.name]
+    if len(fs) == 1:
+        f = fs[0]
+        return lambda x: fn(f(x))
+    if len(fs) == 2:
+        f, g = fs
+        return lambda x: fn(f(x), g(x))
+    # min/max of three or more arguments, folded left to right
+    return lambda x: functools.reduce(fn, [f(x) for f in fs])
 
 
 class PhiExpression:
-    """A parsed test function; callable on floats or Fractions."""
+    """A parsed test function; callable on floats or Fractions.
+
+    The AST is compiled once into three closures: a float scalar one (the
+    default call), a float64 array one (see :func:`evaluate_array`) and, when
+    the expression lies in the exact subset, a Fraction one (``exact=True``).
+    """
 
     def __init__(self, root, text: str):
         self.root = root
         self.text = text
+        self._scalar = _compile(root, _SCALAR_OPS)
+        self._array = _compile(root, _ARRAY_OPS)
+        try:
+            self._exact = _compile(root, _EXACT_OPS)
+        except KeyError:
+            self._exact = None
+        self._rationals_exact = False
 
     def __call__(self, x, exact: bool = False):
-        if exact:
+        if exact or (self._rationals_exact and isinstance(x, (int, Fraction))):
             self.require_exact()
-        return _eval(self.root, x, exact)
+            return self._exact(x)
+        return self._scalar(x)
+
+    def exact_on_rationals(self) -> PhiExpression:
+        """This expression, evaluated exactly on int and Fraction arguments
+        and in float on float arguments and arrays.  Raises UsageError
+        outside the exact subset."""
+        self.require_exact()
+        twin = copy.copy(self)
+        twin._rationals_exact = True
+        return twin
 
     def require_exact(self):
         """Raise UsageError unless the expression is in the exact subset."""
-        if not self.exact_capable:
+        if self._exact is None:
             raise UsageError(
                 f"expression {self.text!r} uses operations outside the "
                 "exact-rational subset {+,-,*,abs,min,max,clamp}"
@@ -249,23 +330,14 @@ class PhiExpression:
 
     @property
     def exact_capable(self) -> bool:
-        return _exact_ok(self.root)
+        return self._exact is not None
 
     def pretty(self) -> str:
         return self.root.pretty()
 
     def lipschitz_estimate(self, lo: float, hi: float, samples: int = 2001) -> float:
-        """Max sampled difference quotient on [lo, hi], with a 2x safety factor."""
-        if hi <= lo:
-            return 0.0
-        step = (hi - lo) / (samples - 1)
-        prev = self(lo)
-        worst = 0.0
-        for i in range(1, samples):
-            cur = self(lo + i * step)
-            worst = max(worst, abs(cur - prev) / step)
-            prev = cur
-        return 2.0 * worst
+        """See :func:`lipschitz_estimate`."""
+        return lipschitz_estimate(self, lo, hi, samples)
 
     def __repr__(self):
         return f"PhiExpression({self.text!r})"
@@ -275,6 +347,36 @@ class PhiExpression:
 
     def __hash__(self):
         return hash(self.root)
+
+
+def evaluate_array(f: Callable, xs: np.ndarray) -> np.ndarray:
+    """``f`` at every point of the float64 array ``xs``, as a float64 array.
+
+    A PhiExpression runs its compiled array closure, which gives the scalar
+    call's values (to 1 ulp where exp or pow is involved); any other
+    callable is called once per point on Python floats.  Raises
+    NumericalFailure on a non-finite value.
+    """
+    if isinstance(f, PhiExpression):
+        # overflow to inf and inf - inf are left to the finiteness check
+        with np.errstate(over="ignore", invalid="ignore"):
+            # a fresh array even for "x" itself or an x-free expression
+            out = np.array(np.broadcast_to(f._array(xs), xs.shape))
+    else:
+        out = np.fromiter((f(x) for x in xs.tolist()), dtype=float, count=len(xs))
+    if not np.all(np.isfinite(out)):
+        raise NumericalFailure("test function produced non-finite values")
+    return out
+
+
+def lipschitz_estimate(f: Callable, lo: float, hi: float, samples: int = 2001) -> float:
+    """Max sampled difference quotient of ``f`` on [lo, hi], with a 2x
+    safety factor."""
+    if hi <= lo:
+        return 0.0
+    step = (hi - lo) / (samples - 1)
+    vals = evaluate_array(f, lo + np.arange(samples, dtype=float) * step)
+    return 2.0 * float(np.max(np.abs(np.diff(vals)) / step))
 
 
 def parse_phi(text: str) -> PhiExpression:

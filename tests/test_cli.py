@@ -81,6 +81,15 @@ class TestTables:
         assert a.read_bytes() == b.read_bytes()
         assert a.read_text().splitlines()[0] == "n,value,prediction,gap"
 
+    def test_lln_json_reports_prediction_error(self, capsys, tmp_path):
+        path = tmp_path / "lln.json"
+        code, _, _ = run(
+            capsys, "lln", "--model", cfg("bernoulli-band.json"),
+            "--phi", "x", "--n-schedule", "4", "--json", str(path),
+        )
+        assert code == 0
+        assert json.loads(path.read_text())["metadata"]["prediction_error"] > 1e-9
+
     def test_clt_small(self, capsys):
         code, out, _ = run(
             capsys, "clt", "--model", cfg("rademacher.json"),

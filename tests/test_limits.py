@@ -1,6 +1,7 @@
 import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -17,8 +18,10 @@ from sublin import (
     gaussian_quadrature,
     lln_bounds,
     lln_experiment,
+    load_ambiguity_set,
     lower_expectation,
     moment_summary,
+    parse_phi,
     prop62_experiment,
     prop63_experiment,
     squared_counterexample_family,
@@ -28,6 +31,7 @@ from sublin import (
 from sublin.limits import ExperimentRow, ExperimentTable, default_diagnostic_schedule
 
 F = Fraction
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 class TestCounterexampleFamily:
@@ -131,6 +135,15 @@ class TestLLN:
     def test_lln_bounds_point(self):
         lo, hi = lln_bounds(lambda x: 3 - x, 1, 1, lipschitz=1)
         assert lo == hi == 2
+
+    def test_prediction_error_reports_the_grid_cap(self):
+        band = load_ambiguity_set(CONFIGS / "bernoulli-band.json")
+        phi = parse_phi("x")
+        # the default tol=1e-9 needs ~2e8 points, over the 2,000,001 cap
+        capped = lln_experiment(band, phi, [4]).metadata["prediction_error"]
+        assert capped > 1e-9
+        coarse = lln_experiment(band, phi, [4], tol=1e-3).metadata["prediction_error"]
+        assert 0 < coarse <= 1e-3
 
     def test_weak_lln_band(self, bernoulli_band):
         seq = StepSequence.iid(bernoulli_band, 200)

@@ -158,6 +158,13 @@ class TestSameDistribution:
         b = AmbiguitySet([dirac(0), dirac(1)])
         assert not same_distribution(a, b)
 
+    def test_rational_sets_compared_exactly_by_default(self):
+        a = AmbiguitySet([bernoulli(F(1, 2))])
+        b = AmbiguitySet([bernoulli(F(1, 2) + F(1, 10**12))])
+        assert not same_distribution(a, b)
+        assert same_distribution(a, b, tol=1e-9)
+        assert not same_distribution(a, b, tol=0)
+
     def test_equivalence_relation_on_random_sets(self):
         rng = random.Random(3)
         sets = [random_ambiguity_set(rng) for _ in range(12)]

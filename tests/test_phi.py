@@ -1,9 +1,13 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sublin import UsageError, parse_phi
+from sublin import NumericalFailure, UsageError, lln_bounds, parse_phi
+from sublin.phi import evaluate_array
 
 F = Fraction
 
@@ -75,6 +79,15 @@ class TestExactCapability:
         assert not parse_phi("sqrt(x)").exact_capable
         assert parse_phi("clamp(x*x, 0, 2)").exact_capable
 
+    def test_exact_on_rationals(self):
+        phi = parse_phi("max(1 - abs(x - 1/3), 0)").exact_on_rationals()
+        assert phi(F(1, 2)) == F(5, 6) and isinstance(phi(F(1, 2)), F)
+        assert phi(1) == F(1, 3)
+        assert isinstance(phi(0.5), float)
+        assert evaluate_array(phi, np.array([0.5])).tolist() == [phi(0.5)]
+        with pytest.raises(UsageError):
+            parse_phi("exp(x)").exact_on_rationals()
+
 
 class TestLipschitz:
     def test_linear(self):
@@ -98,3 +111,127 @@ class TestRoundTrip:
         assert parse_phi("x + 1") == parse_phi("x + 1")
         assert parse_phi("x + 1") != parse_phi("1 + x")
         assert hash(parse_phi("abs(x)")) == hash(parse_phi("abs(x)"))
+
+
+def _phi_texts(ops, leaf_numbers):
+    """Random phi-grammar texts paired with the same expression as Python
+    source over Fractions (``F(p, q)`` literals), built from ``ops``."""
+    leaves = st.just(("x", "x")) | leaf_numbers
+
+    def extend(sub):
+        parts = []
+        for op in "+-*/":
+            if op in ops:
+                parts.append(st.tuples(sub, sub).map(
+                    lambda t, op=op: (f"({t[0][0]} {op} {t[1][0]})", f"({t[0][1]} {op} {t[1][1]})")))
+        if "neg" in ops:
+            parts.append(sub.map(lambda a: (f"-({a[0]})", f"-({a[1]})")))
+        for name in ("abs", "sqrt"):
+            if name in ops:
+                parts.append(sub.map(lambda a, name=name: (f"{name}({a[0]})", f"{name}({a[1]})")))
+        for name, lo, hi in (("min", 2, 4), ("max", 2, 4), ("clamp", 3, 3)):
+            if name in ops:
+                parts.append(st.lists(sub, min_size=lo, max_size=hi).map(
+                    lambda args, name=name: (f"{name}({', '.join(a[0] for a in args)})",
+                                             f"{name}({', '.join(a[1] for a in args)})")))
+        return st.one_of(parts)
+
+    return st.recursive(leaves, extend, max_leaves=10)
+
+
+_NUMBERS = st.tuples(st.integers(0, 9), st.integers(1, 4)).map(
+    lambda t: (f"({t[0]}/{t[1]})", f"F({t[0]}, {t[1]})"))
+_FLOAT_OPS = {"+", "-", "*", "/", "neg", "abs", "sqrt", "min", "max", "clamp"}
+_EXACT_OPS = {"+", "-", "*", "neg", "abs", "min", "max", "clamp"}
+_POINTS = st.lists(
+    st.one_of(st.floats(-4, 4, allow_nan=False), st.sampled_from([0.0, -0.0, 0.5, -1.0])),
+    min_size=1, max_size=16)
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
+def _scalar_or_failure(phi, points):
+    """The scalar closure at every point, or None when it raises
+    NumericalFailure or yields a non-finite value (either of which the
+    array path must turn into NumericalFailure)."""
+    try:
+        want = [phi(x) for x in points]
+    except NumericalFailure:
+        return None
+    return want if all(math.isfinite(w) for w in want) else None
+
+
+class TestCompiledClosures:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(text=_phi_texts(_FLOAT_OPS, _NUMBERS), points=_POINTS)
+    def test_array_equals_scalar_bit_for_bit(self, text, points):
+        phi = parse_phi(text[0])
+        want = _scalar_or_failure(phi, points)
+        if want is None:
+            with pytest.raises(NumericalFailure):
+                evaluate_array(phi, np.array(points))
+        else:
+            assert _bits(evaluate_array(phi, np.array(points))) == _bits(want)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(a=_phi_texts(_EXACT_OPS, _NUMBERS), b=_phi_texts(_EXACT_OPS, _NUMBERS),
+           fn=st.sampled_from(["exp", "pow"]), points=_POINTS)
+    def test_array_exp_pow_within_one_ulp(self, a, b, fn, points):
+        phi = parse_phi(f"exp({a[0]})" if fn == "exp" else f"pow({a[0]}, {b[0]})")
+        want = _scalar_or_failure(phi, points)
+        if want is None:
+            with pytest.raises(NumericalFailure):
+                evaluate_array(phi, np.array(points))
+        else:
+            got = evaluate_array(phi, np.array(points))
+            want = np.array(want)
+            assert np.all(np.abs(got - want) <= np.spacing(np.abs(want)))
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(text=_phi_texts(_EXACT_OPS, _NUMBERS),
+           points=st.lists(st.fractions(-4, 4, max_denominator=12), min_size=1, max_size=8))
+    def test_exact_matches_fraction_arithmetic(self, text, points):
+        phi = parse_phi(text[0])
+        clamp = lambda a, lo, hi: min(max(a, lo), hi)
+        for q in points:
+            want = eval(text[1], {"F": F, "clamp": clamp, "x": q})
+            got = phi(q, exact=True)
+            assert got == want and isinstance(got, (int, F))
+
+    # masked failures: the non-finite value would vanish under min/max
+    @pytest.mark.parametrize("text,x", [("1/x", 0.0), ("min(1, 1/x)", 0.0), ("sqrt(x)", -1.0),
+                                        ("max(0, sqrt(x - 1))", 0.5), ("min(1, exp(x))", 1000.0),
+                                        ("max(0, pow(x, 1/2))", -1.0),
+                                        ("min(1, pow(x, -1))", 0.0), ("min(1, pow(x, 400))", 10.0)])
+    def test_domain_errors_raise_on_both_float_paths(self, text, x):
+        phi = parse_phi(text)
+        with pytest.raises(NumericalFailure):
+            phi(x)
+        with pytest.raises(NumericalFailure):
+            evaluate_array(phi, np.array([1.0, x]))
+
+    @pytest.mark.parametrize("text", ["min(x, -x)", "max(x, -x)", "max(-x, x, 0)",
+                                      "clamp(0, x, -x)", "min(x, 0)*0"])
+    def test_signed_zero_ties_keep_the_first_operand(self, text):
+        # Python's min/max keep the earlier of two equal operands, so
+        # min(0.0, -0.0) is 0.0; np.minimum would give -0.0
+        phi = parse_phi(text)
+        points = [0.0, -0.0]
+        assert _bits(evaluate_array(phi, np.array(points))) == _bits([phi(x) for x in points])
+
+    @pytest.mark.parametrize(
+        "text", ["max(1-abs(x-1/2),0)", "x*x - x", "clamp(3*x-1, 0, 1/2)", "-abs(x)", "9/16",
+                 "sqrt(x*x + 1)", "min(x + 3/4, 0)*0", "-(min(x + 3/4, 0)*0)",
+                 "min(x - 1/4, 0)*0"])
+    def test_lln_bounds_matches_the_pointwise_loop(self, text):
+        # 2**17 + 1 points: three chunks, the midpoint is exactly 0; the
+        # zero-valued cases tie 0.0 with -0.0 within and across chunks, where
+        # min()/max() over the points keep the first
+        phi = parse_phi(text)
+        count = 2**17 + 1
+        vals = [phi(-1.0 + 2.0 * i / (count - 1)) for i in range(count)]
+        want = (min(vals), max(vals))
+        for f in (phi, lambda x: phi(x)):
+            assert _bits(lln_bounds(f, -1, 1, lipschitz=1, tol=2 / 2**17)) == _bits(want)
