@@ -335,10 +335,6 @@ class PhiExpression:
     def pretty(self) -> str:
         return self.root.pretty()
 
-    def lipschitz_estimate(self, lo: float, hi: float, samples: int = 2001) -> float:
-        """See :func:`lipschitz_estimate`."""
-        return lipschitz_estimate(self, lo, hi, samples)
-
     def __repr__(self):
         return f"PhiExpression({self.text!r})"
 

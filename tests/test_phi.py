@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sublin import NumericalFailure, UsageError, lln_bounds, parse_phi
-from sublin.phi import evaluate_array
+from sublin.phi import evaluate_array, lipschitz_estimate
 
 F = Fraction
 
@@ -91,11 +91,11 @@ class TestExactCapability:
 
 class TestLipschitz:
     def test_linear(self):
-        L = parse_phi("3*x + 1").lipschitz_estimate(-2, 2)
+        L = lipschitz_estimate(parse_phi("3*x + 1"), -2, 2)
         assert L >= 3
 
     def test_hat(self):
-        L = parse_phi("max(1 - abs(x), 0)").lipschitz_estimate(-2, 2)
+        L = lipschitz_estimate(parse_phi("max(1 - abs(x), 0)"), -2, 2)
         assert 1 <= L <= 10
 
 
