@@ -15,15 +15,17 @@ Zero-probability histories are skipped, matching the P-a.s. quantifier.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
 from .errors import ModelError, ModelTooLarge, NullHistoryError
 from .linprog import hull_gap, hull_vertices
-from .measures import NumericMode, _tolerance, parse_number, is_exact
+from .measures import NumericMode, _tolerance, check_weights, is_exact, parse_number
 
 DEFAULT_ENUM_CAP = 10**4
 
@@ -47,23 +49,14 @@ class JointModel:
         for s in supports:
             if len(set(s)) != len(s) or not s:
                 raise ModelError("supports must be nonempty without duplicates")
-        size = 1
-        for s in supports:
-            size *= len(s)
+        size = math.prod(len(s) for s in supports)
         tables = tuple(tuple(t) for t in tables)
         if not tables:
             raise ModelError("need at least one joint table")
         for t in tables:
             if len(t) != size:
                 raise ModelError(f"table has {len(t)} cells, grid has {size}")
-            if any((w < 0) if is_exact(w) else (w < -1e-12) for w in t):
-                raise ModelError("negative weight in joint table")
-            total = sum(t)
-            if all(is_exact(w) for w in t):
-                if total != 1:
-                    raise ModelError(f"table weights sum to {total}, not 1")
-            elif abs(total - 1.0) > 1e-12:
-                raise ModelError(f"table weights sum to {total!r}, not 1")
+            check_weights(t)
         object.__setattr__(self, "variable_names", variable_names)
         object.__setattr__(self, "supports", supports)
         object.__setattr__(self, "tables", tables)
@@ -76,54 +69,46 @@ class JointModel:
     def shape(self):
         return tuple(len(s) for s in self.supports)
 
-    def grid(self, upto: Optional[int] = None):
-        """Index tuples of the support grid of the first ``upto`` variables."""
-        upto = self.n_variables if upto is None else upto
-        return itertools.product(*(range(len(s)) for s in self.supports[:upto]))
+    def grid(self):
+        """Index tuples of the support grid, in row-major order."""
+        return itertools.product(*(range(len(s)) for s in self.supports))
 
-    def cell(self, table_index: int, idx: tuple):
-        flat = 0
-        for i, s in zip(idx, self.shape):
-            flat = flat * s + i
-        return self.tables[table_index][flat]
+    @functools.cached_property
+    def _prefix_laws(self):
+        """``[t][k]``: the law of (X_1..X_k) under table t, a dict from
+        support-index tuples to weights in grid order, for k = 0..N.  Each
+        weight sums its cells in grid order; k = 0 is the unit mass on ()."""
+        out = []
+        for table in self.tables:
+            laws = [{(): 1}]
+            for k in range(1, self.n_variables + 1):
+                law = {}
+                for idx, w in zip(self.grid(), table):
+                    law[idx[:k]] = law.get(idx[:k], 0) + w
+                laws.append(law)
+            out.append(laws)
+        return out
 
     def prefix_law(self, table_index: int, upto: int):
         """Joint law of (X_1..X_upto) as a flat vector over the prefix grid."""
-        shape = self.shape
-        out = {}
-        for idx in self.grid():
-            key = idx[:upto]
-            out[key] = out.get(key, 0) + self.cell(table_index, idx)
-        return [out[idx] for idx in self.grid(upto)]
+        return list(self._prefix_laws[table_index][upto].values())
 
     def marginal_law(self, table_index: int, k: int):
         """Unconditional law of X_k (1-based) as a vector over its support."""
         out = [0] * len(self.supports[k - 1])
-        for idx in self.grid():
-            out[idx[k - 1]] += self.cell(table_index, idx)
+        for idx, w in zip(self.grid(), self.tables[table_index]):
+            out[idx[k - 1]] += w
         return tuple(out)
 
     def conditional_law(self, table_index: int, k: int, history_idx: tuple):
         """Law of X_k given X_1..X_{k-1} = history (support indices)."""
-        weights = [0] * len(self.supports[k - 1])
-        total = 0
-        cache = self.prefix_cache(k)[table_index]
-        for idx in self.grid(k):
-            if idx[: k - 1] == tuple(history_idx):
-                w = cache[idx]
-                weights[idx[k - 1]] += w
-                total += w
+        law = self._prefix_laws[table_index][k]
+        history_idx = tuple(history_idx)
+        weights = [law.get(history_idx + (j,), 0) for j in range(len(self.supports[k - 1]))]
+        total = sum(weights)
         if total == 0:
             raise NullHistoryError(f"history {history_idx} has probability zero")
         return tuple(w / total for w in weights)
-
-    def prefix_cache(self, upto: int):
-        # small models; recompute rather than memoize
-        out = []
-        for ti in range(len(self.tables)):
-            law = self.prefix_law(ti, upto)
-            out.append(dict(zip(self.grid(upto), law)))
-        return out
 
     def exact(self) -> bool:
         return all(
@@ -227,12 +212,7 @@ def conditional_expectation(model: JointModel, table_index: int, f: Callable, hi
 
 def positive_histories(model: JointModel, table_index: int, n: int):
     """Positive-probability histories (index tuples) of X_1..X_{n-1}."""
-    cache = model.prefix_cache(n - 1) if n > 1 else None
-    if n == 1:
-        return [()]
-    return [
-        idx for idx in model.grid(n - 1) if cache[table_index][idx] > 0
-    ]
+    return [idx for idx, w in model._prefix_laws[table_index][n - 1].items() if w > 0]
 
 
 def check_pseudo_independence(model: JointModel, n: int, tol=None) -> IndependenceReport:
@@ -303,18 +283,23 @@ def default_probes(model: JointModel, n: int):
     return probes
 
 
-def joint_value(model: JointModel, n: int, phi: Callable):
-    """E over the joint laws of the prefix: sup_P E_P[phi(X_1..X_n)]."""
+def _max_prefix_expectation(model: JointModel, k: int, f: Callable):
+    """max over the tables of E[f(x_1..x_k)] under the law of (X_1..X_k);
+    ``f`` takes the tuple of support values."""
     best = None
-    for ti in range(len(model.tables)):
-        law = model.prefix_law(ti, n)
+    for laws in model._prefix_laws:
         val = sum(
-            w * phi(tuple(model.supports[j][i] for j, i in enumerate(idx)))
-            for idx, w in zip(model.grid(n), law)
+            w * f(tuple(model.supports[j][i] for j, i in enumerate(idx)))
+            for idx, w in laws[k].items()
             if w != 0
         )
         best = val if best is None else max(best, val)
     return best
+
+
+def joint_value(model: JointModel, n: int, phi: Callable):
+    """E over the joint laws of the prefix: sup_P E_P[phi(X_1..X_n)]."""
+    return _max_prefix_expectation(model, n, phi)
 
 
 def nested_value(model: JointModel, n: int, phi: Callable):
@@ -328,52 +313,52 @@ def nested_value(model: JointModel, n: int, phi: Callable):
             for law in marginals
         )
 
-    if n == 1:
-        return inner(())
-    best = None
-    for ti in range(len(model.tables)):
-        law = model.prefix_law(ti, n - 1)
-        val = sum(
-            w * inner(tuple(model.supports[j][i] for j, i in enumerate(idx)))
-            for idx, w in zip(model.grid(n - 1), law)
-            if w != 0
-        )
-        best = val if best is None else max(best, val)
-    return best
+    return _max_prefix_expectation(model, n - 1, inner)
+
+
+def _marginal_vertices(model: JointModel, k: int):
+    """Extreme points of the hull of the marginal laws of X_k."""
+    marginals = [model.marginal_law(ti, k) for ti in range(len(model.tables))]
+    return [marginals[i] for i in hull_vertices(marginals)]
+
+
+def _assemble(bases, marginal_vertices, width, cap, what):
+    """Every product of a base law (a flat vector over a prefix grid) with
+    one marginal vertex per positive-weight cell, as flat vectors over the
+    prefix grid times a support of ``width`` points, in enumeration order
+    and not deduplicated.  Raises ModelTooLarge before the list would
+    exceed ``cap``."""
+    out = []
+    for base in bases:
+        positive = sum(1 for w in base if w != 0)
+        if len(out) + len(marginal_vertices) ** positive > cap:
+            raise ModelTooLarge(f"{what} enumeration exceeds the cap ({cap})")
+        for choice in itertools.product(marginal_vertices, repeat=positive):
+            conds = iter(choice)
+            vec = []
+            for w in base:
+                vec.extend([w * c for c in next(conds)] if w != 0 else [0] * width)
+            out.append(vec)
+    return out
+
+
+def _distinct(vectors):
+    """The vectors without exact duplicates, first occurrence kept."""
+    seen = {}
+    for v in vectors:
+        seen.setdefault(tuple(Fraction(x) for x in v), v)
+    return list(seen.values())
 
 
 def _step_polytope_vertices(model: JointModel, n: int, cap: int):
     """Vertices of the step-n rectangular polytope: prefix-hull vertex times
     one marginal-hull vertex per positive-probability history."""
-    marginals = [model.marginal_law(ti, n) for ti in range(len(model.tables))]
-    mverts = [marginals[i] for i in hull_vertices(marginals)]
-    if n == 1:
-        return [list(v) for v in mverts]
     prefixes = [model.prefix_law(ti, n - 1) for ti in range(len(model.tables))]
-    pverts = [prefixes[i] for i in hull_vertices(prefixes)]
-    histories = list(model.grid(n - 1))
-    out = []
-    for pv in pverts:
-        pos = [i for i, w in enumerate(pv) if w != 0]
-        count = len(mverts) ** len(pos)
-        if len(out) + count > cap:
-            raise ModelTooLarge(
-                f"step polytope enumeration exceeds the cap ({cap})"
-            )
-        for choice in itertools.product(range(len(mverts)), repeat=len(pos)):
-            vec = []
-            for i, hist_w in enumerate(pv):
-                if hist_w == 0:
-                    vec.extend([0] * len(model.supports[n - 1]))
-                else:
-                    cond = mverts[choice[pos.index(i)]]
-                    vec.extend([hist_w * c for c in cond])
-            out.append(vec)
-    # deduplicate
-    seen = {}
-    for v in out:
-        seen.setdefault(tuple(Fraction(x) for x in v), v)
-    return list(seen.values())
+    bases = [prefixes[i] for i in hull_vertices(prefixes)]
+    width = len(model.supports[n - 1])
+    return _distinct(
+        _assemble(bases, _marginal_vertices(model, n), width, cap, "step polytope")
+    )
 
 
 def check_peng_independence(
@@ -413,9 +398,7 @@ def check_peng_independence(
         return IndependenceReport(True, witness={"mode": "not-refuted"}, gap=worst)
 
     if mode == "exact":
-        size = 1
-        for s in model.shape[:n]:
-            size *= s
+        size = math.prod(model.shape[:n])
         if size > cap:
             raise ModelTooLarge(f"support grid of size {size} exceeds the cap ({cap})")
         joints = [model.prefix_law(ti, n) for ti in range(len(model.tables))]
@@ -449,36 +432,9 @@ def enlarge_vertices(model: JointModel, cap: int = DEFAULT_ENUM_CAP) -> JointMod
     The upper expectation over the result equals the full nested recursion
     value for every test function.
     """
-    nvars = model.n_variables
-    vert_sets = []
-    for k in range(1, nvars + 1):
-        marginals = [model.marginal_law(ti, k) for ti in range(len(model.tables))]
-        vert_sets.append([marginals[i] for i in hull_vertices(marginals)])
-
-    # partial joints over the first k coordinates, as flat vectors
-    partials = [list(v) for v in vert_sets[0]]
-    for k in range(2, nvars + 1):
-        mverts = vert_sets[k - 1]
-        support_k = len(model.supports[k - 1])
-        new_partials = []
-        for pv in partials:
-            pos = [i for i, w in enumerate(pv) if w != 0]
-            count = len(mverts) ** len(pos)
-            if len(new_partials) + count > cap:
-                raise ModelTooLarge(f"enlargement enumeration exceeds the cap ({cap})")
-            for choice in itertools.product(range(len(mverts)), repeat=len(pos)):
-                vec = []
-                for i, hist_w in enumerate(pv):
-                    if hist_w == 0:
-                        vec.extend([0] * support_k)
-                    else:
-                        cond = mverts[choice[pos.index(i)]]
-                        vec.extend([hist_w * c for c in cond])
-                new_partials.append(vec)
-        partials = new_partials
-
-    seen = {}
-    for v in partials:
-        seen.setdefault(tuple(Fraction(x) for x in v), v)
-    tables = [tuple(v) for v in seen.values()]
+    partials = [[1]]
+    for k in range(1, model.n_variables + 1):
+        width = len(model.supports[k - 1])
+        partials = _assemble(partials, _marginal_vertices(model, k), width, cap, "enlargement")
+    tables = [tuple(v) for v in _distinct(partials)]
     return JointModel(model.variable_names, model.supports, tables)

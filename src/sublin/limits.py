@@ -254,15 +254,15 @@ def lln_experiment(
     """E[phi(S_n/n)] for each n, against the i.i.d. limit max phi over
     [-E[-X], E[X]].
 
-    The prediction is ``lln_bounds`` at tol=1e-9; the metadata's
+    The prediction is ``lln_bounds`` at tol=1e-9, with ``lipschitz``
+    estimated on [-E[-X], E[X]] when not given; the metadata's
     ``prediction_error`` is the error bound its grid achieved.
     """
     tol = 1e-9
     mu_hi = upper_expectation(aset, lambda x: x).value
     mu_lo = lower_expectation(aset, lambda x: x).value
     if lipschitz is None:
-        span = max(1.0, abs(float(mu_lo)), abs(float(mu_hi)))
-        lipschitz = lipschitz_estimate(phi, -2 * span, 2 * span)
+        lipschitz = lipschitz_estimate(phi, mu_lo, mu_hi)
     _, prediction = lln_bounds(phi, mu_lo, mu_hi, lipschitz, tol)
     lo, hi = float(mu_lo), float(mu_hi)
     error = lipschitz * (hi - lo) / (_lln_grid_count(lo, hi, lipschitz, tol) - 1)

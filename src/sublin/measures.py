@@ -51,6 +51,21 @@ def is_exact(x) -> bool:
     return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
 
 
+def check_weights(weights: Sequence):
+    """The one rule for the weights of a law: none negative (below
+    -WEIGHT_TOL for floats) and a total of 1, exactly when every weight is
+    rational and within WEIGHT_TOL otherwise.  Raises ModelError."""
+    for w in weights:
+        if w < 0 if is_exact(w) else w < -WEIGHT_TOL:
+            raise ModelError(f"negative weight {w!r}")
+    total = sum(weights)
+    if all(is_exact(w) for w in weights):
+        if total != 1:
+            raise ModelError(f"weights sum to {total}, not 1")
+    elif abs(total - 1.0) > WEIGHT_TOL:
+        raise ModelError(f"weights sum to {total!r}, not 1")
+
+
 def _check_value(v):
     if isinstance(v, float) and not math.isfinite(v):
         raise NumericalFailure("test function produced a non-finite value")
@@ -71,18 +86,11 @@ class DiscreteDistribution:
     def __init__(self, points: Sequence, weights: Sequence):
         if len(points) != len(weights) or not points:
             raise ModelError("points and weights must be nonempty and equal length")
+        check_weights(weights)
         merged: dict = {}
         for x, w in zip(points, weights):
-            if isinstance(w, float) and w < -WEIGHT_TOL or is_exact(w) and w < 0:
-                raise ModelError(f"negative weight {w!r} at {x!r}")
             merged[x] = merged.get(x, 0) + w
         pairs = tuple(sorted(merged.items(), key=lambda kv: kv[0]))
-        total = sum(w for _, w in pairs)
-        if all(is_exact(w) for _, w in pairs):
-            if total != 1:
-                raise ModelError(f"weights sum to {total}, not 1")
-        elif abs(total - 1.0) > WEIGHT_TOL:
-            raise ModelError(f"weights sum to {total!r}, not 1")
         object.__setattr__(self, "atoms", pairs)
 
     @property

@@ -10,8 +10,8 @@ Grammar (left-associative):
 
 NUMBER is a decimal literal; rationals are written ``p/q`` and fold to an
 exact Fraction at parse time.  In exact-rational mode the expression is
-restricted to {+,-,*,abs,min,max,clamp} plus constant division, which keeps
-evaluation closed over the rationals.
+restricted to {+,-,*,abs,min,max,clamp} plus division by a constant, which
+keeps evaluation closed over the rationals.
 """
 
 from __future__ import annotations
@@ -234,9 +234,9 @@ def _array_max(a, b):
     return np.where(b > a, b, a)
 
 
-# Primitive tables for _compile.  '+', '-', '*' and negation are Python
-# operators on every type; the exact table lacks '/', sqrt, exp and pow,
-# which keeps it closed over the rationals.
+# Primitive tables for _compile.  '+', '-', '*', negation and division by a
+# nonzero constant are Python operators on every type; the exact table lacks
+# the checked '/', sqrt, exp and pow, which keeps it closed over the rationals.
 _SCALAR_OPS = {"const": float, "/": _scalar_div, "abs": abs, "min": min, "max": max,
                "sqrt": _scalar_sqrt, "exp": _scalar_checked(math.exp, "exp"),
                "pow": _scalar_checked(math.pow, "pow")}
@@ -268,6 +268,8 @@ def _compile(node, ops):
             return lambda x: f(x) - g(x)
         if node.op == "*":
             return lambda x: f(x) * g(x)
+        if isinstance(node.right, Num) and node.right.value != 0:
+            return lambda x: f(x) / g(x)
         div = ops["/"]
         return lambda x: div(f(x), g(x))
     fs = [_compile(a, ops) for a in node.args]
@@ -325,7 +327,8 @@ class PhiExpression:
         if self._exact is None:
             raise UsageError(
                 f"expression {self.text!r} uses operations outside the "
-                "exact-rational subset {+,-,*,abs,min,max,clamp}"
+                "exact-rational subset {+,-,*,abs,min,max,clamp} plus division "
+                "by a constant"
             )
 
     @property
@@ -368,6 +371,7 @@ def evaluate_array(f: Callable, xs: np.ndarray) -> np.ndarray:
 def lipschitz_estimate(f: Callable, lo: float, hi: float, samples: int = 2001) -> float:
     """Max sampled difference quotient of ``f`` on [lo, hi], with a 2x
     safety factor."""
+    lo, hi = float(lo), float(hi)
     if hi <= lo:
         return 0.0
     step = (hi - lo) / (samples - 1)

@@ -110,6 +110,19 @@ class TestTables:
         assert code == 0
         assert out.startswith("n=3 value=61/75 ")
 
+    def test_lln_phi_defined_only_on_the_mean_range(self, capsys):
+        # sqrt(x+1) is undefined below -1, far outside the band's [2/5, 3/5]
+        code, out, _ = run(capsys, "lln", "--model", cfg("bernoulli-band.json"),
+                           "--phi", "sqrt(x+1)")
+        assert code == 0
+        assert out.startswith("n=16 value=")
+
+    def test_lln_exact_constant_division(self, capsys):
+        code, out, _ = run(capsys, "lln", "--model", cfg("bernoulli-band.json"),
+                           "--phi", "x/4", "--n-schedule", "4,8", "--exact")
+        assert code == 0
+        assert out.startswith("n=4 value=3/20 ")
+
     @pytest.mark.parametrize("command", ["lln", "clt"])
     def test_exact_rejects_non_rational_phi(self, capsys, command):
         code, _, err = run(capsys, command, "--model", cfg("rademacher.json"),

@@ -15,7 +15,13 @@ from sublin import (
     enlarge_vertices,
     joint_model_from_dict,
 )
-from sublin.independence import joint_value, nested_value, positive_histories
+from sublin.independence import (
+    DEFAULT_ENUM_CAP,
+    _step_polytope_vertices,
+    joint_value,
+    nested_value,
+    positive_histories,
+)
 from sublin.linprog import in_hull
 
 from conftest import random_product_model
@@ -52,7 +58,7 @@ class TestJointModel:
             "measures": [{"table": [["1/16", "3/16"], ["3/16", "9/16"]]}],
         }
         m = joint_model_from_dict(doc, NumericMode.EXACT)
-        assert m.cell(0, (1, 1)) == F(9, 16)
+        assert m.tables[0][3] == F(9, 16)
 
     def test_from_dict_rejects_bad_shape(self):
         with pytest.raises(ModelError):
@@ -196,6 +202,28 @@ class TestEnlargement:
     def test_cap(self, example36):
         with pytest.raises(ModelTooLarge):
             enlarge_vertices(example36, cap=3)
+
+    def test_step_polytope_cap(self, example36):
+        # the 2x2 grid fits cap=4; the step polytope needs 2 prefix vertices
+        # times 2**2 marginal choices = 8 products
+        with pytest.raises(ModelTooLarge, match="step polytope"):
+            check_peng_independence(example36, 2, mode="exact", cap=4)
+
+    def test_two_variable_step_polytope_is_the_enlargement(self):
+        # with two variables both enumerations assemble marginal-1 vertices
+        # with one marginal-2 vertex per positive history
+        rng = random.Random(26)
+        models = [random_product_model(rng) for _ in range(10)]
+        for _ in range(10):
+            sx, sy = rng.randint(2, 3), rng.randint(2, 3)
+            tables = []
+            for _ in range(rng.randint(1, 3)):
+                raw = [rng.choice([0, 0, 1, 2, 5]) for _ in range(sx * sy - 1)] + [1]
+                tables.append([F(w, sum(raw)) for w in raw])
+            models.append(JointModel(["X", "Y"], [range(sx), range(sy)], tables))
+        for m in models:
+            poly = _step_polytope_vertices(m, 2, DEFAULT_ENUM_CAP)
+            assert [tuple(v) for v in poly] == list(enlarge_vertices(m).tables)
 
 
 class TestPositiveHistories:

@@ -7,6 +7,7 @@ import pytest
 from sublin import (
     AmbiguitySet,
     DiscreteDistribution,
+    JointModel,
     ModelError,
     NumericalFailure,
     NumericMode,
@@ -43,6 +44,25 @@ class TestDiscreteDistribution:
             DiscreteDistribution([0, 1], [F(3, 2), F(-1, 2)])
         with pytest.raises(ModelError):
             DiscreteDistribution([0, 1], [0.5, 0.5 + 1e-6])
+
+    @pytest.mark.parametrize("weights,ok", [
+        ([F(1, 2), F(1, 4), F(1, 4)], True),
+        ([0.5, 0.25, 0.25 + 1e-13], True),
+        ([1 + 1e-13, -1e-13, 0.0], True),
+        ([F(1, 2), F(1, 4), F(1, 8)], False),
+        ([F(3, 2), F(-1, 2), 0], False),
+        ([1.5, -0.5, 0.0], False),
+        ([0.5, 0.5, 1e-6], False),
+    ])
+    def test_one_weight_rule_for_laws_and_joint_tables(self, weights, ok):
+        builders = [lambda: DiscreteDistribution([0, 1, 2], weights),
+                    lambda: JointModel(["X"], [[0, 1, 2]], [weights])]
+        for build in builders:
+            if ok:
+                build()
+            else:
+                with pytest.raises(ModelError):
+                    build()
 
     def test_float_tolerance(self):
         DiscreteDistribution([0, 1, 2], [0.1, 0.2, 0.7])  # fine

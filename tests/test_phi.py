@@ -70,6 +70,13 @@ class TestExactCapability:
         assert phi.exact_capable
         assert phi(F(9, 16), exact=True) == 0
 
+    def test_division_by_a_constant_is_exact(self):
+        phi = parse_phi("x/4")
+        assert phi.exact_capable
+        assert phi(F(1, 3), exact=True) == F(1, 12)
+        assert phi(0.3) == 0.3 / 4
+        assert not parse_phi("x/(2-2)").exact_capable
+
     def test_variable_division_not_exact(self):
         phi = parse_phi("1/x")
         assert not phi.exact_capable
@@ -97,6 +104,10 @@ class TestLipschitz:
     def test_hat(self):
         L = lipschitz_estimate(parse_phi("max(1 - abs(x), 0)"), -2, 2)
         assert 1 <= L <= 10
+
+    def test_rational_bounds(self):
+        # the exact band's mean envelope is [2/5, 3/5]
+        assert lipschitz_estimate(parse_phi("2*x"), F(2, 5), F(3, 5)) == pytest.approx(4)
 
 
 class TestRoundTrip:
