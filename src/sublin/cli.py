@@ -71,9 +71,11 @@ def _emit_table(table: ExperimentTable, args):
         table.to_json(args.json)
 
 
-def _add_common(p, grid=False):
-    p.add_argument("--exact", action="store_true", help="exact-rational mode")
-    p.add_argument("--out", metavar="PATH", help="write the result table as CSV")
+def _add_common(p, exact=True, out=False, grid=False):
+    if exact:
+        p.add_argument("--exact", action="store_true", help="exact-rational mode")
+    if out:
+        p.add_argument("--out", metavar="PATH", help="write the result table as CSV")
     p.add_argument("--json", metavar="PATH", help="write a JSON report")
     if grid:
         p.add_argument("--dx", type=float, default=0.01)
@@ -98,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--model", required=True)
     q.add_argument("--phi", required=True)
     q.add_argument("--n-schedule", default="16,32,64,128,256,512,1024")
-    _add_common(q)
+    _add_common(q, out=True)
 
     q = sub.add_parser("clt", help="CLT experiment table against the G-heat PDE")
     q.add_argument("--model", required=True)
@@ -106,13 +108,13 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--n-schedule", default="25,100,400")
     q.add_argument("--truncate-sqrt-n", action="store_true",
                    help="clip step atoms to [-sqrt(n), sqrt(n)] first")
-    _add_common(q, grid=True)
+    _add_common(q, out=True, grid=True)
 
     q = sub.add_parser("gnormal", help="G-normal expectation via the PDE solver")
     q.add_argument("--sigma-lo", type=float, required=True)
     q.add_argument("--sigma-hi", type=float, required=True)
     q.add_argument("--phi", required=True)
-    _add_common(q, grid=True)
+    _add_common(q, exact=False, grid=True)
 
     q = sub.add_parser("counterexample", help="LLN/CLT failure counterexamples on the heavy-tail family")
     q.add_argument("--which", choices=["lln", "clt"], required=True)
@@ -135,7 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--counterexample-K", type=int, default=None,
                    help="diagnose the exact counterexample family instead")
     q.add_argument("--n-max", type=int, default=10000)
-    _add_common(q)
+    _add_common(q, out=True)
 
     q = sub.add_parser("enlarge", help="dump the enlargement's vertex joints")
     q.add_argument("--config", required=True, help="joint-model JSON file")
@@ -203,18 +205,14 @@ def _cmd_counterexample(args):
         clamp = 2.0 if args.clamp is None else args.clamp
         value, bound = limits.prop62_experiment(args.K, args.n, clamp, mode)
         classical = 0.0  # phi(1): the classical LLN prediction for E[X^2] = 1
-        print(f"value={_fmt(value)} lower-bound={_fmt(bound)} "
-              f"classical-reference={classical:.17g} robust-limit=1")
-        _dump_json(args, {"value": _fmt(value), "lower_bound": _fmt(bound),
-                          "classical_reference": classical, "robust_limit": 1})
     else:
         clamp = 1.0 if args.clamp is None else args.clamp
         value, bound = limits.prop63_experiment(args.K, args.n, clamp, mode)
         classical = 1.0 - math.sqrt(2.0 / math.pi)
-        print(f"value={_fmt(value)} lower-bound={_fmt(bound)} "
-              f"classical-reference={classical:.17g} robust-limit=1")
-        _dump_json(args, {"value": _fmt(value), "lower_bound": _fmt(bound),
-                          "classical_reference": classical, "robust_limit": 1})
+    print(f"value={_fmt(value)} lower-bound={_fmt(bound)} "
+          f"classical-reference={classical:.17g} robust-limit=1")
+    _dump_json(args, {"value": _fmt(value), "lower_bound": _fmt(bound),
+                      "classical_reference": classical, "robust_limit": 1})
     return 0
 
 
@@ -285,10 +283,7 @@ def _cmd_enlarge(args):
     }
     for i, t in enumerate(enlarged.tables):
         print(f"vertex {i}: " + " ".join(_fmt(w) for w in t))
-    if args.json:
-        with open(args.json, "w") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
+    _dump_json(args, doc)
     return 0
 
 
@@ -305,7 +300,7 @@ _DISPATCH = {
 
 
 def _dump_json(args, doc):
-    if getattr(args, "json", None):
+    if args.json:
         with open(args.json, "w") as fh:
             json.dump(doc, fh, indent=2)
             fh.write("\n")
@@ -318,7 +313,7 @@ def main(argv=None) -> int:
     except SublinError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.exit_code
-    except FileNotFoundError as e:
+    except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -25,7 +24,9 @@ from typing import Callable, Optional
 
 from .errors import ModelError, ModelTooLarge, NullHistoryError
 from .linprog import hull_gap, hull_vertices
-from .measures import NumericMode, _tolerance, check_weights, is_exact, parse_number
+from .measures import (
+    NumericMode, _array, _measures, _read_json, _tolerance, check_weights, is_exact, parse_number,
+)
 
 DEFAULT_ENUM_CAP = 10**4
 
@@ -116,37 +117,10 @@ class JointModel:
         ) and all(all(is_exact(x) for x in s) for s in self.supports)
 
 
-JOINT_SCHEMA = {
-    "type": "object",
-    "required": ["variables", "supports", "measures"],
-    "properties": {
-        "variables": {"type": "array", "minItems": 1, "items": {"type": "string"}},
-        "supports": {
-            "type": "array",
-            "minItems": 1,
-            "items": {
-                "type": "array",
-                "minItems": 1,
-                "items": {"type": ["number", "string"]},
-            },
-        },
-        "measures": {
-            "type": "array",
-            "minItems": 1,
-            "items": {
-                "type": "object",
-                "required": ["table"],
-                "properties": {"table": {"type": "array"}},
-            },
-        },
-    },
-}
-
-
 def _flatten(nested, shape):
     if not shape:
         return [nested]
-    if len(nested) != shape[0]:
+    if not isinstance(nested, list) or len(nested) != shape[0]:
         raise ModelError("table shape does not match supports")
     out = []
     for sub in nested:
@@ -155,24 +129,27 @@ def _flatten(nested, shape):
 
 
 def joint_model_from_dict(doc: dict, mode: NumericMode = NumericMode.FLOAT64) -> JointModel:
-    import jsonschema
-
-    try:
-        jsonschema.validate(doc, JOINT_SCHEMA)
-    except jsonschema.ValidationError as e:
-        raise ModelError(f"invalid joint-model file: {e.message}") from e
-    supports = [[parse_number(v, mode) for v in s] for s in doc["supports"]]
+    """Build a JointModel from a joint-model file's JSON document, an object
+    with nonempty arrays ``variables`` of strings, ``supports`` of nonempty
+    arrays of numbers (see :func:`parse_number`) and ``measures`` of objects
+    whose ``table`` nests one array per variable.  Raises ModelError."""
+    entries = _measures(doc)
+    names = _array(doc.get("variables"), "variables")
+    if not all(isinstance(v, str) for v in names):
+        raise ModelError("invalid model file: variables must be strings")
+    supports = [[parse_number(v, mode) for v in _array(s, "each support")]
+                for s in _array(doc.get("supports"), "supports")]
     shape = tuple(len(s) for s in supports)
     tables = []
-    for entry in doc["measures"]:
-        flat = _flatten(entry["table"], shape)
-        tables.append([parse_number(v, mode) for v in flat])
-    return JointModel(doc["variables"], supports, tables)
+    for entry in entries:
+        if "table" not in entry:
+            raise ModelError("invalid model file: each measure needs a table")
+        tables.append([parse_number(v, mode) for v in _flatten(entry["table"], shape)])
+    return JointModel(names, supports, tables)
 
 
 def load_joint_model(path: str, mode: NumericMode = NumericMode.FLOAT64) -> JointModel:
-    with open(path) as fh:
-        return joint_model_from_dict(json.load(fh), mode)
+    return joint_model_from_dict(_read_json(path), mode)
 
 
 @dataclass(frozen=True)

@@ -104,6 +104,15 @@ def _step_at(seq: StepSequence, i: int) -> AmbiguitySet:
     return seq.steps[min(i, len(seq.steps) - 1)]
 
 
+def _decaying(table) -> bool:
+    """Whether an ``(n, value)`` tail table decays: its largest value on the
+    second half of the schedule is below that on the first, or all are 0."""
+    half = len(table) // 2
+    head = max(v for _, v in table[: half + 1])
+    tail = max(v for _, v in table[half:])
+    return tail < head or all(v == 0 for _, v in table)
+
+
 @dataclass(frozen=True)
 class MomentSummary:
     """First/second-moment envelopes and the H1/H2 tail diagnostics."""
@@ -119,17 +128,11 @@ class MomentSummary:
 
     @property
     def h1_decaying(self) -> bool:
-        half = len(self.tail_abs) // 2
-        head = max(v for _, v in self.tail_abs[: half + 1])
-        tail = max(v for _, v in self.tail_abs[half:])
-        return tail < head or all(v == 0 for _, v in self.tail_abs)
+        return _decaying(self.tail_abs)
 
     @property
     def h2_decaying(self) -> bool:
-        half = len(self.tail_sq) // 2
-        head = max(v for _, v in self.tail_sq[: half + 1])
-        tail = max(v for _, v in self.tail_sq[half:])
-        return tail < head or all(v == 0 for _, v in self.tail_sq)
+        return _decaying(self.tail_sq)
 
     @property
     def gparams(self) -> GParams:

@@ -32,10 +32,14 @@ class NumericMode(Enum):
 
 
 def parse_number(value, mode: NumericMode = NumericMode.FLOAT64):
-    """Read a number from JSON: a plain number or a string like ``"9/16"``."""
+    """Read a number from JSON: a plain number or a string like ``"9/16"``.
+    Anything else, a bool included, raises ModelError."""
     if isinstance(value, str):
-        return Fraction(value)
-    if isinstance(value, (int, Fraction)):
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError) as e:
+            raise ModelError(f"not a number: {value!r}") from e
+    if is_exact(value):
         return value
     if isinstance(value, float):
         if not math.isfinite(value):
@@ -58,7 +62,10 @@ def check_weights(weights: Sequence):
     for w in weights:
         if w < 0 if is_exact(w) else w < -WEIGHT_TOL:
             raise ModelError(f"negative weight {w!r}")
-    total = sum(weights)
+    try:
+        total = sum(weights)
+    except OverflowError as e:  # an int or Fraction beyond float range met a float
+        raise ModelError("weights sum beyond the float range, not 1") from e
     if all(is_exact(w) for w in weights):
         if total != 1:
             raise ModelError(f"weights sum to {total}, not 1")
@@ -228,53 +235,47 @@ def same_distribution(a: AmbiguitySet, b: AmbiguitySet, tol=None) -> bool:
     )
 
 
-MEASURES_SCHEMA = {
-    "type": "object",
-    "required": ["measures"],
-    "properties": {
-        "measures": {
-            "type": "array",
-            "minItems": 1,
-            "items": {
-                "type": "object",
-                "required": ["atoms", "probs"],
-                "properties": {
-                    "atoms": {
-                        "type": "array",
-                        "minItems": 1,
-                        "items": {"type": ["number", "string"]},
-                    },
-                    "probs": {
-                        "type": "array",
-                        "minItems": 1,
-                        "items": {"type": ["number", "string"]},
-                    },
-                },
-            },
-        },
-        "label": {"type": "string"},
-    },
-}
+def _array(value, what: str) -> list:
+    """``value`` if it is a nonempty JSON array; ModelError otherwise."""
+    if not isinstance(value, list) or not value:
+        raise ModelError(f"invalid model file: {what} must be a nonempty array")
+    return value
+
+
+def _measures(doc) -> list:
+    """The ``measures`` of a model document: a nonempty array of objects."""
+    if not isinstance(doc, dict):
+        raise ModelError("invalid model file: the document must be an object")
+    entries = _array(doc.get("measures"), "measures")
+    if not all(isinstance(e, dict) for e in entries):
+        raise ModelError("invalid model file: each measure must be an object")
+    return entries
+
+
+def _read_json(path: str):
+    """The JSON document in the file at ``path``; ModelError if it is not JSON."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except ValueError as e:  # JSONDecodeError, UnicodeDecodeError, int-digit limit
+            raise ModelError(f"{path} is not a JSON file: {e}") from e
 
 
 def ambiguity_set_from_dict(doc: dict, mode: NumericMode = NumericMode.FLOAT64) -> AmbiguitySet:
-    """Build an AmbiguitySet from the model-file JSON schema."""
-    import jsonschema
-
-    try:
-        jsonschema.validate(doc, MEASURES_SCHEMA)
-    except jsonschema.ValidationError as e:
-        raise ModelError(f"invalid model file: {e.message}") from e
+    """Build an AmbiguitySet from a model file's JSON document, an object with
+    a nonempty array ``measures`` of objects, each with nonempty, equally long
+    arrays ``atoms`` and ``probs`` of numbers (see :func:`parse_number`), and
+    an optional string ``label``; other keys are ignored.  Raises ModelError."""
     members = []
-    for entry in doc["measures"]:
-        points = [parse_number(v, mode) for v in entry["atoms"]]
-        weights = [parse_number(v, mode) for v in entry["probs"]]
-        if len(points) != len(weights):
-            raise ModelError("atoms and probs must have equal length")
+    for entry in _measures(doc):
+        points = [parse_number(v, mode) for v in _array(entry.get("atoms"), "atoms")]
+        weights = [parse_number(v, mode) for v in _array(entry.get("probs"), "probs")]
         members.append(DiscreteDistribution(points, weights))
-    return AmbiguitySet(members, doc.get("label", ""))
+    label = doc.get("label", "")
+    if not isinstance(label, str):
+        raise ModelError("invalid model file: label must be a string")
+    return AmbiguitySet(members, label)
 
 
 def load_ambiguity_set(path: str, mode: NumericMode = NumericMode.FLOAT64) -> AmbiguitySet:
-    with open(path) as fh:
-        return ambiguity_set_from_dict(json.load(fh), mode)
+    return ambiguity_set_from_dict(_read_json(path), mode)

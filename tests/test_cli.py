@@ -269,6 +269,61 @@ class TestExitCodes:
         code, _, err = run(capsys, "eval", "--model", str(path), "--phi", "x", "--n", "2")
         assert code == 2
 
+    @pytest.mark.parametrize("text", [
+        '{"measures": [{"atoms": [0, 1], "probs": ["1/2", "x"]}]}',
+        '{"measures": [{"atoms": [0, 1], "probs": ["1/2", "1/0"]}]}',
+        '{"measures": [{"atoms": [0, 1], "probs": [true, false]}]}',
+        '{"measures": [{"atoms": [0, 1], "probs": [%d, 0.5]}]}' % 10**400,
+        '[1, 2]',
+        '{"measures": [{"atoms": [0, 1], "probs": [0.5, 0.5]}], "label": 3}',
+        '{"measures": [',
+    ], ids=["string", "zero-denominator", "bool", "overflow", "array", "label", "truncated"])
+    def test_malformed_model_file(self, capsys, tmp_path, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        code, _, err = run(capsys, "eval", "--model", str(path), "--phi", "x", "--n", "2")
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("change", [
+        {"measures": [{"table": [1, [0.5, 0.5]]}]},
+        {"measures": [{"table": [["abc", "1/4"], ["1/4", "1/4"]]}]},
+        {"measures": [{"table": [[True, 0], [0, 0]]}]},
+        {"variables": [1, 2]},
+    ], ids=["scalar-row", "string", "bool", "variables"])
+    def test_malformed_joint_model_file(self, capsys, tmp_path, change):
+        with open(cfg("example36.json")) as fh:
+            doc = json.load(fh)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({**doc, **change}))
+        code, _, err = run(capsys, "check-independence", "--config", str(path), "--mode", "pseudo")
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--model", "DIR", "--phi", "x", "--n", "2"],
+        ["check-independence", "--config", "DIR", "--mode", "pseudo"],
+    ], ids=["eval", "check-independence"])
+    def test_directory_as_model_file(self, capsys, tmp_path, argv):
+        code, _, err = run(capsys, *[str(tmp_path) if a == "DIR" else a for a in argv])
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["gnormal", "--sigma-lo", "1", "--sigma-hi", "1", "--phi", "x", "--exact"],
+        ["gnormal", "--sigma-lo", "1", "--sigma-hi", "1", "--phi", "x", "--out", "F"],
+        ["eval", "--model", cfg("bernoulli-band.json"), "--phi", "x", "--n", "2", "--out", "F"],
+        ["counterexample", "--which", "clt", "--K", "2", "--n", "1", "--out", "F"],
+        ["check-independence", "--config", cfg("example36.json"), "--mode", "pseudo",
+         "--out", "F"],
+        ["enlarge", "--config", cfg("example36.json"), "--out", "F"],
+    ], ids=["gnormal-exact", "gnormal-out", "eval-out", "counterexample-out",
+            "check-independence-out", "enlarge-out"])
+    def test_option_not_honoured_is_usage_error(self, capsys, tmp_path, argv):
+        code, out, _ = run(capsys, *[str(tmp_path / "F") if a == "F" else a for a in argv])
+        assert code == 1 and out == ""
+        assert not (tmp_path / "F").exists()
+
     def test_numerical_failure_irrational_lattice(self, capsys, tmp_path):
         path = tmp_path / "irr.json"
         path.write_text(
