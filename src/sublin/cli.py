@@ -3,8 +3,9 @@
 Subcommands: eval, lln, clt, gnormal, counterexample, check-independence,
 diagnose, enlarge.  Models come from JSON files (see the schemas in
 measures.py / independence.py); test functions are expressions over the
-phi grammar.  Exit codes: 0 success, 1 usage, 2 invalid model,
-3 numerical failure, 4 model-too-large.
+phi grammar.  Exit codes: 0 success, 1 usage or an output file that
+cannot be written, 2 invalid or unreadable model, 3 numerical failure,
+4 model-too-large.
 """
 
 from __future__ import annotations
@@ -313,9 +314,9 @@ def main(argv=None) -> int:
     except SublinError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.exit_code
-    except OSError as e:
+    except OSError as e:  # an output file; model files raise ModelError
         print(f"error: {e}", file=sys.stderr)
-        return 2
+        return 1
 
 
 if __name__ == "__main__":

@@ -12,9 +12,11 @@ import csv
 import io
 import json
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from itertools import accumulate
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -24,9 +26,9 @@ from .measures import (
     AmbiguitySet,
     DiscreteDistribution,
     NumericMode,
+    is_exact,
     lower_expectation,
     upper_expectation,
-    upper_probability,
 )
 from .phi import evaluate_array, lipschitz_estimate
 from .recursion import StepSequence, sublinear_eval_sum, sublinear_event_probability
@@ -146,53 +148,157 @@ def default_diagnostic_schedule(n_max: int) -> list:
     return [n for n in out if n >= 1]
 
 
+class _MemberTable(NamedTuple):
+    """One member's nonzero-weight atoms sorted by |x| (keys |x| and x*x),
+    with prefix sums of w*x and w*x^2 and suffix sums of w, as numerators
+    over ``den``: E[X 1{|X| < n}] is ``wx[bisect_left(abs_keys, n)] / den``,
+    E[X^2 1{|X| <= n}] is ``wx2[bisect_right(abs_keys, n)] / den``, and
+    P(|X| >= n) and P(X^2 >= n) are ``tail`` at ``bisect_left`` on
+    ``abs_keys`` and ``sq_keys``.
+
+    A rational member's per-atom sums are ints unless a Fraction enters them:
+    ``fraction`` tells whether one is among the nonzero-weight atoms and
+    weights; a tail sums a Fraction weight (a zero one included) iff n is at
+    most ``fraction_abs`` (``fraction_sq``), the largest |x| (x*x) of an atom
+    with a Fraction weight, or -1."""
+
+    abs_keys: list
+    sq_keys: list
+    den: int
+    wx: list
+    wx2: list
+    tail: list
+    rational: bool
+    fraction: bool
+    fraction_abs: object
+    fraction_sq: object
+
+    def value(self, num, fraction: bool):
+        if not self.rational:
+            return num
+        return Fraction(num, self.den) if fraction else num // self.den
+
+
+def _member_table(m: DiscreteDistribution, rational: bool) -> _MemberTable:
+    pairs = sorted(((x, w) for x, w in m.atoms if w != 0), key=lambda p: abs(p[0]))
+    sq_keys = [x * x for x, _ in pairs]
+    if rational:
+        # over wd*xd^2 (w = wn/wd, x = xn/xd) all three terms have integer
+        # numerators: wn*xd^2, wn*xn*xd and wn*xn^2
+        den = math.lcm(*(w.denominator * x.denominator ** 2 for x, w in pairs))
+        w, wx, wx2 = [], [], []
+        for x, v in pairs:
+            xn, xd = x.numerator, x.denominator
+            c = v.numerator * (den // (v.denominator * xd * xd))
+            w.append(c * xd * xd)
+            wx.append(c * xn * xd)
+            wx2.append(c * xn * xn)
+        zero = 0
+    else:
+        if not all(math.isfinite(s) for s in sq_keys):
+            raise NumericalFailure("test function produced a non-finite value")
+        den = 1
+        w = [float(w) for _, w in pairs]
+        wx = [float(w * x) for x, w in pairs]
+        wx2 = [float(w * s) for (_, w), s in zip(pairs, sq_keys)]
+        zero = 0.0
+    fraction_abs = [abs(x) for x, v in m.atoms if isinstance(v, Fraction)]
+    return _MemberTable(
+        [abs(x) for x, _ in pairs], sq_keys, den,
+        list(accumulate(wx, initial=zero)), list(accumulate(wx2, initial=zero)),
+        list(accumulate(reversed(w), initial=zero))[::-1], rational,
+        any(isinstance(v, Fraction) for p in pairs for v in p),
+        max(fraction_abs, default=-1), max((x * x for x in fraction_abs), default=-1),
+    )
+
+
+def _first_max(tables, nums):
+    """The first table whose ``num / den`` is largest, with that numerator;
+    ties go to the first, as in ``upper_expectation``."""
+    best, top = None, None
+    for t, v in zip(tables, nums):
+        if best is None or v * best.den > top * t.den:
+            best, top = t, v
+    return best, top
+
+
 def moment_summary(
     seq: StepSequence, n_max: int, schedule: Optional[Sequence[int]] = None
 ) -> MomentSummary:
-    """All displayed moment/tail quantities up to horizon n_max."""
+    """All displayed moment/tail quantities up to horizon n_max.
+
+    Each distinct step set (by identity) gets one ``_MemberTable`` per
+    member, built once: Python-int numerators over one denominator when the
+    set is rational, float sums over 1 otherwise.  At each n, each quantity
+    is one bisection per member; members are compared by cross-multiplying
+    numerators, and only the first maximiser (minimiser) becomes a value, an
+    int or a Fraction as the member's per-atom sum would be.
+
+    In exact mode (``seq.mode``) the averages divide with ``Fraction``, so
+    every field is an int or a Fraction; in float mode they divide with
+    ``/``, and float fields may differ from per-atom sums in the last bits.
+    """
     if n_max < 1:
         raise UsageError("n_max must be >= 1")
     schedule = list(schedule) if schedule is not None else default_diagnostic_schedule(n_max)
+    exact = seq.mode is NumericMode.EXACT
+    n_steps = len(seq.steps)
 
-    per_step_upper_means = []
+    def average(total, n):
+        return Fraction(total, n) if exact and is_exact(total) else total / n
+
+    # distinct steps in order of first appearance: member tables, positions
+    steps = {}
+    for j, aset in enumerate(seq.steps):
+        if id(aset) not in steps:
+            rational = aset.exact()
+            steps[id(aset)] = ([_member_table(m, rational) for m in aset.members], [])
+        steps[id(aset)][1].append(j)
+
+    def step_counts(m, extra):
+        # how often each distinct step occurs among the first m; the last
+        # step also stands for the ``extra`` steps past the sequence
+        for ts, pos in steps.values():
+            if pos[0] >= m:
+                break
+            yield ts, bisect_left(pos, m) + (extra if pos[-1] == n_steps - 1 else 0)
+
     per_step_sq_hi = []
     per_step_sq_lo = []
-    for i in range(min(n_max, max(len(seq.steps), 1))):
-        aset = _step_at(seq, i)
-        per_step_sq_hi.append(upper_expectation(aset, lambda x: x * x).value)
-        per_step_sq_lo.append(lower_expectation(aset, lambda x: x * x).value)
+    for ts, _ in step_counts(min(n_max, n_steps), 0):
+        second = [t.wx2[-1] for t in ts]
+        t, v = _first_max(ts, second)
+        per_step_sq_hi.append(t.value(v, t.fraction))
+        t, v = _first_max(ts, [-v for v in second])
+        per_step_sq_lo.append(-t.value(v, t.fraction))
 
     truncated = []
     tail_abs = []
     tail_sq = []
     cesaro = []
-    n_steps = len(seq.steps)
     for n in schedule:
         hi_sum = 0
         lo_sum = 0
         ces_sum = 0
         v_abs = 0
         v_sq = 0
-        # steps repeat beyond the sequence length; weight each distinct
-        # step by its multiplicity instead of looping to n
-        for j in range(min(n, n_steps)):
-            mult = 1 if j < n_steps - 1 or n <= n_steps else n - (n_steps - 1)
-            aset = seq.steps[j]
-            hi_sum += mult * upper_expectation(
-                aset, lambda x: x if abs(x) < n else 0 * x
-            ).value
-            lo_sum += mult * lower_expectation(
-                aset, lambda x: x if abs(x) < n else 0 * x
-            ).value
-            ces_sum += mult * upper_expectation(
-                aset, lambda x: x * x if abs(x) <= n else 0 * x
-            ).value
-            v_abs = max(v_abs, upper_probability(aset, lambda x: abs(x) >= n).value)
-            v_sq = max(v_sq, upper_probability(aset, lambda x: x * x >= n).value)
-        truncated.append((n, lo_sum / n, hi_sum / n))
+        for ts, mult in step_counts(min(n, n_steps), max(n - n_steps, 0)):
+            cut = [bisect_left(t.abs_keys, n) for t in ts]
+            mean = [t.wx[k] for t, k in zip(ts, cut)]
+            t, v = _first_max(ts, mean)
+            hi_sum += mult * t.value(v, t.fraction)
+            t, v = _first_max(ts, [-v for v in mean])
+            lo_sum += mult * -t.value(v, t.fraction)
+            t, v = _first_max(ts, [t.wx2[bisect_right(t.abs_keys, n)] for t in ts])
+            ces_sum += mult * t.value(v, t.fraction)
+            t, v = _first_max(ts, [t.tail[k] for t, k in zip(ts, cut)])
+            v_abs = max(v_abs, t.value(v, t.fraction_abs >= n))
+            t, v = _first_max(ts, [t.tail[bisect_left(t.sq_keys, n)] for t in ts])
+            v_sq = max(v_sq, t.value(v, t.fraction_sq >= n))
+        truncated.append((n, average(lo_sum, n), average(hi_sum, n)))
         tail_abs.append((n, n * v_abs))
         tail_sq.append((n, n * v_sq))
-        cesaro.append((n, ces_sum / (n * n)))
+        cesaro.append((n, average(ces_sum, n * n)))
 
     mu_lo_n, mu_bar_n = truncated[-1][1], truncated[-1][2]
     return MomentSummary(

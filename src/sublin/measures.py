@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -24,6 +25,9 @@ from .linprog import in_hull
 
 WEIGHT_TOL = 1e-12
 HULL_TOL = 1e-9
+# the most digits, and the largest decimal exponent, a number string may have
+MAX_NUMBER_DIGITS = 1000
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)")
 
 
 class NumericMode(Enum):
@@ -33,8 +37,16 @@ class NumericMode(Enum):
 
 def parse_number(value, mode: NumericMode = NumericMode.FLOAT64):
     """Read a number from JSON: a plain number or a string like ``"9/16"``.
-    Anything else, a bool included, raises ModelError."""
+    Anything else, a bool included, raises ModelError, and so does a string
+    with more than MAX_NUMBER_DIGITS digits or a larger exponent, before
+    ``Fraction`` expands it."""
     if isinstance(value, str):
+        exponent = _EXPONENT.search(value)
+        if sum(map(str.isdigit, value)) > MAX_NUMBER_DIGITS or (
+            exponent and abs(int(exponent[1])) > MAX_NUMBER_DIGITS
+        ):
+            raise ModelError(f"number string over {MAX_NUMBER_DIGITS} digits or "
+                             f"exponent: {value[:20]!r}")
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as e:
@@ -253,12 +265,15 @@ def _measures(doc) -> list:
 
 
 def _read_json(path: str):
-    """The JSON document in the file at ``path``; ModelError if it is not JSON."""
-    with open(path) as fh:
-        try:
+    """The JSON document in the file at ``path``; ModelError if the file
+    cannot be read or is not JSON."""
+    try:
+        with open(path) as fh:
             return json.load(fh)
-        except ValueError as e:  # JSONDecodeError, UnicodeDecodeError, int-digit limit
-            raise ModelError(f"{path} is not a JSON file: {e}") from e
+    except OSError as e:
+        raise ModelError(str(e)) from e
+    except ValueError as e:  # JSONDecodeError, UnicodeDecodeError, int-digit limit
+        raise ModelError(f"{path} is not a JSON file: {e}") from e
 
 
 def ambiguity_set_from_dict(doc: dict, mode: NumericMode = NumericMode.FLOAT64) -> AmbiguitySet:

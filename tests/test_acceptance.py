@@ -128,6 +128,7 @@ def test_criterion_6_clt_counterexample():
 
 def test_criterion_7_tail_diagnostics():
     with criterion(7, "first-moment tail decays, second-moment tail does not"):
+        start = time.perf_counter()
         # K as large as the horizon so the finite family realizes every tail
         K = 10000
         fam = counterexample_family(K)
@@ -148,6 +149,7 @@ def test_criterion_7_tail_diagnostics():
             sup = max(v for n, v in s.tail_sq if decade[0] <= n <= decade[1])
             assert F(9, 10) <= sup <= F(11, 10)
         assert not s.h2_decaying
+        assert time.perf_counter() - start < 10.0
 
 
 def test_criterion_8_property_suites():

@@ -246,6 +246,22 @@ class TestEnlargeAndDiagnose:
         code, _, err = run(capsys, "diagnose")
         assert code == 1
 
+    def test_diagnose_int_weights_exact(self, capsys, tmp_path):
+        # the first law's JSON-int weights sum to ints; --exact must not
+        # turn their averages into floats
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"measures": [
+            {"atoms": [0, 3], "probs": [0, 1]},
+            {"atoms": [1, 2], "probs": ["1/2", "1/2"]},
+        ]}))
+        code, out, _ = run(capsys, "diagnose", "--model", str(path), "--n-max", "5", "--exact")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == "mu=[3/2, 3] sigma2=[5/2, 9]"
+        assert lines[5:7] == ["4,0,4,9/4", "5,0,5,9/5"]
+        code, out, _ = run(capsys, "diagnose", "--model", str(path), "--n-max", "5")
+        assert out.splitlines()[5:7] == ["4,0,4,2.25", "5,0,5,1.8"]
+
 
 class TestExitCodes:
     def test_usage_unknown_flag(self, capsys):
@@ -263,6 +279,16 @@ class TestExitCodes:
         code, _, err = run(capsys, "eval", "--model", "no-such.json", "--phi", "x", "--n", "2")
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--model", cfg("bernoulli-band.json"), "--phi", "x", "--n", "2", "--json", "F"],
+        ["diagnose", "--counterexample-K", "2", "--n-max", "3", "--out", "F"],
+    ], ids=["json", "out"])
+    def test_unwritable_output_is_not_a_model_error(self, capsys, tmp_path, argv):
+        missing = str(tmp_path / "no-such-dir" / "r")
+        code, out, err = run(capsys, *[missing if a == "F" else a for a in argv])
+        assert code == 1 and out
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_invalid_model_schema(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"measures": [{"atoms": [0, 1], "probs": ["1/2"]}]}')
@@ -277,7 +303,10 @@ class TestExitCodes:
         '[1, 2]',
         '{"measures": [{"atoms": [0, 1], "probs": [0.5, 0.5]}], "label": 3}',
         '{"measures": [',
-    ], ids=["string", "zero-denominator", "bool", "overflow", "array", "label", "truncated"])
+        '{"measures": [{"atoms": [0, 1], "probs": ["1e5000", "0"]}]}',
+        '{"measures": [{"atoms": [0, 1], "probs": ["%s", "0"]}]}' % ("1" * 10**4),
+    ], ids=["string", "zero-denominator", "bool", "overflow", "array", "label", "truncated",
+            "huge-exponent", "many-digits"])
     def test_malformed_model_file(self, capsys, tmp_path, text):
         path = tmp_path / "bad.json"
         path.write_text(text)

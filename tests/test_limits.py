@@ -4,10 +4,13 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sublin import (
     ModelError,
     AmbiguitySet,
+    DiscreteDistribution,
     NumericalFailure,
     NumericMode,
     StepSequence,
@@ -26,9 +29,11 @@ from sublin import (
     prop63_experiment,
     squared_counterexample_family,
     upper_expectation,
+    upper_probability,
     weak_lln_check,
 )
 from sublin.limits import ExperimentRow, ExperimentTable, default_diagnostic_schedule
+from sublin.measures import is_exact
 
 F = Fraction
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -104,6 +109,120 @@ class TestMomentSummary:
         sched = default_diagnostic_schedule(100)
         assert sched[0] >= 1 and sched[-1] == 100
         assert all(a < b for a, b in zip(sched, sched[1:]))
+
+    def test_int_weights_stay_exact(self):
+        # a Dirac law with int weights sums to ints; exact mode still divides exactly
+        aset = AmbiguitySet([DiscreteDistribution([0, 3], [0, 1]),
+                             DiscreteDistribution([1, 2], [F(1, 2), F(1, 2)])])
+        s = moment_summary(StepSequence.iid(aset, 1, NumericMode.EXACT), 5)
+        assert dict(s.cesaro)[4] == F(9, 4) and type(s.mu_bar) is F
+        assert all(type(v) is F for _, v in s.cesaro)
+        assert all(type(v) is F for _, lo, hi in s.truncated_means for v in (lo, hi))
+        # float mode keeps float division
+        assert dict(moment_summary(StepSequence.iid(aset, 1), 5).cesaro)[4] == 2.25
+
+
+def _reference_summary(seq, n_max, schedule):
+    """moment_summary as one envelope call per member set, step and n: the
+    per-atom definition of every field (exact mode divides with Fraction)."""
+    exact = seq.mode is NumericMode.EXACT
+
+    def average(total, n):
+        return F(total, n) if exact and is_exact(total) else total / n
+
+    steps = seq.steps
+    sq_hi = [upper_expectation(steps[i], lambda x: x * x).value
+             for i in range(min(n_max, len(steps)))]
+    sq_lo = [lower_expectation(steps[i], lambda x: x * x).value
+             for i in range(min(n_max, len(steps)))]
+    truncated, tail_abs, tail_sq, cesaro = [], [], [], []
+    for n in schedule:
+        hi_sum = lo_sum = ces_sum = v_abs = v_sq = 0
+        for j in range(min(n, len(steps))):
+            mult = 1 if j < len(steps) - 1 or n <= len(steps) else n - (len(steps) - 1)
+            a = steps[j]
+            hi_sum += mult * upper_expectation(a, lambda x: x if abs(x) < n else 0 * x).value
+            lo_sum += mult * lower_expectation(a, lambda x: x if abs(x) < n else 0 * x).value
+            ces_sum += mult * upper_expectation(
+                a, lambda x: x * x if abs(x) <= n else 0 * x).value
+            v_abs = max(v_abs, upper_probability(a, lambda x: abs(x) >= n).value)
+            v_sq = max(v_sq, upper_probability(a, lambda x: x * x >= n).value)
+        truncated.append((n, average(lo_sum, n), average(hi_sum, n)))
+        tail_abs.append((n, n * v_abs))
+        tail_sq.append((n, n * v_sq))
+        cesaro.append((n, average(ces_sum, n * n)))
+    return {"mu_bar": truncated[-1][2], "mu_lo": truncated[-1][1],
+            "sigma2_bar": max(sq_hi), "sigma2_lo": min(sq_lo),
+            "truncated_means": tuple(truncated), "tail_abs": tuple(tail_abs),
+            "tail_sq": tuple(tail_sq), "cesaro": tuple(cesaro)}
+
+
+def _flat(value):
+    return [w for v in value for w in v[1:]] if isinstance(value, tuple) else [value]
+
+
+_ATOMS = st.integers(-6, 6) | st.builds(F, st.integers(-12, 12), st.integers(1, 3))
+
+
+@st.composite
+def _law(draw):
+    """A law on 1-4 atoms (int or Fraction, a pair +-k sometimes), with
+    zero weights and, where a weight is 0 or 1, sometimes an int weight."""
+    points = draw(st.lists(_ATOMS, min_size=1, max_size=4))
+    if draw(st.booleans()):
+        k = draw(_ATOMS)
+        points += [k, -k]
+    raw = draw(st.lists(st.integers(0, 4), min_size=len(points), max_size=len(points)))
+    if not any(raw):
+        raw[0] = 1
+    weights = [F(r, sum(raw)) for r in raw]
+    weights = [int(w) if w.denominator == 1 and draw(st.booleans()) else w for w in weights]
+    return DiscreteDistribution(points, weights)
+
+
+@st.composite
+def _moment_case(draw):
+    """(steps, n_max, schedule): 1-6 steps drawn from 1-3 distinct sets of
+    1-4 laws, a horizon up to 40 and a schedule below and above max |x|."""
+    sets = [AmbiguitySet(draw(st.lists(_law(), min_size=1, max_size=4)))
+            for _ in range(draw(st.integers(1, 3)))]
+    steps = [sets[i] for i in draw(st.lists(st.integers(0, len(sets) - 1),
+                                            min_size=1, max_size=6))]
+    n_max = draw(st.integers(1, 40))
+    schedule = sorted(draw(st.sets(st.integers(1, 40), min_size=1, max_size=8)))
+    return steps, n_max, schedule
+
+
+class TestMomentSummaryAgainstReference:
+    FIELDS = ("mu_bar", "mu_lo", "sigma2_bar", "sigma2_lo", "truncated_means",
+              "tail_abs", "tail_sq", "cesaro")
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(case=_moment_case())
+    def test_exact_equal_in_value_and_type(self, case):
+        steps, n_max, schedule = case
+        seq = StepSequence(steps, NumericMode.EXACT)
+        got = moment_summary(seq, n_max, schedule)
+        want = _reference_summary(seq, n_max, schedule)
+        for name in self.FIELDS:
+            value = getattr(got, name)
+            assert value == want[name], name
+            assert [type(v) for v in _flat(value)] == [type(v) for v in _flat(want[name])], name
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(case=_moment_case())
+    def test_float_within_1e_12(self, case):
+        # prefix sums add in another order than the per-atom sums
+        steps, n_max, schedule = case
+        floats = {id(a): AmbiguitySet([DiscreteDistribution(
+            [float(x) for x in m.points], [float(w) for w in m.weights]) for m in a.members])
+            for a in steps}
+        seq = StepSequence([floats[id(a)] for a in steps])
+        got = moment_summary(seq, n_max, schedule)
+        want = _reference_summary(seq, n_max, schedule)
+        for name in self.FIELDS:
+            for g, w in zip(_flat(getattr(got, name)), _flat(want[name]), strict=True):
+                assert g == pytest.approx(w, rel=1e-12, abs=1e-12), name
 
 
 class TestLLN:

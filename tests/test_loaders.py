@@ -5,12 +5,21 @@ import copy
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sublin import NumericMode, ModelError, ambiguity_set_from_dict, joint_model_from_dict
+from sublin import (
+    ModelError,
+    NumericMode,
+    ambiguity_set_from_dict,
+    joint_model_from_dict,
+    load_ambiguity_set,
+    load_joint_model,
+)
+from sublin.measures import MAX_NUMBER_DIGITS, parse_number
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.join(HERE, os.pardir)
@@ -103,6 +112,31 @@ def test_joint_loader_is_total(mode, doc):
         joint_model_from_dict(doc, mode)
     except ModelError:
         pass
+
+
+@pytest.mark.parametrize("text, ok", [
+    ("1e%d" % MAX_NUMBER_DIGITS, True),
+    ("1e-%d" % MAX_NUMBER_DIGITS, True),
+    ("9" * MAX_NUMBER_DIGITS, True),
+    ("1e%d" % (MAX_NUMBER_DIGITS + 1), False),
+    ("1E-%d" % (MAX_NUMBER_DIGITS + 1), False),
+    ("1e5000", False),
+    ("9" * (MAX_NUMBER_DIGITS + 1), False),
+    ("1/" + "9" * MAX_NUMBER_DIGITS, False),
+])
+def test_number_strings_are_bounded(text, ok):
+    if ok:
+        assert parse_number(text) == Fraction(text)
+    else:
+        with pytest.raises(ModelError):
+            parse_number(text)
+
+
+@pytest.mark.parametrize("load", [load_ambiguity_set, load_joint_model])
+def test_unreadable_model_file_is_a_model_error(load, tmp_path):
+    for path in (tmp_path / "missing.json", tmp_path):
+        with pytest.raises(ModelError):
+            load(str(path))
 
 
 def test_loading_models_does_not_import_jsonschema():
