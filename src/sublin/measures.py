@@ -80,7 +80,9 @@ def check_weights(weights: Sequence):
         raise ModelError("weights sum beyond the float range, not 1") from e
     if all(is_exact(w) for w in weights):
         if total != 1:
-            raise ModelError(f"weights sum to {total}, not 1")
+            # a total over several long denominators may be too long to print
+            raise ModelError(f"weights sum to {total}, not 1" if total.denominator < 10**50
+                             else "weights do not sum to 1")
     elif abs(total - 1.0) > WEIGHT_TOL:
         raise ModelError(f"weights sum to {total!r}, not 1")
 

@@ -4,7 +4,7 @@ Grammar (left-associative):
 
     expr   := term (('+'|'-') term)*
     term   := factor (('*'|'/') factor)*
-    factor := '-'? atom
+    factor := '-' factor | atom
     atom   := NUMBER | 'x' | '(' expr ')' | FUNC '(' expr (',' expr)* ')'
     FUNC   in {abs, min, max, clamp, pow, sqrt, exp}
 
@@ -12,15 +12,23 @@ NUMBER is a decimal literal; rationals are written ``p/q`` and fold to an
 exact Fraction at parse time.  In exact-rational mode the expression is
 restricted to {+,-,*,abs,min,max,clamp} plus division by a constant, which
 keeps evaluation closed over the rationals.
+
+The text is parsed by Python's own parser (:func:`ast.parse`), which has this
+grammar's precedence and associativity, restricted to the grammar above: any
+other character, literal form or construct is a UsageError.  Nesting is
+bounded: more than 200 nested parentheses, or an expression deeper than the
+interpreter's recursion limit, is a UsageError too.
 """
 
 from __future__ import annotations
 
+import ast
 import copy
 import functools
 import math
+import operator
 import re
-from dataclasses import dataclass
+import warnings
 from fractions import Fraction
 from typing import Callable
 
@@ -31,153 +39,12 @@ from .errors import NumericalFailure, UsageError
 _ARITY = {"abs": (1, 1), "min": (2, None), "max": (2, None),
           "clamp": (3, 3), "pow": (2, 2), "sqrt": (1, 1), "exp": (1, 1)}
 
-_TOKEN = re.compile(
-    r"\s*(?:(?P<num>\d+(?:\.\d+)?|\.\d+)|(?P<name>[A-Za-z_]\w*)|(?P<op>[()+\-*/,]))"
-)
-
-
-@dataclass(frozen=True)
-class Num:
-    value: Fraction
-
-    def pretty(self):
-        v = self.value
-        return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
-
-
-@dataclass(frozen=True)
-class Var:
-    def pretty(self):
-        return "x"
-
-
-@dataclass(frozen=True)
-class Neg:
-    child: object
-
-    def pretty(self):
-        return f"(-{self.child.pretty()})"
-
-
-@dataclass(frozen=True)
-class BinOp:
-    op: str
-    left: object
-    right: object
-
-    def pretty(self):
-        return f"({self.left.pretty()} {self.op} {self.right.pretty()})"
-
-
-@dataclass(frozen=True)
-class Call:
-    name: str
-    args: tuple
-
-    def pretty(self):
-        return f"{self.name}({', '.join(a.pretty() for a in self.args)})"
-
-
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = []
-        pos = 0
-        while pos < len(text):
-            m = _TOKEN.match(text, pos)
-            if m is None:
-                if text[pos:].strip():
-                    raise UsageError(f"syntax error at position {pos}: {text[pos:]!r}")
-                break
-            if m.lastgroup is not None:
-                self.tokens.append((m.lastgroup, m.group(m.lastgroup), m.start(m.lastgroup)))
-            pos = m.end()
-        self.i = 0
-
-    def peek(self):
-        return self.tokens[self.i] if self.i < len(self.tokens) else (None, None, len(self.text))
-
-    def take(self, kind=None, value=None):
-        tk, tv, tp = self.peek()
-        if tk is None or (kind and tk != kind) or (value and tv != value):
-            raise UsageError(f"syntax error at position {tp}: expected {value or kind}, got {tv!r}")
-        self.i += 1
-        return tv
-
-    def parse(self):
-        node = self.expr()
-        tk, tv, tp = self.peek()
-        if tk is not None:
-            raise UsageError(f"syntax error at position {tp}: unexpected {tv!r}")
-        return node
-
-    def expr(self):
-        node = self.term()
-        while self.peek()[:2] in (("op", "+"), ("op", "-")):
-            op = self.take("op")
-            node = _fold(BinOp(op, node, self.term()))
-        return node
-
-    def term(self):
-        node = self.factor()
-        while self.peek()[:2] in (("op", "*"), ("op", "/")):
-            op = self.take("op")
-            node = _fold(BinOp(op, node, self.factor()))
-        return node
-
-    def factor(self):
-        if self.peek()[:2] == ("op", "-"):
-            self.take("op")
-            return _fold(Neg(self.factor()))
-        return self.atom()
-
-    def atom(self):
-        tk, tv, tp = self.peek()
-        if tk == "num":
-            self.take()
-            return Num(Fraction(tv))
-        if tk == "name":
-            self.take()
-            if tv == "x":
-                return Var()
-            if tv in _ARITY:
-                self.take("op", "(")
-                args = [self.expr()]
-                while self.peek()[:2] == ("op", ","):
-                    self.take("op")
-                    args.append(self.expr())
-                self.take("op", ")")
-                lo, hi = _ARITY[tv]
-                if len(args) < lo or (hi is not None and len(args) > hi):
-                    raise UsageError(
-                        f"{tv} takes {lo}{'' if hi == lo else '+' if hi is None else f'..{hi}'}"
-                        f" arguments, got {len(args)}"
-                    )
-                return Call(tv, tuple(args))
-            raise UsageError(f"syntax error at position {tp}: unknown name {tv!r}")
-        if tk == "op" and tv == "(":
-            self.take()
-            node = self.expr()
-            self.take("op", ")")
-            return node
-        raise UsageError(f"syntax error at position {tp}: unexpected {tv!r}")
-
-
-def _fold(node):
-    """Fold constant subtrees into exact Fraction literals where possible."""
-    if isinstance(node, Neg) and isinstance(node.child, Num):
-        return Num(-node.child.value)
-    if isinstance(node, BinOp) and isinstance(node.left, Num) and isinstance(node.right, Num):
-        a, b = node.left.value, node.right.value
-        if node.op == "+":
-            return Num(a + b)
-        if node.op == "-":
-            return Num(a - b)
-        if node.op == "*":
-            return Num(a * b)
-        if node.op == "/" and b != 0:
-            return Num(a / b)
-    return node
+_FOREIGN = re.compile(r"[^0-9A-Za-z_.()+\-*/,\s]")
+# zeros that begin an integer part, which Python's grammar refuses ("01")
+_LEADING_ZEROS = re.compile(r"(?<![\w.])0+(?=\d)")
+_NUMBER = re.compile(r"\d+(?:\.\d+)?|\.\d+")
+_FOLD = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+         ast.Div: operator.truediv}
 
 
 def _scalar_div(a, b):
@@ -246,63 +113,118 @@ _ARRAY_OPS = {"const": float, "/": _array_div, "abs": np.abs, "min": _array_min,
 _EXACT_OPS = {"const": Fraction, "abs": abs, "min": min, "max": max}
 
 
-def _compile(node, ops):
-    """The expression as nested closures of x over the primitives in ``ops``.
+def _compile(root, ops, source):
+    """``root``, a tree parsed from ``source``, as nested closures of x over
+    the primitives in ``ops``.
 
-    Constants are converted once, here.  Raises KeyError when the expression
-    uses a primitive ``ops`` lacks.
+    Constant subtrees fold to exact Fractions bottom-up: a negation, sum,
+    difference or product of folded constants folds, and so does a quotient
+    by a nonzero one; a call never does.  Constants are converted once,
+    here.  Raises UsageError on a node outside the grammar and KeyError when
+    the expression uses a primitive ``ops`` lacks.
     """
-    if isinstance(node, Num):
-        c = ops["const"](node.value)
-        return lambda x: c
-    if isinstance(node, Var):
-        return lambda x: x
-    if isinstance(node, Neg):
-        f = _compile(node.child, ops)
-        return lambda x: -f(x)
-    if isinstance(node, BinOp):
-        f, g = _compile(node.left, ops), _compile(node.right, ops)
-        if node.op == "+":
-            return lambda x: f(x) + g(x)
-        if node.op == "-":
-            return lambda x: f(x) - g(x)
-        if node.op == "*":
-            return lambda x: f(x) * g(x)
-        if isinstance(node.right, Num) and node.right.value != 0:
+    def closure(value):
+        if type(value) is Fraction:
+            c = ops["const"](value)
+            return lambda x: c
+        return value
+
+    def walk(node):  # a closure, or a Fraction for a folded constant
+        if isinstance(node, ast.Constant):
+            literal = source[node.col_offset:node.end_col_offset]
+            if not _NUMBER.fullmatch(literal):
+                raise UsageError(f"syntax error: {literal!r} is not a decimal number")
+            try:
+                return Fraction(literal)
+            except ValueError:  # a decimal past the int-string digit limit
+                raise UsageError(f"number {literal[:20]}... has too many digits") from None
+        if isinstance(node, ast.Name):
+            if node.id != "x":
+                raise UsageError(f"unknown name {node.id!r}")
+            return lambda x: x
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+            f = walk(node.operand)
+            return -f if type(f) is Fraction else lambda x: -f(x)
+        if isinstance(node, ast.BinOp) and type(node.op) in _FOLD:
+            op, a, b = type(node.op), walk(node.left), walk(node.right)
+            checked = op is ast.Div and not (type(b) is Fraction and b)
+            if type(a) is Fraction and type(b) is Fraction and not checked:
+                return _FOLD[op](a, b)
+            f, g = closure(a), closure(b)
+            if checked:
+                div = ops["/"]
+                return lambda x: div(f(x), g(x))
+            if op is ast.Add:
+                return lambda x: f(x) + g(x)
+            if op is ast.Sub:
+                return lambda x: f(x) - g(x)
+            if op is ast.Mult:
+                return lambda x: f(x) * g(x)
             return lambda x: f(x) / g(x)
-        div = ops["/"]
-        return lambda x: div(f(x), g(x))
-    fs = [_compile(a, ops) for a in node.args]
-    if node.name == "clamp":
-        mx, mn = ops["max"], ops["min"]
-        f, lo, hi = fs
-        return lambda x: mn(mx(f(x), lo(x)), hi(x))
-    fn = ops[node.name]
-    if len(fs) == 1:
-        f = fs[0]
-        return lambda x: fn(f(x))
-    if len(fs) == 2:
-        f, g = fs
-        return lambda x: fn(f(x), g(x))
-    # min/max of three or more arguments, folded left to right
-    return lambda x: functools.reduce(fn, [f(x) for f in fs])
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and not node.keywords:
+            name, args = node.func.id, node.args
+            if name not in _ARITY:
+                raise UsageError(f"unknown function {name!r}")
+            lo, hi = _ARITY[name]
+            if len(args) < lo or (hi is not None and len(args) > hi):
+                raise UsageError(
+                    f"{name} takes {lo}{'' if hi == lo else '+' if hi is None else f'..{hi}'}"
+                    f" arguments, got {len(args)}"
+                )
+            if "," in source[args[-1].end_col_offset:node.end_col_offset]:
+                raise UsageError(f"syntax error: trailing comma in a call of {name}")
+            fs = [closure(walk(a)) for a in args]
+            if name == "clamp":
+                mx, mn = ops["max"], ops["min"]
+                f, lo, hi = fs
+                return lambda x: mn(mx(f(x), lo(x)), hi(x))
+            fn = ops[name]
+            if len(fs) == 1:
+                f = fs[0]
+                return lambda x: fn(f(x))
+            if len(fs) == 2:
+                f, g = fs
+                return lambda x: fn(f(x), g(x))
+            # min/max of three or more arguments, folded left to right
+            return lambda x: functools.reduce(fn, [f(x) for f in fs])
+        raise UsageError(f"syntax error: {source[node.col_offset:node.end_col_offset]!r} "
+                         "is outside the phi grammar")
+
+    return closure(walk(root))
 
 
 class PhiExpression:
     """A parsed test function; callable on floats or Fractions.
 
-    The AST is compiled once into three closures: a float scalar one (the
-    default call), a float64 array one (see :func:`evaluate_array`) and, when
-    the expression lies in the exact subset, a Fraction one (``exact=True``).
+    ``root``, the Python expression tree of ``text``, is compiled once into
+    three closures: a float scalar one (the default call), a float64 array
+    one (see :func:`evaluate_array`) and, when the expression lies in the
+    exact subset, a Fraction one (``exact=True``).
     """
 
-    def __init__(self, root, text: str):
-        self.root = root
+    def __init__(self, text: str):
+        if not text or not text.strip():
+            raise UsageError("empty expression")
+        foreign = _FOREIGN.search(text)
+        if foreign:
+            raise UsageError(f"syntax error at position {foreign.start()}: "
+                             f"unexpected {foreign.group()!r}")
+        # one line, as Python's parser wants it outside brackets
+        source = _LEADING_ZEROS.sub("", " ".join(text.split()))
         self.text = text
-        self._scalar = _compile(root, _SCALAR_OPS)
-        self._array = _compile(root, _ARRAY_OPS)
         try:
-            self._exact = _compile(root, _EXACT_OPS)
+            with warnings.catch_warnings():
+                # e.g. "invalid decimal literal" for "1if x else 2"
+                warnings.simplefilter("error")
+                self.root = ast.parse(source, mode="eval").body
+            self._scalar = _compile(self.root, _SCALAR_OPS, source)
+        except SyntaxError as e:
+            raise UsageError(f"syntax error: {e.msg}") from None
+        except (RecursionError, MemoryError):  # the parser's stack overflow is a MemoryError
+            raise UsageError("expression nested too deeply") from None
+        self._array = _compile(self.root, _ARRAY_OPS, source)
+        try:
+            self._exact = _compile(self.root, _EXACT_OPS, source)
         except KeyError:
             self._exact = None
         self._rationals_exact = False
@@ -336,16 +258,16 @@ class PhiExpression:
         return self._exact is not None
 
     def pretty(self) -> str:
-        return self.root.pretty()
+        return ast.unparse(self.root)
 
     def __repr__(self):
         return f"PhiExpression({self.text!r})"
 
     def __eq__(self, other):
-        return isinstance(other, PhiExpression) and self.root == other.root
+        return isinstance(other, PhiExpression) and ast.dump(self.root) == ast.dump(other.root)
 
     def __hash__(self):
-        return hash(self.root)
+        return hash(ast.dump(self.root))
 
 
 def evaluate_array(f: Callable, xs: np.ndarray) -> np.ndarray:
@@ -381,6 +303,4 @@ def lipschitz_estimate(f: Callable, lo: float, hi: float, samples: int = 2001) -
 
 def parse_phi(text: str) -> PhiExpression:
     """Parse an expression in the phi grammar; raises UsageError on bad input."""
-    if not text or not text.strip():
-        raise UsageError("empty expression")
-    return PhiExpression(_Parser(text).parse(), text)
+    return PhiExpression(text)

@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -275,6 +277,28 @@ class TestExitCodes:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("phi", ["x+" * 3000 + "x", "(" * 400 + "x" + ")" * 400,
+                                     "0" + "-" * 10000 + "x"],
+                             ids=["long-sum", "deep-parentheses", "long-negation"])
+    def test_too_deep_phi_is_a_usage_error(self, capsys, phi):
+        code, out, err = run(capsys, "eval", "--model", cfg("bernoulli-band.json"),
+                             "--phi", phi, "--n", "2")
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_python_only_phi_prints_one_error_line(self):
+        # a fresh interpreter, because pytest captures warnings raised in process
+        src = os.path.join(HERE, os.pardir, "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        done = subprocess.run(
+            [sys.executable, "-m", "sublin.cli", "eval", "--model", cfg("bernoulli-band.json"),
+             "--phi", "1if x else 2", "--n", "2"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 1 and done.stdout == ""
+        assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+
     def test_missing_model_file(self, capsys):
         code, _, err = run(capsys, "eval", "--model", "no-such.json", "--phi", "x", "--n", "2")
         assert code == 2
@@ -305,8 +329,11 @@ class TestExitCodes:
         '{"measures": [',
         '{"measures": [{"atoms": [0, 1], "probs": ["1e5000", "0"]}]}',
         '{"measures": [{"atoms": [0, 1], "probs": ["%s", "0"]}]}' % ("1" * 10**4),
+        # six weights whose exact total is past Python's 4300-digit int-string limit
+        '{"measures": [{"atoms": [1, 2, 3, 4, 5, 6], "probs": [%s]}]}'
+        % ", ".join(f'"1/{10**990 + k}"' for k in (1, 3, 7, 9, 13, 19)),
     ], ids=["string", "zero-denominator", "bool", "overflow", "array", "label", "truncated",
-            "huge-exponent", "many-digits"])
+            "huge-exponent", "many-digits", "long-total"])
     def test_malformed_model_file(self, capsys, tmp_path, text):
         path = tmp_path / "bad.json"
         path.write_text(text)
@@ -352,6 +379,16 @@ class TestExitCodes:
         code, out, _ = run(capsys, *[str(tmp_path / "F") if a == "F" else a for a in argv])
         assert code == 1 and out == ""
         assert not (tmp_path / "F").exists()
+
+    def test_result_past_the_int_string_limit(self, capsys, tmp_path):
+        p = 10**498 + 7  # p^10, the result's denominator, has 4,981 digits
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps(
+            {"measures": [{"atoms": [0, 10], "probs": [f"{p - 1}/{p}", f"1/{p}"]}]}))
+        code, out, err = run(capsys, "eval", "--model", str(path), "--phi", "max(x-9,0)",
+                             "--n", "10", "--exact")
+        assert code == 4 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_numerical_failure_irrational_lattice(self, capsys, tmp_path):
         path = tmp_path / "irr.json"

@@ -32,6 +32,10 @@ class TestParsing:
             ("9/16", 0, 0.5625),
             ("x/4", 8, 2),
             ("pow(x, 2)", -3, 9),
+            ("01", 0, 1),
+            ("021/32", 0, 0.65625),
+            (" x", 3, 3),
+            ("x\n+ 1", 3, 4),
         ],
     )
     def test_values(self, src, x, expected):
@@ -52,7 +56,13 @@ class TestParsing:
 
     @pytest.mark.parametrize(
         "src",
-        ["", "x +", "min(x)", "clamp(x, 1)", "abs(x, 1)", "foo(x)", "x y", "((x)", "1..2", "x ** 2"],
+        ["", "x +", "min(x)", "clamp(x, 1)", "abs(x, 1)", "foo(x)", "x y", "((x)", "1..2", "x ** 2",
+         # Python-only constructs, and a fullwidth x that Python would read as x
+         "True", "None", "1e5", "0x1f", "1_0", "1j", "5.", "+x", "x // 2", "x.real", "(x, 1)",
+         "max(*x)", "not x", "x and 1", "x if x else 1", "abs(x,)", "(x)(1)", "\uff58", "x # c",
+         # numbers past Python's 4300-digit int-string limit
+         pytest.param("1" * 5000, id="long-int"),
+         pytest.param("0." + "1" * 5000, id="long-decimal")],
     )
     def test_rejects(self, src):
         with pytest.raises(UsageError):
