@@ -368,7 +368,9 @@ def lln_experiment(
 
     The prediction is ``lln_bounds`` at tol=1e-9, with ``lipschitz``
     estimated on [-E[-X], E[X]] when not given; the metadata's
-    ``prediction_error`` is the error bound its grid achieved.
+    ``prediction_error`` is an estimate of the grid's error, the Lipschitz
+    constant times the grid spacing, and no bound when that constant is
+    the sampled estimate.
     """
     tol = 1e-9
     mu_hi = upper_expectation(aset, lambda x: x).value

@@ -87,29 +87,28 @@ def lattice_embed(seq: StepSequence, snap_tol=None) -> LatticeEmbedding:
     Zero-weight atoms are pruned here (they cannot affect the recursion).
     Raises :class:`NoCommonLattice` for incommensurable atoms.
     """
-    rationals = []
-    pruned_steps = []
+    # each distinct set once: StepSequence.iid repeats one object n times
+    pruned = {}
     for aset in seq.steps:
-        measures = []
-        for m in aset.members:
-            pairs = [(x, w) for x, w in m.atoms if w != 0]
-            pts = [_rationalize(x, snap_tol) for x, _ in pairs]
-            rationals.extend(pts)
-            measures.append((pts, tuple(w for _, w in pairs)))
-        pruned_steps.append(measures)
+        if id(aset) not in pruned:
+            measures = []
+            for m in aset.members:
+                pairs = [(x, w) for x, w in m.atoms if w != 0]
+                pts = [_rationalize(x, snap_tol) for x, _ in pairs]
+                measures.append((pts, tuple(w for _, w in pairs)))
+            pruned[id(aset)] = measures
 
+    rationals = [p for measures in pruned.values() for pts, _ in measures for p in pts]
     denom_lcm = math.lcm(*(r.denominator for r in rationals))
     ints = [r.numerator * (denom_lcm // r.denominator) for r in rationals]
     g = math.gcd(*ints)
     h = Fraction(g, denom_lcm) if g else Fraction(1)
 
-    out_steps = []
-    for measures in pruned_steps:
-        out = []
-        for pts, weights in measures:
-            out.append((tuple(int(p / h) for p in pts), weights))
-        out_steps.append(tuple(out))
-    return LatticeEmbedding(h, tuple(out_steps))
+    embedded = {
+        key: tuple((tuple(int(p / h) for p in pts), weights) for pts, weights in measures)
+        for key, measures in pruned.items()
+    }
+    return LatticeEmbedding(h, tuple(embedded[id(aset)] for aset in seq.steps))
 
 
 class EvalResult(NamedTuple):

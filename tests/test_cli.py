@@ -169,6 +169,15 @@ class TestGNormal:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("grid", [["--dx", "1e-5"], ["--domain", "1e12"]],
+                             ids=["small-dx", "huge-domain"])
+    def test_grid_past_the_work_cap(self, capsys, grid):
+        code, out, err = run(
+            capsys, "gnormal", "--sigma-lo", "1", "--sigma-hi", "1", "--phi", "1-abs(x)", *grid,
+        )
+        assert code == 4 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestCounterexample:
     def test_clt_one_step_exact(self, capsys):

@@ -2,16 +2,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sublin import (
     GParams,
     GridConfig,
     ModelError,
+    ModelTooLarge,
     g_function,
     g_normal_expectation,
     gaussian_quadrature,
+    parse_phi,
     solve_g_heat,
 )
+from sublin.gheat import default_domain
+from sublin.phi import evaluate_array
 
 COARSE = GridConfig(dx=0.05, cfl=0.4)
 
@@ -136,3 +142,72 @@ class TestSolver:
             GridConfig(dx=0.05, cfl=1.5)
         with pytest.raises(ModelError):
             GridConfig(dx=0.0)
+        with pytest.raises(ModelError):
+            GridConfig(dx=math.nan)
+        with pytest.raises(ModelError):
+            GridConfig(domain=-1.0)
+
+
+def _reference_heat(phi, params, T, config):
+    """The scheme as one allocating full-array update per step: the
+    reference that solve_g_heat's in-place stepping must match byte for
+    byte (same operations in the same order)."""
+    L = config.domain if config.domain is not None else default_domain(params)
+    n_half = int(round(L / config.dx))
+    xs = np.arange(-n_half, n_half + 1) * config.dx
+    u = evaluate_array(phi, xs)
+    sig2_hi = params.sigma_hi**2
+    sig2_lo = params.sigma_lo**2
+    if T == 0 or sig2_hi == 0:
+        return u
+    dt = config.cfl * config.dx**2 / sig2_hi
+    n_steps = max(1, int(math.ceil(T / dt)))
+    dt = T / n_steps
+    lam = dt / config.dx**2
+    for _ in range(n_steps):
+        d2 = np.empty_like(u)
+        d2[1:-1] = u[2:] - 2.0 * u[1:-1] + u[:-2]
+        d2[0] = 0.0
+        d2[-1] = 0.0
+        u = u + lam * 0.5 * (sig2_hi * np.maximum(d2, 0.0) + sig2_lo * np.minimum(d2, 0.0))
+    return u
+
+
+_KINKS = st.integers(-8, 8).map(lambda i: f"{i / 4}")
+_HEAT_PHIS = st.one_of(
+    _KINKS.map(lambda k: f"max(1 - abs(x - {k}), 0)"),  # hat
+    _KINKS.map(lambda k: f"1 - abs(x - {k})"),  # tent
+    st.sampled_from(["x*x", "max(x, 0)", "0*x"]),  # 0*x is -0.0 at -L
+)
+
+
+class TestInPlaceStepping:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(phi=_HEAT_PHIS, sigma_hi=st.floats(0.1, 1.0), band=st.sampled_from(["zero", "inside", "equal"]),
+           dx=st.floats(0.02, 0.2), cfl=st.floats(0.05, 1.0), T=st.sampled_from([0.0, 0.05, 0.3]),
+           domain=st.sampled_from([None, 0.0, 1.0, 3.0]))
+    def test_matches_reference_loop_byte_for_byte(self, phi, sigma_hi, band, dx, cfl, T, domain):
+        sigma_lo = {"zero": 0.0, "inside": 0.4 * sigma_hi, "equal": sigma_hi}[band]
+        params = GParams(sigma_lo, sigma_hi)
+        config = GridConfig(dx=dx, cfl=cfl, domain=domain)
+        got = solve_g_heat(parse_phi(phi), params, T=T, config=config)
+        want = _reference_heat(parse_phi(phi), params, T, config)
+        assert got.values.tobytes() == want.tobytes()
+
+
+class TestWorkCap:
+    @pytest.mark.parametrize("params,config", [
+        (GParams(1.0, 1.0), GridConfig(dx=1e-5)),
+        (GParams(0.5, 1.0), GridConfig(domain=1e12)),
+        (GParams(0.5, 1.0), GridConfig(domain=math.inf)),
+        (GParams(0.0, 0.0), GridConfig(domain=1e12)),  # no steps, still too many points
+        (GParams(0.5, 1.0), GridConfig(domain=1e12, T=0.0)),
+        (GParams(0.0, 1e6), GridConfig()),  # the default domain grows with sigma_hi
+    ], ids=["small-dx", "huge-domain", "infinite-domain", "degenerate-band", "T0", "huge-sigma"])
+    def test_refused_before_the_grid_is_built(self, params, config):
+        def phi(x):
+            raise AssertionError("phi evaluated on a grid past the cap")
+
+        with pytest.raises(ModelTooLarge, match="point-steps"):
+            solve_g_heat(phi, params, config=config)
+

@@ -85,6 +85,34 @@ class TestLattice:
         emb = lattice_embed(StepSequence.iid(aset, 1))
         assert emb.h == 1
 
+    @pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+    def test_repeated_step_sets_embed_like_distinct_copies(self, exact):
+        num = F if exact else lambda p, q=1: p / q
+        mode = NumericMode.EXACT if exact else NumericMode.FLOAT64
+        a = AmbiguitySet([
+            DiscreteDistribution([num(-1, 2), num(1, 3), 1], [num(1, 4), num(1, 4), num(1, 2)]),
+            DiscreteDistribution([num(-1, 2), 2], [num(2, 3), num(1, 3)]),
+        ])
+        b = AmbiguitySet([DiscreteDistribution([num(1, 6), num(-3, 2), 0],
+                                               [num(1, 2), num(1, 2), 0])])
+
+        def copies(steps):
+            return [AmbiguitySet([DiscreteDistribution(d.points, d.weights) for d in s.members])
+                    for s in steps]
+
+        c = num(1, 3)
+        f = lambda s: abs(s - c)
+        for shared in [StepSequence.iid(a, 5, mode), StepSequence([a, b] * 3, mode)]:
+            distinct = StepSequence(copies(shared.steps), mode)
+            assert len({id(s) for s in distinct.steps}) == len(distinct)
+            emb = lattice_embed(shared)
+            assert repr(emb) == repr(lattice_embed(distinct))
+            for measures, aset in zip(emb.steps, shared.steps):  # each step embeds its own set
+                assert [([float(i * emb.h) for i in ints], ws) for ints, ws in measures] == [
+                    ([float(x) for x, w in d.atoms if w], tuple(w for w in d.weights if w))
+                    for d in aset.members]
+            assert repr(sublinear_eval_sum(shared, f)) == repr(sublinear_eval_sum(distinct, f))
+
 
 class TestBruteForceEquivalence:
     def test_exact_random_models(self):
