@@ -97,10 +97,15 @@ def solve_g_heat(
     """Evolve the G-heat equation from initial data phi up to time T.
 
     The end points +-L stay fixed, since their second difference is zero;
-    the interior is stepped in place.  Raises ModelTooLarge, before any
-    grid is built, when points x max(steps, 1) exceeds MAX_POINT_STEPS.
+    the interior is stepped in place.  In the linear case sigma_lo ==
+    sigma_hi (the classical heat equation) a step multiplies the second
+    difference by sigma^2 instead of splitting it at 0, with the same bits.
+    Raises ModelError unless T >= 0, and ModelTooLarge, before any grid is
+    built, when points x max(steps, 1) exceeds MAX_POINT_STEPS.
     """
     T = config.T if T is None else T
+    if not T >= 0:  # GridConfig's rule, also for nan
+        raise ModelError(f"need T >= 0, got {T}")
     L = config.domain if config.domain is not None else default_domain(params)
     sig2_hi = params.sigma_hi**2
     sig2_lo = params.sigma_lo**2
@@ -131,16 +136,24 @@ def solve_g_heat(
     # u at the ends moves by G(0) * dt == +0.0, which only turns -0.0 into +0.0
     u[[0, -1]] += 0.0
     left, mid, right = u[:-2], u[1:-1], u[2:]
+    # with sig2_lo == sig2_hi, sig2*max(d2,0) + sig2*min(d2,0) is
+    # sig2*d2 + 0.0 (one term is +0.0, and adding it turns only -0.0 into
+    # +0.0), except at d2 == -0.0; that needs mid == +0.0, which stays +0.0
+    linear = sig2_lo == sig2_hi
     d2, up, down = np.empty_like(mid), np.empty_like(mid), np.empty_like(mid)
     for _ in range(n_steps):
         np.multiply(2.0, mid, out=d2)
         np.subtract(right, d2, out=d2)
         np.add(d2, left, out=d2)
-        np.maximum(d2, 0.0, out=up)
-        np.multiply(sig2_hi, up, out=up)
-        np.minimum(d2, 0.0, out=down)
-        np.multiply(sig2_lo, down, out=down)
-        np.add(up, down, out=up)
+        if linear:
+            np.multiply(sig2_hi, d2, out=up)
+            np.add(up, 0.0, out=up)
+        else:
+            np.maximum(d2, 0.0, out=up)
+            np.multiply(sig2_hi, up, out=up)
+            np.minimum(d2, 0.0, out=down)
+            np.multiply(sig2_lo, down, out=down)
+            np.add(up, down, out=up)
         np.multiply(half_lam, up, out=up)
         np.add(mid, up, out=mid)
     if not np.all(np.isfinite(u)):

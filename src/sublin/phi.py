@@ -277,8 +277,12 @@ class PhiExpression:
 
     def pretty(self) -> str:
         """The expression as one line that parses back to an equal one, with
-        each number as written in the source (less leading zeros)."""
-        return ast.unparse(_spelled_numbers(self._source))
+        each number as written in the source (less leading zeros).  Raises
+        UsageError where ast.unparse recurses deeper than the parser did."""
+        try:
+            return ast.unparse(_spelled_numbers(self._source))
+        except RecursionError:
+            raise UsageError("expression nested too deeply") from None
 
     def __repr__(self):
         return f"PhiExpression({self.text!r})"

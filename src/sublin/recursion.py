@@ -31,6 +31,8 @@ MAX_LATTICE_DENOMINATOR = 10**4
 LATTICE_TOL = 1e-12
 DEFAULT_STATE_CAP = 50_000_000
 EXACT_WORK_CAP = 10**4
+# states per block of the backward sweep: a block's live arrays stay in L2
+_BLOCK = 32768
 
 
 @dataclass(frozen=True)
@@ -149,6 +151,14 @@ def _sweep(seq, emb, f, record_strategy, state_cap):
     denominators, so the inner loop is bigint arithmetic with no gcd
     normalization per operation.
 
+    Each step walks its window in blocks of ``_BLOCK`` states and runs the
+    whole per-measure loop on one block before the next, so the block's
+    accumulator, running max and slices of ``v`` stay in L2 instead of
+    streaming the full window (up to 200,001 states for
+    ``prop62_experiment(100, 20)``) from L3 once per atom.  Every element
+    sees the same operations in the same order as in one unblocked pass,
+    so values and strategies are bit-identical for any block size.
+
     Float error: a step sums at most max_atoms products whose weights sum
     to 1, so rounding the weights to float64 and the products and sums
     costs at most about (max_atoms + 1) * 2**-53 * max|f| per step.  The
@@ -195,18 +205,22 @@ def _sweep(seq, emb, f, record_strategy, state_cap):
             denom *= step_lcm
         else:
             weights = [[float(w) for w in ws] for _, ws in emb.steps[k]]
-        best = argbest = None
-        for mi, ((ints, _), ws) in enumerate(zip(emb.steps[k], weights)):
-            acc = np.zeros(width, dtype=v.dtype)
-            for a, w in zip(ints, ws):
-                start = lo_k + a - lo_next
-                acc += w * v[start : start + width]
-            if best is None:
-                best, argbest = acc, np.zeros(width, dtype=np.int32)
-            else:
-                if record_strategy:
-                    argbest = np.where(acc > best, mi, argbest)
-                best = np.maximum(best, acc)
+        best = np.empty(width, dtype=v.dtype)
+        argbest = np.zeros(width, dtype=np.int32)
+        for b0 in range(0, width, _BLOCK):
+            b1 = min(b0 + _BLOCK, width)
+            blk, arg = best[b0:b1], argbest[b0:b1]
+            for mi, ((ints, _), ws) in enumerate(zip(emb.steps[k], weights)):
+                acc = np.zeros(b1 - b0, dtype=v.dtype)
+                for a, w in zip(ints, ws):
+                    start = lo_k + a - lo_next + b0
+                    acc += w * v[start : start + b1 - b0]
+                if mi == 0:
+                    blk[:] = acc
+                else:
+                    if record_strategy:
+                        arg[acc > blk] = mi
+                    np.maximum(blk, acc, out=blk)
         if not exact and not np.all(np.isfinite(best[mask_k])):
             raise NumericalFailure("non-finite value during backward sweep")
         v = np.where(mask_k, best, 0)

@@ -103,16 +103,18 @@ def test_criterion_4_clt_cross_oracle(two_variance_rademacher):
         classical_pde = g_normal_expectation(phi, GParams(1.0, 1.0), GridConfig(dx=0.01))
         classical_quad = gaussian_quadrature(phi, 1.0)
         assert abs(classical_pde - classical_quad) <= 1e-3
-        assert time.perf_counter() - start < 60.0
+        assert time.perf_counter() - start < 10.0
 
 
 def test_criterion_5_lln_counterexample():
     with criterion(5, "LLN failure family value near 1"):
+        start = time.perf_counter()
         value, bound = prop62_experiment(100, 20, clamp=2.0)
         assert 0.996 <= value <= 1.0
         assert bound - 1e-12 <= value
         vals = [prop62_experiment(K, 20, clamp=2.0)[0] for K in (10, 30, 100)]
         assert all(a <= b for a, b in zip(vals, vals[1:]))
+        assert time.perf_counter() - start < 10.0
 
 
 def test_criterion_6_clt_counterexample():

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sublin import (
@@ -186,6 +186,14 @@ class TestInPlaceStepping:
     @given(phi=_HEAT_PHIS, sigma_hi=st.floats(0.1, 1.0), band=st.sampled_from(["zero", "inside", "equal"]),
            dx=st.floats(0.02, 0.2), cfl=st.floats(0.05, 1.0), T=st.sampled_from([0.0, 0.05, 0.3]),
            domain=st.sampled_from([None, 0.0, 1.0, 3.0]))
+    # the linear step: the README gnormal grid, where sigma^2 is exactly 1.0,
+    # an all-zero start with -0.0 at every x < 0, and a start of -0.0 between
+    # a 0.0 and the least subnormal, where sigma^2 * d2 underflows to -0.0 and
+    # only the added 0.0 makes the point +0.0, as the max/min split does
+    @example(phi="1-abs(x)", sigma_hi=1.0, band="equal", dx=0.01, cfl=0.4, T=1.0, domain=None)
+    @example(phi="0*x", sigma_hi=0.3, band="equal", dx=0.05, cfl=0.4, T=0.3, domain=None)
+    @example(phi=f"min(x, 0)*0.{'0' * 323}5", sigma_hi=0.3, band="equal", dx=0.5, cfl=0.4, T=0.05,
+             domain=None)
     def test_matches_reference_loop_byte_for_byte(self, phi, sigma_hi, band, dx, cfl, T, domain):
         sigma_lo = {"zero": 0.0, "inside": 0.4 * sigma_hi, "equal": sigma_hi}[band]
         params = GParams(sigma_lo, sigma_hi)
@@ -193,6 +201,23 @@ class TestInPlaceStepping:
         got = solve_g_heat(parse_phi(phi), params, T=T, config=config)
         want = _reference_heat(parse_phi(phi), params, T, config)
         assert got.values.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("phi", ["max(1 - abs(x), 0)", "0*x", "x*x", "max(x, 0)"])
+    def test_linear_step_above_unit_sigma(self, phi):
+        params, config = GParams(1.5, 1.5), GridConfig(dx=0.05, domain=4.0)
+        got = solve_g_heat(parse_phi(phi), params, T=0.5, config=config)
+        want = _reference_heat(parse_phi(phi), params, 0.5, config)
+        assert got.values.tobytes() == want.tobytes()
+
+
+class TestTimeArgument:
+    @pytest.mark.parametrize("T", [-0.5, math.nan], ids=["negative", "nan"])
+    def test_refused_before_phi_is_evaluated(self, T):
+        def phi(x):
+            raise AssertionError("phi evaluated for an invalid T")
+
+        with pytest.raises(ModelError, match="T >= 0"):
+            solve_g_heat(phi, GParams(0.5, 1.0), T=T, config=GridConfig(dx=0.1))
 
 
 class TestWorkCap:

@@ -137,6 +137,12 @@ class TestRoundTrip:
         again = parse_phi(phi.pretty())
         assert again == phi and again.pretty() == phi.pretty()
 
+    def test_pretty_too_deep_is_a_usage_error(self):
+        phi = parse_phi("-" * 400 + "x")  # within the parser's depth, past ast.unparse's
+        assert phi(2.0) == 2.0
+        with pytest.raises(UsageError, match="nested too deeply"):
+            phi.pretty()
+
     def test_equality_hash(self):
         assert parse_phi("x + 1") == parse_phi("x + 1")
         assert parse_phi("x + 1") != parse_phi("1 + x")

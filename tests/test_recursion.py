@@ -3,6 +3,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,7 +23,8 @@ from sublin import (
     sublinear_eval_sum,
     sublinear_event_probability,
 )
-from sublin.limits import counterexample_family
+from sublin import recursion
+from sublin.limits import counterexample_family, prop62_experiment
 
 from conftest import random_ambiguity_set
 
@@ -247,6 +249,12 @@ def rational_steps(draw):
     return steps
 
 
+def _float_steps(steps):
+    """The same step sets with float64 weights."""
+    return [AmbiguitySet([DiscreteDistribution(d.points, [float(w) for w in d.weights])
+                          for d in a.members]) for a in steps]
+
+
 class TestSweepProperties:
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(steps=rational_steps(), c=st.integers(-2, 2))
@@ -256,20 +264,89 @@ class TestSweepProperties:
         exact = sublinear_eval_sum(exact_seq, f)
         assert exact == brute_force_upper(exact_seq, f)
 
-        float_seq = StepSequence(
-            [
-                AmbiguitySet(
-                    [DiscreteDistribution(d.points, [float(w) for w in d.weights])
-                     for d in a.members]
-                )
-                for a in steps
-            ]
-        )
-        got = sublinear_eval_sum(float_seq, lambda s: abs(s - c))
+        got = sublinear_eval_sum(StepSequence(_float_steps(steps)), lambda s: abs(s - c))
         # the sweep's documented bound: n * (max_atoms + 1) * 2**-53 * max|f|
         n = len(steps)
         max_atoms = max(len(d.atoms) for a in steps for d in a.members)
         assert abs(got - exact) <= n * (max_atoms + 1) * 2.0**-53 * (3 * n + abs(c))
+
+
+def _reference_sweep(seq, emb, f, record_strategy, state_cap):
+    """The backward sweep as one unblocked pass per measure over the whole
+    window: the reference that the blocked ``recursion._sweep`` must match
+    bit for bit (same operations on each element, in the same order)."""
+    exact = seq.mode is NumericMode.EXACT
+    reach = recursion._reachable(emb, state_cap)
+    lo_n, mask_n = reach[-1]
+    states = np.flatnonzero(mask_n) + lo_n
+    if exact:
+        terminal = [Fraction(f(s * emb.h)) for s in states.tolist()]
+        denom = math.lcm(*(t.denominator for t in terminal))
+        vals = [int(t * denom) for t in terminal]
+    else:
+        xs = states * float(emb.h)
+        vals = np.fromiter((f(x) for x in xs), dtype=float, count=len(xs))
+    v = np.zeros(len(mask_n), dtype=object if exact else float)
+    v[mask_n] = vals
+    strategy = []
+    for k in range(len(seq) - 1, -1, -1):
+        lo_k, mask_k = reach[k]
+        lo_next = reach[k + 1][0]
+        width = len(mask_k)
+        if exact:
+            fracs = [[Fraction(w) for w in ws] for _, ws in emb.steps[k]]
+            step_lcm = math.lcm(*(w.denominator for ws in fracs for w in ws))
+            weights = [[int(w * step_lcm) for w in ws] for ws in fracs]
+            denom *= step_lcm
+        else:
+            weights = [[float(w) for w in ws] for _, ws in emb.steps[k]]
+        best = argbest = None
+        for mi, ((ints, _), ws) in enumerate(zip(emb.steps[k], weights)):
+            acc = np.zeros(width, dtype=v.dtype)
+            for a, w in zip(ints, ws):
+                start = lo_k + a - lo_next
+                acc += w * v[start : start + width]
+            if best is None:
+                best, argbest = acc, np.zeros(width, dtype=np.int32)
+            else:
+                if record_strategy:
+                    argbest = np.where(acc > best, mi, argbest)
+                best = np.maximum(best, acc)
+        v = np.where(mask_k, best, 0)
+        if record_strategy:
+            strategy.append((lo_k, argbest))
+    value = Fraction(v[0], denom) if exact else float(v[0])
+    return value, strategy[::-1] if record_strategy else None
+
+
+# terminal values with ties, both zeros and an inexact one
+_TERMINALS = [-0.0, 0.0, 0.5, 1.0, -1.0, 2.5, 1 / 3]
+
+
+class TestBlockedSweep:
+    @pytest.mark.parametrize("block", [1, 3, 7])
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(steps=rational_steps(), record=st.booleans(),
+           table=st.lists(st.sampled_from(_TERMINALS), min_size=1, max_size=9))
+    def test_matches_unblocked_loop_bit_for_bit(self, block, steps, record, table):
+        for seq, conv in [(StepSequence(steps, NumericMode.EXACT), F),
+                          (StepSequence(_float_steps(steps)), float)]:
+            f = lambda x: conv(table[round(float(x)) % len(table)])
+            emb = lattice_embed(seq)
+            want_value, want_strategy = _reference_sweep(seq, emb, f, record, 10**6)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(recursion, "_BLOCK", block)
+                got = recursion._sweep(seq, emb, f, record, 10**6)
+            assert repr(got.value) == repr(want_value)
+            if record:
+                assert [(lo, arg.dtype.str, arg.tobytes()) for lo, arg in got.strategy] == [
+                    (lo, arg.dtype.str, arg.tobytes()) for lo, arg in want_strategy]
+            else:
+                assert got.strategy is None and want_strategy is None
+
+    def test_prop62_value_pinned(self):
+        # a 200,001-state window: seven blocks, the last one ragged
+        assert prop62_experiment(100, 20)[0].hex() == "0x1.fdf435b3ce857p-1"
 
 
 class TestGuards:
