@@ -1,11 +1,11 @@
 """Command-line front end.
 
 Subcommands: eval, lln, clt, gnormal, counterexample, check-independence,
-diagnose, enlarge.  Models come from JSON files (see the schemas in
-measures.py / independence.py); test functions are expressions over the
-phi grammar.  Exit codes: 0 success, 1 usage or an output file that
-cannot be written, 2 invalid or unreadable model, 3 numerical failure,
-4 model-too-large.
+diagnose, enlarge.  Models come from JSON files in the layouts documented
+by sublin.ambiguity_set_from_dict and sublin.joint_model_from_dict; test
+functions are expressions over the phi grammar.  Exit codes: 0 success,
+1 usage or an output file that cannot be written, 2 invalid or unreadable
+model, 3 numerical failure, 4 model-too-large.
 """
 
 from __future__ import annotations
@@ -147,6 +147,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_eval(args):
+    if args.n < 1:
+        raise UsageError(f"--n must be >= 1, got {args.n}")
     mode = _mode(args)
     aset = load_ambiguity_set(args.model, mode)
     phi = _phi(args)
@@ -201,6 +203,8 @@ def _cmd_gnormal(args):
 
 
 def _cmd_counterexample(args):
+    if args.n < 1:
+        raise UsageError(f"--n must be >= 1, got {args.n}")
     mode = _mode(args)
     if args.which == "lln":
         clamp = 2.0 if args.clamp is None else args.clamp
@@ -218,6 +222,9 @@ def _cmd_counterexample(args):
 
 
 def _fmt_witness(v):
+    """A witness entry as a string, or a sequence as a list of strings."""
+    if isinstance(v, (list, tuple)):
+        return [_fmt_witness(x) for x in v]
     if isinstance(v, (int, float, Fraction)) and not isinstance(v, bool):
         return _fmt(v)
     return str(v)
@@ -226,6 +233,8 @@ def _fmt_witness(v):
 def _cmd_check_independence(args):
     model = load_joint_model(args.config, _mode(args))
     step = args.step if args.step is not None else model.n_variables
+    if not 1 <= step <= model.n_variables:
+        raise UsageError(f"--step must be in 1..{model.n_variables}, got {step}")
     if args.mode == "pseudo":
         report = check_pseudo_independence(model, step)
     elif args.mode == "peng-probe":
@@ -233,12 +242,12 @@ def _cmd_check_independence(args):
     else:
         report = check_peng_independence(model, step, mode="exact")
     print(f"verdict={'true' if report.verdict else 'false'} gap={_fmt(report.gap)}")
-    if report.witness:
-        parts = " ".join(f"{k}={_fmt_witness(v)}" for k, v in report.witness.items())
+    witness = {k: _fmt_witness(v) for k, v in report.witness.items()} if report.witness else None
+    if witness:
+        parts = " ".join(f"{k}=[{', '.join(v)}]" if isinstance(v, list) else f"{k}={v}"
+                         for k, v in witness.items())
         print(f"witness: {parts}")
-    _dump_json(args, {"verdict": report.verdict, "gap": _fmt(report.gap),
-                      "witness": {k: _fmt_witness(v) for k, v in report.witness.items()}
-                      if report.witness else None})
+    _dump_json(args, {"verdict": report.verdict, "gap": _fmt(report.gap), "witness": witness})
     return 0
 
 

@@ -7,8 +7,12 @@ membership of law vectors, one linear program per history:
 * pseudo-independence at step n: every positive-probability conditional
   law of X_n lies in the hull of the marginal laws of X_n;
 * full (nested) independence at step n: the hull of the joint laws
-  equals the rectangular polytope built from the prefix hull and one
-  marginal-hull choice per history.
+  equals the rectangular polytope R built from the prefix hull and one
+  marginal-hull choice per history (Peng, Nonlinear Expectations and
+  Stochastic Calculus under Uncertainty, 2019).  The joints lie in R exactly
+  when X_n is pseudo-independent; R then lies in their hull exactly when its
+  vertices are all joints, so on exact inputs at most T' + 1 vertex LPs
+  follow the pseudo check, T' the number of distinct tables.
 
 Zero-probability histories are skipped, matching the P-a.s. quantifier.
 """
@@ -18,7 +22,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -300,23 +304,22 @@ def _marginal_vertices(model: JointModel, k: int):
 
 
 def _assemble(bases, marginal_vertices, width, cap, what):
-    """Every product of a base law (a flat vector over a prefix grid) with
-    one marginal vertex per positive-weight cell, as flat vectors over the
-    prefix grid times a support of ``width`` points, in enumeration order
-    and not deduplicated.  Raises ModelTooLarge before the list would
-    exceed ``cap``."""
-    out = []
+    """Yield every product of a base law (a flat vector over a prefix grid)
+    with one marginal vertex per positive-weight cell, as flat vectors over
+    the prefix grid times a support of ``width`` points, in enumeration order
+    and not deduplicated.  Raises ModelTooLarge in place of a product past
+    the ``cap``-th."""
+    count = 0
     for base in bases:
-        positive = sum(1 for w in base if w != 0)
-        if len(out) + len(marginal_vertices) ** positive > cap:
-            raise ModelTooLarge(f"{what} enumeration exceeds the cap ({cap})")
-        for choice in itertools.product(marginal_vertices, repeat=positive):
+        for choice in itertools.product(marginal_vertices, repeat=sum(w != 0 for w in base)):
+            count += 1
+            if count > cap:
+                raise ModelTooLarge(f"{what} enumeration exceeds the cap ({cap})")
             conds = iter(choice)
             vec = []
             for w in base:
                 vec.extend([w * c for c in next(conds)] if w != 0 else [0] * width)
-            out.append(vec)
-    return out
+            yield vec
 
 
 def _distinct(vectors):
@@ -325,17 +328,6 @@ def _distinct(vectors):
     for v in vectors:
         seen.setdefault(tuple(Fraction(x) for x in v), v)
     return list(seen.values())
-
-
-def _step_polytope_vertices(model: JointModel, n: int, cap: int):
-    """Vertices of the step-n rectangular polytope: prefix-hull vertex times
-    one marginal-hull vertex per positive-probability history."""
-    prefixes = [model.prefix_law(ti, n - 1) for ti in range(len(model.tables))]
-    bases = [prefixes[i] for i in hull_vertices(prefixes)]
-    width = len(model.supports[n - 1])
-    return _distinct(
-        _assemble(bases, _marginal_vertices(model, n), width, cap, "step polytope")
-    )
 
 
 def check_peng_independence(
@@ -350,9 +342,11 @@ def check_peng_independence(
 
     ``probe`` mode compares the joint and nested values on a finite family of
     test functions and can only refute (or report "not refuted").  ``exact``
-    mode compares the hull of the joint laws with the step-n rectangular
-    polytope by mutual vertex membership, which decides equality of the two
-    sublinear functionals outright.
+    mode decides outright: :func:`check_pseudo_independence` (its witness
+    gains ``side="joint-outside"``), then a walk over the step-n polytope's
+    vertices that stops at the first outside the hull of the joints (witness
+    ``side="polytope-outside"`` and its ``vertex`` index), after at most
+    T' + 1 LPs on exact inputs.  ``cap`` bounds the support grid and the walk.
     """
     if not 1 <= n <= model.n_variables:
         raise ModelError(f"step {n} out of range")
@@ -378,24 +372,19 @@ def check_peng_independence(
         size = math.prod(model.shape[:n])
         if size > cap:
             raise ModelTooLarge(f"support grid of size {size} exceeds the cap ({cap})")
+        pseudo = check_pseudo_independence(model, n, tol)
+        if not pseudo:
+            return replace(pseudo, witness={**pseudo.witness, "side": "joint-outside"})
         joints = [model.prefix_law(ti, n) for ti in range(len(model.tables))]
-        poly = _step_polytope_vertices(model, n, cap)
-        for ti, j in enumerate(joints):
-            gap, direction = hull_gap(j, poly)
-            if gap > effective:
-                return IndependenceReport(
-                    False,
-                    witness={"measure": ti, "side": "joint-outside", "direction": direction},
-                    gap=gap,
-                )
-        for vi, v in enumerate(poly):
+        prefixes = [model.prefix_law(ti, n - 1) for ti in range(len(model.tables))]
+        vertices = _assemble([prefixes[i] for i in hull_vertices(prefixes)],
+                             _marginal_vertices(model, n), len(model.supports[n - 1]),
+                             cap, "step polytope")
+        for vi, v in enumerate(vertices):
             gap, direction = hull_gap(v, joints)
             if gap > effective:
-                return IndependenceReport(
-                    False,
-                    witness={"vertex": vi, "side": "polytope-outside", "direction": direction},
-                    gap=gap,
-                )
+                witness = {"vertex": vi, "side": "polytope-outside", "direction": direction}
+                return IndependenceReport(False, witness, gap)
         return IndependenceReport(True)
 
     raise ModelError(f"mode must be 'probe' or 'exact', got {mode!r}")
@@ -411,7 +400,7 @@ def enlarge_vertices(model: JointModel, cap: int = DEFAULT_ENUM_CAP) -> JointMod
     """
     partials = [[1]]
     for k in range(1, model.n_variables + 1):
-        width = len(model.supports[k - 1])
-        partials = _assemble(partials, _marginal_vertices(model, k), width, cap, "enlargement")
+        partials = list(_assemble(partials, _marginal_vertices(model, k),
+                                  len(model.supports[k - 1]), cap, "enlargement"))
     tables = [tuple(v) for v in _distinct(partials)]
     return JointModel(model.variable_names, model.supports, tables)

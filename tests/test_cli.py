@@ -232,6 +232,52 @@ class TestIndependence:
         assert code == 0
         assert out.splitlines()[0].startswith("verdict=false")
 
+    def test_witness_numbers_print_as_rationals(self, capsys, tmp_path):
+        path = tmp_path / "r.json"
+        code, out, _ = run(
+            capsys, "check-independence", "--config", cfg("example36.json"),
+            "--mode", "peng-exact", "--exact", "--json", str(path),
+        )
+        assert code == 0
+        assert out.splitlines() == [
+            "verdict=false gap=3/10",
+            "witness: vertex=1 side=polytope-outside direction=[-1, -1, 1, -3/5]",
+        ]
+        assert json.loads(path.read_text()) == {
+            "verdict": False, "gap": "3/10",
+            "witness": {"vertex": "1", "side": "polytope-outside",
+                        "direction": ["-1", "-1", "1", "-3/5"]},
+        }
+
+    def test_pseudo_history_prints_as_rationals(self, capsys, tmp_path):
+        # one measure whose law of Y depends on X: the witness history is (1/2,)
+        model = tmp_path / "m.json"
+        model.write_text(json.dumps({
+            "variables": ["X", "Y"], "supports": [["1/2", 2], [0, 1]],
+            "measures": [{"table": [["1/2", 0], [0, "1/2"]]}],
+        }))
+        path = tmp_path / "r.json"
+        code, out, _ = run(
+            capsys, "check-independence", "--config", str(model),
+            "--mode", "pseudo", "--exact", "--json", str(path),
+        )
+        assert code == 0
+        witness = out.splitlines()[1]
+        assert witness.startswith("witness: measure=0 history=[1/2] direction=[")
+        assert "Fraction" not in witness
+        doc = json.loads(path.read_text())
+        assert doc["witness"]["history"] == ["1/2"]
+        assert all(isinstance(x, str) for x in doc["witness"]["direction"])
+
+    @pytest.mark.parametrize("step", ["0", "3"])
+    def test_step_out_of_range_is_a_usage_error(self, capsys, step):
+        code, out, err = run(
+            capsys, "check-independence", "--config", cfg("example36.json"),
+            "--mode", "pseudo", "--step", step,
+        )
+        assert code == 1 and out == ""
+        assert err == f"error: --step must be in 1..2, got {step}\n"
+
 
 class TestEnlargeAndDiagnose:
     def test_enlarge_vertex_dump(self, capsys, tmp_path):
@@ -278,6 +324,17 @@ class TestExitCodes:
     def test_usage_unknown_flag(self, capsys):
         code, _, err = run(capsys, "eval", "--nope")
         assert code == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--model", cfg("bernoulli-band.json"), "--phi", "x"],
+        ["counterexample", "--which", "lln", "--K", "4"],
+        ["counterexample", "--which", "clt", "--K", "4"],
+    ], ids=["eval", "counterexample-lln", "counterexample-clt"])
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_nonpositive_n_is_a_usage_error(self, capsys, argv, n):
+        code, out, err = run(capsys, *argv, "--n", n)
+        assert code == 1 and out == ""
+        assert err == f"error: --n must be >= 1, got {n}\n"
 
     def test_usage_bad_phi(self, capsys):
         code, _, err = run(

@@ -1,9 +1,15 @@
+import itertools
+import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sublin import (
+    IndependenceReport,
     JointModel,
     ModelError,
     ModelTooLarge,
@@ -15,18 +21,92 @@ from sublin import (
     enlarge_vertices,
     joint_model_from_dict,
 )
-from sublin.independence import (
-    DEFAULT_ENUM_CAP,
-    _step_polytope_vertices,
-    joint_value,
-    nested_value,
-    positive_histories,
-)
-from sublin.linprog import in_hull
+import sublin.independence as independence
+from sublin.independence import joint_value, nested_value, positive_histories
+from sublin.linprog import hull_gap, hull_vertices, in_hull
+from sublin.measures import _tolerance
 
 from conftest import random_product_model
 
 F = Fraction
+
+
+def _reference_peng_exact(model, n):
+    """The exact Peng check by enumeration: list every vertex of the step-n
+    rectangular polytope, then test each joint against the polytope and each
+    vertex against the hull of the joints."""
+    effective = _tolerance(model.exact(), None)
+    prefixes = [model.prefix_law(ti, n - 1) for ti in range(len(model.tables))]
+    marginals = [model.marginal_law(ti, n) for ti in range(len(model.tables))]
+    cond_vertices = [marginals[i] for i in hull_vertices(marginals)]
+    width = len(model.supports[n - 1])
+    poly, seen = [], set()
+    for base in (prefixes[i] for i in hull_vertices(prefixes)):
+        positive = sum(1 for w in base if w != 0)
+        for choice in itertools.product(cond_vertices, repeat=positive):
+            conds = iter(choice)
+            vec = []
+            for w in base:
+                vec.extend([w * c for c in next(conds)] if w != 0 else [0] * width)
+            key = tuple(F(x) for x in vec)
+            if key not in seen:
+                seen.add(key)
+                poly.append(vec)
+    joints = [model.prefix_law(ti, n) for ti in range(len(model.tables))]
+    for ti, j in enumerate(joints):
+        gap, direction = hull_gap(j, poly)
+        if gap > effective:
+            return IndependenceReport(
+                False, {"measure": ti, "side": "joint-outside", "direction": direction}, gap)
+    for vi, v in enumerate(poly):
+        gap, direction = hull_gap(v, joints)
+        if gap > effective:
+            return IndependenceReport(
+                False, {"vertex": vi, "side": "polytope-outside", "direction": direction}, gap)
+    return IndependenceReport(True)
+
+
+def _normalized(raw):
+    return [F(w, sum(raw)) for w in raw]
+
+
+def _product(laws):
+    """The product of ``laws`` as a flat row-major table."""
+    table = [F(1)]
+    for law in laws:
+        table = [a * b for a in table for b in law]
+    return table
+
+
+@st.composite
+def small_models(draw):
+    """Two-variable models up to 3x3 and (2,2,2) models of one or two tables,
+    all products of random laws or all general tables, with zero cells, in
+    exact or float weights; and a step past the first."""
+    shape = draw(st.sampled_from([(2, 2), (2, 3), (3, 2), (3, 3), (2, 2, 2)]))
+    weights = lambda size: st.lists(st.integers(0, 3), min_size=size, max_size=size).filter(any)
+    product = draw(st.booleans())
+    tables = []
+    for _ in range(draw(st.integers(1, 2))):
+        if product:
+            tables.append(_product([_normalized(draw(weights(size))) for size in shape]))
+        else:
+            tables.append(_normalized(draw(weights(math.prod(shape)))))
+    if not draw(st.booleans()):
+        tables = [[float(w) for w in t] for t in tables]
+    model = JointModel([f"X{k}" for k in range(len(shape))], [range(s) for s in shape], tables)
+    return model, draw(st.integers(2, len(shape)))
+
+
+def _walk(model, n):
+    """Every vertex the exact check walks, in order, with pseudo-independence
+    and every membership test forced to pass."""
+    seen = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(independence, "check_pseudo_independence", lambda *a: IndependenceReport(True))
+        mp.setattr(independence, "hull_gap", lambda v, hull: seen.append(v) or (0, None))
+        assert check_peng_independence(model, n, mode="exact").verdict
+    return seen
 
 
 class TestJointModel:
@@ -162,6 +242,74 @@ class TestPengIndependence:
         with pytest.raises(ModelError):
             check_peng_independence(example36, 2, mode="nope")
 
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(small_models())
+    def test_exact_matches_enumeration(self, case):
+        model, n = case
+        lps = [0]
+        real_pseudo, real_gap = independence.check_pseudo_independence, independence.hull_gap
+
+        def pseudo(*args):
+            report = real_pseudo(*args)
+            lps[0] = 0
+            return report
+
+        def counted_gap(*args):
+            lps[0] += 1
+            return real_gap(*args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(independence, "check_pseudo_independence", pseudo)
+            mp.setattr(independence, "hull_gap", counted_gap)
+            got = check_peng_independence(model, n, mode="exact")
+        want = _reference_peng_exact(model, n)
+        assert got.verdict is want.verdict
+        if not want.verdict:
+            assert got.witness["side"] == want.witness["side"]
+        if not want.verdict and want.witness["side"] == "polytope-outside":
+            assert got.witness == want.witness
+            assert got.gap == want.gap
+        if model.exact():
+            # a vertex of the polytope inside the hull of the joints is a joint
+            assert lps[0] <= len(set(model.tables)) + 1
+
+    def test_joint_outside_returns_the_pseudo_witness(self):
+        m = JointModel(["X", "Y"], [[0, 1], [0, 1]], [[F(1, 2), 0, 0, F(1, 2)]])
+        pseudo = check_pseudo_independence(m, 2)
+        rep = check_peng_independence(m, 2, mode="exact")
+        assert not rep.verdict and rep.gap == pseudo.gap
+        assert rep.witness == {**pseudo.witness, "side": "joint-outside"}
+
+
+def _random_model(seed, variables, size, n_tables, product):
+    """Seeded cells 1-9 over ``variables`` supports of ``size`` points, each
+    table a product of per-variable laws or a general table."""
+    rng = random.Random(seed)
+    cells = lambda k: _normalized([rng.randint(1, 9) for _ in range(k)])
+    tables = [_product([cells(size) for _ in range(variables)]) if product
+              else cells(size**variables) for _ in range(n_tables)]
+    return JointModel([f"X{k}" for k in range(variables)], [range(size)] * variables, tables)
+
+
+class TestLargeModels:
+    """Three variables on three points, where the step polytope has 2 * 2**9
+    to 3 * 3**9 vertices: too many to enumerate and test one by one."""
+
+    def test_general_tables_decide_on_the_joint_side(self):
+        m = _random_model(1, 3, 3, 2, product=False)
+        start = time.perf_counter()
+        rep = check_peng_independence(m, 3, mode="exact")
+        assert time.perf_counter() - start < 10.0
+        assert not rep.verdict and rep.witness["side"] == "joint-outside"
+
+    def test_product_tables_decide_on_the_polytope_side(self):
+        m = _random_model(2, 3, 3, 3, product=True)
+        start = time.perf_counter()
+        rep = check_peng_independence(m, 3, mode="exact")
+        assert time.perf_counter() - start < 10.0
+        assert not rep.verdict and rep.witness["side"] == "polytope-outside"
+        assert rep.witness["vertex"] == 1
+
 
 class TestEnlargement:
     def test_example_enlargement(self, example36, phi_star):
@@ -200,14 +348,25 @@ class TestEnlargement:
             assert nested_value(big, 2, probe) == nested_value(m, 2, probe)
 
     def test_cap(self, example36):
+        # the enlargement has 8 vertices, the products of the last step
+        assert len(enlarge_vertices(example36, cap=8).tables) == 8
+        with pytest.raises(ModelTooLarge, match="enlargement"):
+            enlarge_vertices(example36, cap=7)
         with pytest.raises(ModelTooLarge):
             enlarge_vertices(example36, cap=3)
 
-    def test_step_polytope_cap(self, example36):
-        # the 2x2 grid fits cap=4; the step polytope needs 2 prefix vertices
-        # times 2**2 marginal choices = 8 products
-        with pytest.raises(ModelTooLarge, match="step polytope"):
-            check_peng_independence(example36, 2, mode="exact", cap=4)
+    def test_step_polytope_walk_fits_cap(self, example36):
+        # the step polytope has 2 prefix vertices times 2**2 marginal choices
+        # = 8 vertices, but the walk stops at the second, which no joint is
+        rep = check_peng_independence(example36, 2, mode="exact", cap=4)
+        assert not rep.verdict
+        assert rep.gap == F(3, 10)
+        assert rep.witness["vertex"] == 1
+        assert rep.witness["side"] == "polytope-outside"
+
+    def test_support_grid_cap(self, example36):
+        with pytest.raises(ModelTooLarge, match="support grid of size 4"):
+            check_peng_independence(example36, 2, mode="exact", cap=3)
 
     def test_two_variable_step_polytope_is_the_enlargement(self):
         # with two variables both enumerations assemble marginal-1 vertices
@@ -222,8 +381,7 @@ class TestEnlargement:
                 tables.append([F(w, sum(raw)) for w in raw])
             models.append(JointModel(["X", "Y"], [range(sx), range(sy)], tables))
         for m in models:
-            poly = _step_polytope_vertices(m, 2, DEFAULT_ENUM_CAP)
-            assert [tuple(v) for v in poly] == list(enlarge_vertices(m).tables)
+            assert [tuple(v) for v in _walk(m, 2)] == list(enlarge_vertices(m).tables)
 
 
 class TestPositiveHistories:
