@@ -3,9 +3,14 @@
 Subcommands: eval, lln, clt, gnormal, counterexample, check-independence,
 diagnose, enlarge.  Models come from JSON files in the layouts documented
 by sublin.ambiguity_set_from_dict and sublin.joint_model_from_dict; test
-functions are expressions over the phi grammar.  Exit codes: 0 success,
-1 usage or an output file that cannot be written, 2 invalid or unreadable
-model, 3 numerical failure, 4 model-too-large.
+functions are expressions over the phi grammar.
+
+Each command returns its stdout lines, its JSON document and, for lln, clt
+and diagnose, its CSV text; ``main`` alone prints the lines and then writes
+``--out`` and ``--json``.  So a command that fails prints nothing on stdout,
+and only a failed ``--out``/``--json`` write comes after the result.  Exit
+codes: 0 success, 1 usage or an output file that cannot be written, 2
+invalid or unreadable model, 3 numerical failure, 4 model-too-large.
 """
 
 from __future__ import annotations
@@ -62,14 +67,10 @@ def _schedule(text: str):
     return ns
 
 
-def _emit_table(table: ExperimentTable, args):
-    for row in table:
-        print(f"n={row.n} value={_fmt(row.value)} prediction={_fmt(row.prediction)} "
-              f"gap={_fmt(row.gap)}")
-    if args.out:
-        table.to_csv(args.out)
-    if args.json:
-        table.to_json(args.json)
+def _table_report(table: ExperimentTable):
+    doc = table.to_dict()
+    lines = [" ".join(f"{k}={v}" for k, v in row.items()) for row in doc["rows"]]
+    return lines, doc, table.to_csv()
 
 
 def _add_common(p, exact=True, out=False, grid=False):
@@ -161,45 +162,38 @@ def _cmd_eval(args):
     else:
         scale = 1
     direction = "lower" if args.lower else "upper"
-    value = sublinear_eval_sum(seq, lambda s: phi(s / scale), direction)
-    print(f"value={_fmt(value)}")
-    _dump_json(args, {"value": _fmt(value)})
-    return 0
+    value = _fmt(sublinear_eval_sum(seq, lambda s: phi(s / scale), direction))
+    return [f"value={value}"], {"value": value}
 
 
 def _cmd_lln(args):
     aset = load_ambiguity_set(args.model, _mode(args))
     phi = _phi(args)
-    table = limits.lln_experiment(aset, phi, _schedule(args.n_schedule), _mode(args))
-    _emit_table(table, args)
-    return 0
+    return _table_report(
+        limits.lln_experiment(aset, phi, _schedule(args.n_schedule), _mode(args)))
 
 
 def _cmd_clt(args):
     aset = load_ambiguity_set(args.model, _mode(args))
     phi = _phi(args)
-    table = limits.clt_experiment(
+    return _table_report(limits.clt_experiment(
         aset,
         phi,
         _schedule(args.n_schedule),
         grid=_grid(args),
         truncate_sqrt_n=args.truncate_sqrt_n,
         mode=_mode(args),
-    )
-    _emit_table(table, args)
-    return 0
+    ))
 
 
 def _cmd_gnormal(args):
     phi = parse_phi(args.phi)
     params = GParams(args.sigma_lo, args.sigma_hi)
     value = g_normal_expectation(phi, params, _grid(args))
-    print(f"value={value:.17g}")
+    lines = [f"value={value:.17g}"]
     if params.sigma_lo == params.sigma_hi:
-        oracle = gaussian_quadrature(phi, params.sigma_hi)
-        print(f"quadrature={oracle:.17g}")
-    _dump_json(args, {"value": value})
-    return 0
+        lines.append(f"quadrature={gaussian_quadrature(phi, params.sigma_hi):.17g}")
+    return lines, {"value": value}
 
 
 def _cmd_counterexample(args):
@@ -214,11 +208,11 @@ def _cmd_counterexample(args):
         clamp = 1.0 if args.clamp is None else args.clamp
         value, bound = limits.prop63_experiment(args.K, args.n, clamp, mode)
         classical = 1.0 - math.sqrt(2.0 / math.pi)
-    print(f"value={_fmt(value)} lower-bound={_fmt(bound)} "
-          f"classical-reference={classical:.17g} robust-limit=1")
-    _dump_json(args, {"value": _fmt(value), "lower_bound": _fmt(bound),
-                      "classical_reference": classical, "robust_limit": 1})
-    return 0
+    value, bound = _fmt(value), _fmt(bound)
+    return ([f"value={value} lower-bound={bound} "
+             f"classical-reference={classical:.17g} robust-limit=1"],
+            {"value": value, "lower_bound": bound,
+             "classical_reference": classical, "robust_limit": 1})
 
 
 def _fmt_witness(v):
@@ -241,14 +235,14 @@ def _cmd_check_independence(args):
         report = check_peng_independence(model, step, mode="probe")
     else:
         report = check_peng_independence(model, step, mode="exact")
-    print(f"verdict={'true' if report.verdict else 'false'} gap={_fmt(report.gap)}")
+    gap = _fmt(report.gap)
+    lines = [f"verdict={'true' if report.verdict else 'false'} gap={gap}"]
     witness = {k: _fmt_witness(v) for k, v in report.witness.items()} if report.witness else None
     if witness:
         parts = " ".join(f"{k}=[{', '.join(v)}]" if isinstance(v, list) else f"{k}={v}"
                          for k, v in witness.items())
-        print(f"witness: {parts}")
-    _dump_json(args, {"verdict": report.verdict, "gap": _fmt(report.gap), "witness": witness})
-    return 0
+        lines.append(f"witness: {parts}")
+    return lines, {"verdict": report.verdict, "gap": gap, "witness": witness}
 
 
 def _cmd_diagnose(args):
@@ -260,41 +254,29 @@ def _cmd_diagnose(args):
     else:
         raise UsageError("diagnose needs --model or --counterexample-K")
     summary = moment_summary(StepSequence.iid(aset, 1, mode), args.n_max)
-    print(f"mu=[{_fmt(summary.mu_lo)}, {_fmt(summary.mu_bar)}] "
-          f"sigma2=[{_fmt(summary.sigma2_lo)}, {_fmt(summary.sigma2_bar)}]")
-    print("n,nV(|X|>=n),nV(X^2>=n),cesaro")
-    lines = []
-    for (n, a), (_, s), (_, c) in zip(summary.tail_abs, summary.tail_sq, summary.cesaro):
-        line = f"{n},{_fmt(a)},{_fmt(s)},{_fmt(c)}"
-        lines.append(line)
-        print(line)
-    print(f"H1-decaying={summary.h1_decaying} H2-decaying={summary.h2_decaying}")
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write("n,tail_abs,tail_sq,cesaro\n")
-            fh.write("\n".join(lines) + "\n")
-    _dump_json(args, {
-        "mu": [_fmt(summary.mu_lo), _fmt(summary.mu_bar)],
-        "sigma2": [_fmt(summary.sigma2_lo), _fmt(summary.sigma2_bar)],
-        "h1_decaying": summary.h1_decaying,
-        "h2_decaying": summary.h2_decaying,
-    })
-    return 0
+    mu = [_fmt(summary.mu_lo), _fmt(summary.mu_bar)]
+    sigma2 = [_fmt(summary.sigma2_lo), _fmt(summary.sigma2_bar)]
+    rows = [f"{n},{_fmt(a)},{_fmt(s)},{_fmt(c)}" for (n, a), (_, s), (_, c)
+            in zip(summary.tail_abs, summary.tail_sq, summary.cesaro)]
+    lines = [f"mu=[{mu[0]}, {mu[1]}] sigma2=[{sigma2[0]}, {sigma2[1]}]",
+             "n,nV(|X|>=n),nV(X^2>=n),cesaro", *rows,
+             f"H1-decaying={summary.h1_decaying} H2-decaying={summary.h2_decaying}"]
+    doc = {"mu": mu, "sigma2": sigma2,
+           "h1_decaying": summary.h1_decaying, "h2_decaying": summary.h2_decaying}
+    return lines, doc, "".join(f"{row}\n" for row in ["n,tail_abs,tail_sq,cesaro", *rows])
 
 
 def _cmd_enlarge(args):
     model = load_joint_model(args.config, _mode(args))
     enlarged = enlarge_vertices(model)
-    print(f"vertices={len(enlarged.tables)}")
-    doc = {
+    tables = [[_fmt(w) for w in t] for t in enlarged.tables]
+    lines = [f"vertices={len(tables)}"]
+    lines += [f"vertex {i}: " + " ".join(t) for i, t in enumerate(tables)]
+    return lines, {
         "variables": list(enlarged.variable_names),
         "supports": [[_fmt(x) for x in s] for s in enlarged.supports],
-        "measures": [{"table": [_fmt(w) for w in t]} for t in enlarged.tables],
+        "measures": [{"table": t} for t in tables],
     }
-    for i, t in enumerate(enlarged.tables):
-        print(f"vertex {i}: " + " ".join(_fmt(w) for w in t))
-    _dump_json(args, doc)
-    return 0
 
 
 _DISPATCH = {
@@ -309,17 +291,18 @@ _DISPATCH = {
 }
 
 
-def _dump_json(args, doc):
-    if args.json:
-        with open(args.json, "w") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
-
-
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return _DISPATCH[args.command](args)
+        lines, doc, *csv = _DISPATCH[args.command](args)
+        print("\n".join(lines))
+        outputs = [(getattr(args, "out", None), "".join(csv)),
+                   (args.json, json.dumps(doc, indent=2) + "\n")]
+        for path, text in outputs:
+            if path:
+                with open(path, "w", newline="") as fh:
+                    fh.write(text)
+        return 0
     except SublinError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.exit_code

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
@@ -54,6 +53,9 @@ class ExperimentRow:
         return self.value - self.prediction
 
 
+_COLUMNS = ("n", "value", "prediction", "gap")
+
+
 @dataclass
 class ExperimentTable:
     """Rows of (n, computed value, predicted limit, gap) plus metadata."""
@@ -69,38 +71,17 @@ class ExperimentTable:
     def __iter__(self):
         return iter(self.rows)
 
-    def to_csv(self, path: Optional[str] = None):
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow(["n", "value", "prediction", "gap"])
-        for r in self.rows:
-            w.writerow([r.n, _fmt(r.value), _fmt(r.prediction), _fmt(r.gap)])
-        text = buf.getvalue()
-        if path is None:
-            return text
-        with open(path, "w", newline="") as fh:
-            fh.write(text)
-        return text
+    def _cells(self):
+        return [(r.n, _fmt(r.value), _fmt(r.prediction), _fmt(r.gap)) for r in self.rows]
 
-    def to_json(self, path: Optional[str] = None):
-        doc = {
-            "metadata": self.metadata,
-            "rows": [
-                {
-                    "n": r.n,
-                    "value": _fmt(r.value),
-                    "prediction": _fmt(r.prediction),
-                    "gap": _fmt(r.gap),
-                }
-                for r in self.rows
-            ],
-        }
-        text = json.dumps(doc, indent=2) + "\n"
-        if path is None:
-            return text
-        with open(path, "w") as fh:
-            fh.write(text)
-        return text
+    def to_csv(self) -> str:
+        buf = io.StringIO()
+        csv.writer(buf).writerows([_COLUMNS, *self._cells()])
+        return buf.getvalue()
+
+    def to_dict(self) -> dict:
+        return {"metadata": self.metadata,
+                "rows": [dict(zip(_COLUMNS, cells)) for cells in self._cells()]}
 
 
 def _step_at(seq: StepSequence, i: int) -> AmbiguitySet:
@@ -138,10 +119,6 @@ class MomentSummary:
     @property
     def h2_decaying(self) -> bool:
         return _decaying(self.tail_sq)
-
-    @property
-    def gparams(self) -> GParams:
-        return GParams(math.sqrt(float(self.sigma2_lo)), math.sqrt(float(self.sigma2_bar)))
 
 
 def default_diagnostic_schedule(n_max: int) -> list:
@@ -404,6 +381,10 @@ def weak_lln_check(seq: StepSequence, eps: float, n: int) -> float:
     return sublinear_event_probability(run, lambda s: lo <= s / n <= hi, "lower")
 
 
+# largest |E[X]| or |E[-X]| that clt_experiment accepts as centered
+CLT_MEAN_TOL = 1e-12
+
+
 def clt_experiment(
     aset: AmbiguitySet,
     phi: Callable,
@@ -412,7 +393,6 @@ def clt_experiment(
     grid: GridConfig = GridConfig(),
     truncate_sqrt_n: bool = False,
     mode: NumericMode = NumericMode.FLOAT64,
-    mean_tol: float = 1e-12,
 ) -> ExperimentTable:
     """E[phi(S_n/sqrt(n))] per n against the G-normal PDE prediction.
 
@@ -422,7 +402,7 @@ def clt_experiment(
     """
     mu_hi = upper_expectation(aset, lambda x: x).value
     mu_lo = lower_expectation(aset, lambda x: x).value
-    if abs(float(mu_hi)) > mean_tol or abs(float(mu_lo)) > mean_tol:
+    if abs(float(mu_hi)) > CLT_MEAN_TOL or abs(float(mu_lo)) > CLT_MEAN_TOL:
         raise NumericalFailure(
             f"CLT experiment requires centered steps; got mean envelope "
             f"[{_fmt(mu_lo)}, {_fmt(mu_hi)}]"

@@ -193,23 +193,6 @@ def _compile(root, ops, source):
     return closure(walk(root))
 
 
-def _spelled_numbers(source):
-    """``source`` parsed afresh, with each number replaced by a name spelled
-    as its source text: ast.unparse writes a name verbatim, but a Constant
-    as its value's repr, such as ``1e-05``, which the grammar refuses."""
-    def spelled(node):
-        if isinstance(node, ast.Constant):
-            return ast.Name(source[node.col_offset:node.end_col_offset])
-        return node
-
-    tree = ast.parse(source, mode="eval")
-    for node in ast.walk(tree):  # iterative: no recursion beyond ast.unparse's own
-        for field, value in ast.iter_fields(node):
-            setattr(node, field, [spelled(v) for v in value] if isinstance(value, list)
-                    else spelled(value))
-    return tree.body
-
-
 class PhiExpression:
     """A parsed test function; callable on floats or Fractions.
 
@@ -229,7 +212,6 @@ class PhiExpression:
         # one line, as Python's parser wants it outside brackets
         source = _LEADING_ZEROS.sub("", " ".join(text.split()))
         self.text = text
-        self._source = source
         try:
             with warnings.catch_warnings():
                 # e.g. "invalid decimal literal" for "1if x else 2"
@@ -274,15 +256,6 @@ class PhiExpression:
     @property
     def exact_capable(self) -> bool:
         return self._exact is not None
-
-    def pretty(self) -> str:
-        """The expression as one line that parses back to an equal one, with
-        each number as written in the source (less leading zeros).  Raises
-        UsageError where ast.unparse recurses deeper than the parser did."""
-        try:
-            return ast.unparse(_spelled_numbers(self._source))
-        except RecursionError:
-            raise UsageError("expression nested too deeply") from None
 
     def __repr__(self):
         return f"PhiExpression({self.text!r})"

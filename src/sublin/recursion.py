@@ -225,6 +225,7 @@ def _sweep(seq, emb, f, record_strategy, state_cap):
             raise NumericalFailure("non-finite value during backward sweep")
         v = np.where(mask_k, best, 0)
         if record_strategy:
+            argbest[~mask_k] = 0  # unreachable points hold 0
             strategy.append((lo_k, argbest))
     value = Fraction(v[0], denom) if exact else float(v[0])
     return EvalResult(value, strategy[::-1] if record_strategy else None)

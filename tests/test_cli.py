@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
@@ -176,6 +177,16 @@ class TestGNormal:
             capsys, "gnormal", "--sigma-lo", "1", "--sigma-hi", "1", "--phi", "1-abs(x)", *grid,
         )
         assert code == 4 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_failure_after_the_value_prints_nothing(self, capsys):
+        # the PDE value is finite; the quadrature oracle meets sqrt of a
+        # negative number out on the domain and fails
+        code, out, err = run(
+            capsys, "gnormal", "--sigma-lo", "1", "--sigma-hi", "1",
+            "--phi", "sqrt(9-abs(x))", "--dx", "0.05",
+        )
+        assert code == 3 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
@@ -473,6 +484,49 @@ class TestExitCodes:
         )
         code, _, err = run(capsys, "eval", "--model", str(path), "--phi", "x", "--n", "50")
         assert code == 4
+
+
+def _readme_commands():
+    with open(os.path.join(HERE, os.pardir, "README.md")) as fh:
+        return [line.rstrip("\n") for line in fh if line.startswith("sublin ")]
+
+
+def _readme_id(line):
+    """``check-independence-pseudo`` for a line with ``--mode pseudo``."""
+    argv = shlex.split(line)[1:]
+    return "-".join([argv[0]] + [argv[i + 1] for i, a in enumerate(argv)
+                                  if a in ("--which", "--mode")])
+
+
+with open(os.path.join(HERE, "readme_golden.json")) as _fh:
+    # README line -> its stdout, --json file and (lln, clt, diagnose) --out file
+    README_GOLDEN = json.load(_fh)
+
+
+class TestReadmeGolden:
+    def test_every_readme_line_is_pinned(self):
+        assert _readme_commands() == list(README_GOLDEN)
+
+    @pytest.mark.parametrize("line", _readme_commands(), ids=_readme_id)
+    def test_output_bytes(self, capsys, tmp_path, monkeypatch, line):
+        want = README_GOLDEN[line]
+        argv = shlex.split(line)[1:]
+        report, table = tmp_path / "r.json", tmp_path / "r.csv"
+        argv += ["--json", str(report)] + (["--out", str(table)] if "out" in want else [])
+        monkeypatch.chdir(os.path.join(HERE, os.pardir))  # the README's paths start there
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and err == ""
+        if argv[0] == "gnormal":
+            # the quadrature oracle is scipy's: compared to 1e-12, not bytewise
+            value, oracle = out.splitlines()
+            want_value, want_oracle = want["stdout"].splitlines()
+            assert value == want_value and oracle.startswith("quadrature=")
+            assert abs(float(oracle[11:]) - float(want_oracle[11:])) <= 1e-12
+        else:
+            assert out == want["stdout"]
+        assert report.read_bytes() == want["json"].encode()
+        if "out" in want:  # CRLF from the csv module for lln/clt, LF for diagnose
+            assert table.read_bytes() == want["out"].encode()
 
 
 class TestMisc:

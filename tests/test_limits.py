@@ -1,4 +1,3 @@
-import json
 import math
 from fractions import Fraction
 from pathlib import Path
@@ -281,7 +280,7 @@ class TestLLN:
 
     def test_table_serialization(self, bernoulli_band):
         table = lln_experiment(bernoulli_band, lambda x: x, [4, 8])
-        doc = json.loads(table.to_json())
+        doc = table.to_dict()
         assert [r["n"] for r in doc["rows"]] == [4, 8]
         csv_text = table.to_csv()
         assert csv_text.splitlines()[0].startswith("n,")

@@ -121,27 +121,8 @@ class TestLipschitz:
 
 
 class TestRoundTrip:
-    def test_pretty_reparses(self):
-        for src in ["max(1 - abs(x), 0)", "clamp(x, -1, 1)", "x*x - 2*x + 1",
-                    "0.00001*x", "123456789012345678.5+x"]:
-            phi = parse_phi(src)
-            again = parse_phi(phi.pretty())
-            assert again == phi
-            for x in [-2, -0.5, 0, 0.75, 3]:
-                assert phi(x) == pytest.approx(again(x))
-
-    @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(text=st.deferred(lambda: _phi_texts(_FLOAT_OPS, _DECIMALS)))
-    def test_pretty_parses_back_to_an_equal_expression(self, text):
-        phi = parse_phi(text[0])
-        again = parse_phi(phi.pretty())
-        assert again == phi and again.pretty() == phi.pretty()
-
-    def test_pretty_too_deep_is_a_usage_error(self):
-        phi = parse_phi("-" * 400 + "x")  # within the parser's depth, past ast.unparse's
-        assert phi(2.0) == 2.0
-        with pytest.raises(UsageError, match="nested too deeply"):
-            phi.pretty()
+    def test_deep_negation_parses_and_evaluates(self):
+        assert parse_phi("-" * 400 + "x")(2.0) == 2.0
 
     def test_equality_hash(self):
         assert parse_phi("x + 1") == parse_phi("x + 1")
@@ -177,13 +158,6 @@ def _phi_texts(ops, leaf_numbers):
 
 _NUMBERS = st.tuples(st.integers(0, 9), st.integers(1, 4)).map(
     lambda t: (f"({t[0]}/{t[1]})", f"F({t[0]}, {t[1]})"))
-# decimal literals in the grammar's forms (leading zeros, ".5", no fraction),
-# including ones whose float repr has an exponent: 0.00001, 10**17 + 0.5
-_DECIMALS = st.builds(
-    lambda pad, whole, zeros, frac: f"{pad}{whole}" + (f".{'0' * zeros}{frac}" if frac else ""),
-    st.sampled_from(["", "0", "00"]), st.sampled_from(["", "0", "7"]) | st.integers(0, 10**20).map(str),
-    st.integers(0, 8), st.integers(0, 999),
-).filter(lambda t: t).map(lambda t: (t, f"F('{t}')"))
 _FLOAT_OPS = {"+", "-", "*", "/", "neg", "abs", "sqrt", "min", "max", "clamp"}
 _EXACT_OPS = {"+", "-", "*", "neg", "abs", "min", "max", "clamp"}
 _POINTS = st.lists(

@@ -24,7 +24,11 @@ from sublin import (
     sublinear_event_probability,
 )
 from sublin import recursion
-from sublin.limits import counterexample_family, prop62_experiment
+from sublin.limits import (
+    counterexample_family,
+    prop62_experiment,
+    squared_counterexample_family,
+)
 
 from conftest import random_ambiguity_set
 
@@ -314,7 +318,7 @@ def _reference_sweep(seq, emb, f, record_strategy, state_cap):
                 best = np.maximum(best, acc)
         v = np.where(mask_k, best, 0)
         if record_strategy:
-            strategy.append((lo_k, argbest))
+            strategy.append((lo_k, np.where(mask_k, argbest, 0).astype(np.int32)))
     value = Fraction(v[0], denom) if exact else float(v[0])
     return value, strategy[::-1] if record_strategy else None
 
@@ -384,6 +388,17 @@ class TestGuards:
                 return sum(w * replay(k + 1, s + x) for x, w in law.atoms)
 
             assert replay(0, F(0)) == res.value, f"trial {trial}"
+
+    def test_strategy_is_zero_at_unreachable_points(self):
+        # the squared family's atoms +-k^2 leave gaps in every window
+        seq = StepSequence.iid(squared_counterexample_family(10), 20)
+        res = sublinear_eval_sum(seq, lambda s: max(1 - s / 20, -1), record_strategy=True)
+        unreachable = 0
+        for (lo, arg), (lo_k, mask) in zip(res.strategy, recursion._reachable(
+                lattice_embed(seq), recursion.DEFAULT_STATE_CAP)):
+            assert lo == lo_k and not arg[~mask].any()
+            unreachable += int((~mask).sum())
+        assert unreachable == 1742
 
     def test_exact_rejects_float_terminal(self):
         seq = StepSequence.iid(AmbiguitySet([rademacher()]), 2, NumericMode.EXACT)
