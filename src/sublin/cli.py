@@ -54,7 +54,7 @@ def _phi(args):
 
 
 def _grid(args) -> GridConfig:
-    return GridConfig(dx=args.dx, cfl=args.cfl, domain=args.domain, T=args.T)
+    return GridConfig(dx=args.dx, cfl=args.cfl, domain=args.domain)
 
 
 def _schedule(text: str):
@@ -83,7 +83,6 @@ def _add_common(p, exact=True, out=False, grid=False):
         p.add_argument("--dx", type=float, default=0.01)
         p.add_argument("--cfl", type=float, default=0.4)
         p.add_argument("--domain", type=float, default=None, metavar="L")
-        p.add_argument("--T", type=float, default=1.0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -263,7 +262,8 @@ def _cmd_diagnose(args):
              f"H1-decaying={summary.h1_decaying} H2-decaying={summary.h2_decaying}"]
     doc = {"mu": mu, "sigma2": sigma2,
            "h1_decaying": summary.h1_decaying, "h2_decaying": summary.h2_decaying}
-    return lines, doc, "".join(f"{row}\n" for row in ["n,tail_abs,tail_sq,cesaro", *rows])
+    # CRLF, as the csv module ends the lln and clt rows
+    return lines, doc, "".join(f"{row}\r\n" for row in ["n,tail_abs,tail_sq,cesaro", *rows])
 
 
 def _cmd_enlarge(args):

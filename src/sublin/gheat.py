@@ -56,11 +56,10 @@ class GridConfig:
     dx: float = 0.01
     cfl: float = 0.4
     domain: Optional[float] = None  # half-width L; default set from params
-    T: float = 1.0
 
     def __post_init__(self):
-        if not (self.dx > 0 and self.T >= 0):
-            raise ModelError("need dx > 0 and T >= 0")
+        if not self.dx > 0:
+            raise ModelError(f"need dx > 0, got {self.dx}")
         if self.domain is not None and not self.domain >= 0:
             raise ModelError(f"domain must be >= 0, got {self.domain}")
         if not 0 < self.cfl <= 1:
@@ -84,14 +83,14 @@ class GridFunction:
         return float(np.interp(x, self.xs, self.values))
 
 
-def default_domain(params: GParams, extra: float = 0.0) -> float:
-    return 8.0 * max(params.sigma_hi, 1.0) + abs(extra)
+def default_domain(params: GParams) -> float:
+    return 8.0 * max(params.sigma_hi, 1.0)
 
 
 def solve_g_heat(
     phi: Callable,
     params: GParams,
-    T: Optional[float] = None,
+    T: float = 1.0,
     config: GridConfig = GridConfig(),
 ) -> GridFunction:
     """Evolve the G-heat equation from initial data phi up to time T.
@@ -103,8 +102,7 @@ def solve_g_heat(
     Raises ModelError unless T >= 0, and ModelTooLarge, before any grid is
     built, when points x max(steps, 1) exceeds MAX_POINT_STEPS.
     """
-    T = config.T if T is None else T
-    if not T >= 0:  # GridConfig's rule, also for nan
+    if not T >= 0:  # also catches nan
         raise ModelError(f"need T >= 0, got {T}")
     L = config.domain if config.domain is not None else default_domain(params)
     sig2_hi = params.sigma_hi**2
@@ -172,11 +170,11 @@ def g_normal_expectation(
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
-def gaussian_quadrature(phi: Callable, sigma: float, half_width: float = 10.0) -> float:
+def gaussian_quadrature(phi: Callable, sigma: float) -> float:
     """Classical E[phi(sigma Z)], Z standard normal; the PDE oracle.
 
-    Adaptive quadrature over [-half_width, half_width]; accurate to well
-    below 1e-10 for Lipschitz phi.
+    Adaptive quadrature over z in [-10, 10]; accurate to well below 1e-10
+    for Lipschitz phi.
     """
     if sigma < 0:
         raise ModelError("sigma must be >= 0")
@@ -184,8 +182,8 @@ def gaussian_quadrature(phi: Callable, sigma: float, half_width: float = 10.0) -
         return float(phi(0.0))
     value, _ = integrate.quad(
         lambda z: phi(sigma * z) * _INV_SQRT_2PI * math.exp(-0.5 * z * z),
-        -half_width,
-        half_width,
+        -10.0,
+        10.0,
         limit=400,
         epsabs=1e-13,
         epsrel=1e-12,

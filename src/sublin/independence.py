@@ -196,13 +196,14 @@ def positive_histories(model: JointModel, table_index: int, n: int):
     return [idx for idx, w in model._prefix_laws[table_index][n - 1].items() if w > 0]
 
 
-def check_pseudo_independence(model: JointModel, n: int, tol=None) -> IndependenceReport:
+def check_pseudo_independence(model: JointModel, n: int) -> IndependenceReport:
     """Def-style check: each conditional law of X_n lies in the hull of the
-    marginal laws of X_n, for every measure and positive-probability history."""
+    marginal laws of X_n, for every measure and positive-probability history,
+    exactly on exact models and within HULL_TOL otherwise."""
     if not 1 <= n <= model.n_variables:
         raise ModelError(f"step {n} out of range")
     marginals = [model.marginal_law(ti, n) for ti in range(len(model.tables))]
-    effective = _tolerance(model.exact(), tol)
+    effective = _tolerance(model.exact())
     worst = 0
     for ti in range(len(model.tables)):
         for hist in positive_histories(model, ti, n):
@@ -298,9 +299,10 @@ def nested_value(model: JointModel, n: int, phi: Callable):
 
 
 def _marginal_vertices(model: JointModel, k: int):
-    """Extreme points of the hull of the marginal laws of X_k."""
+    """Extreme points of the hull of the marginal laws of X_k, up to the
+    model's tolerance."""
     marginals = [model.marginal_law(ti, k) for ti in range(len(model.tables))]
-    return [marginals[i] for i in hull_vertices(marginals)]
+    return [marginals[i] for i in hull_vertices(marginals, _tolerance(model.exact()))]
 
 
 def _assemble(bases, marginal_vertices, width, cap, what):
@@ -330,32 +332,26 @@ def _distinct(vectors):
     return list(seen.values())
 
 
-def check_peng_independence(
-    model: JointModel,
-    n: int,
-    mode: str = "probe",
-    probes=None,
-    tol=None,
-    cap: int = DEFAULT_ENUM_CAP,
-) -> IndependenceReport:
+def check_peng_independence(model: JointModel, n: int, mode: str = "probe") -> IndependenceReport:
     """Decide whether X_n is independent of (X_1..X_{n-1}) in the nested sense.
 
-    ``probe`` mode compares the joint and nested values on a finite family of
-    test functions and can only refute (or report "not refuted").  ``exact``
-    mode decides outright: :func:`check_pseudo_independence` (its witness
+    ``probe`` mode compares the joint and nested values on the test functions
+    of :func:`default_probes` and can only refute (or report "not refuted").
+    ``exact`` mode decides outright: :func:`check_pseudo_independence` (its witness
     gains ``side="joint-outside"``), then a walk over the step-n polytope's
     vertices that stops at the first outside the hull of the joints (witness
     ``side="polytope-outside"`` and its ``vertex`` index), after at most
-    T' + 1 LPs on exact inputs.  ``cap`` bounds the support grid and the walk.
+    T' + 1 LPs on exact inputs.  DEFAULT_ENUM_CAP bounds the support grid and
+    the walk.  Gaps are compared exactly on exact models and within HULL_TOL
+    otherwise.
     """
     if not 1 <= n <= model.n_variables:
         raise ModelError(f"step {n} out of range")
-    effective = _tolerance(model.exact(), tol)
+    effective = _tolerance(model.exact())
 
     if mode == "probe":
-        family = probes if probes is not None else default_probes(model, n)
         worst = 0
-        for name, phi in family:
+        for name, phi in default_probes(model, n):
             left = joint_value(model, n, phi)
             right = nested_value(model, n, phi)
             gap = abs(right - left)
@@ -370,16 +366,17 @@ def check_peng_independence(
 
     if mode == "exact":
         size = math.prod(model.shape[:n])
-        if size > cap:
-            raise ModelTooLarge(f"support grid of size {size} exceeds the cap ({cap})")
-        pseudo = check_pseudo_independence(model, n, tol)
+        if size > DEFAULT_ENUM_CAP:
+            raise ModelTooLarge(
+                f"support grid of size {size} exceeds the cap ({DEFAULT_ENUM_CAP})")
+        pseudo = check_pseudo_independence(model, n)
         if not pseudo:
             return replace(pseudo, witness={**pseudo.witness, "side": "joint-outside"})
         joints = [model.prefix_law(ti, n) for ti in range(len(model.tables))]
         prefixes = [model.prefix_law(ti, n - 1) for ti in range(len(model.tables))]
-        vertices = _assemble([prefixes[i] for i in hull_vertices(prefixes)],
+        vertices = _assemble([prefixes[i] for i in hull_vertices(prefixes, effective)],
                              _marginal_vertices(model, n), len(model.supports[n - 1]),
-                             cap, "step polytope")
+                             DEFAULT_ENUM_CAP, "step polytope")
         for vi, v in enumerate(vertices):
             gap, direction = hull_gap(v, joints)
             if gap > effective:
@@ -390,10 +387,10 @@ def check_peng_independence(
     raise ModelError(f"mode must be 'probe' or 'exact', got {mode!r}")
 
 
-def enlarge_vertices(model: JointModel, cap: int = DEFAULT_ENUM_CAP) -> JointModel:
+def enlarge_vertices(model: JointModel) -> JointModel:
     """Extreme points of the enlargement: all joints assembled from a
     marginal-1 hull vertex and one marginal-k hull vertex per positive
-    history, for every step k.
+    history, for every step k, capped at DEFAULT_ENUM_CAP products.
 
     The upper expectation over the result equals the full nested recursion
     value for every test function.
@@ -401,6 +398,7 @@ def enlarge_vertices(model: JointModel, cap: int = DEFAULT_ENUM_CAP) -> JointMod
     partials = [[1]]
     for k in range(1, model.n_variables + 1):
         partials = list(_assemble(partials, _marginal_vertices(model, k),
-                                  len(model.supports[k - 1]), cap, "enlargement"))
+                                  len(model.supports[k - 1]), DEFAULT_ENUM_CAP,
+                                  "enlargement"))
     tables = [tuple(v) for v in _distinct(partials)]
     return JointModel(model.variable_names, model.supports, tables)

@@ -389,12 +389,12 @@ def clt_experiment(
     aset: AmbiguitySet,
     phi: Callable,
     n_schedule: Sequence[int],
-    gparams: Optional[GParams] = None,
     grid: GridConfig = GridConfig(),
     truncate_sqrt_n: bool = False,
     mode: NumericMode = NumericMode.FLOAT64,
 ) -> ExperimentTable:
-    """E[phi(S_n/sqrt(n))] per n against the G-normal PDE prediction.
+    """E[phi(S_n/sqrt(n))] per n against the G-normal PDE prediction, with
+    sigma^2 spanning the second-moment envelope [-E[-X^2], E[X^2]].
 
     Requires E[X] = E[-X] = 0 per step.  ``truncate_sqrt_n`` clips each
     step's atoms to [-sqrt(n), sqrt(n)] before running (the triangular
@@ -407,10 +407,9 @@ def clt_experiment(
             f"CLT experiment requires centered steps; got mean envelope "
             f"[{_fmt(mu_lo)}, {_fmt(mu_hi)}]"
         )
-    if gparams is None:
-        sig2_hi = upper_expectation(aset, lambda x: x * x).value
-        sig2_lo = lower_expectation(aset, lambda x: x * x).value
-        gparams = GParams(math.sqrt(float(sig2_lo)), math.sqrt(float(sig2_hi)))
+    sig2_hi = upper_expectation(aset, lambda x: x * x).value
+    sig2_lo = lower_expectation(aset, lambda x: x * x).value
+    gparams = GParams(math.sqrt(float(sig2_lo)), math.sqrt(float(sig2_hi)))
     prediction = g_normal_expectation(phi, gparams, grid)
     rows = []
     for n in sorted(set(n_schedule)):

@@ -110,20 +110,18 @@ def in_hull(point: Sequence, hull_points: Sequence[Sequence], tol=0) -> bool:
 def hull_vertices(points: Sequence[Sequence], tol=0):
     """Indices of the extreme points of ``conv(points)``.
 
-    Duplicates are collapsed (first occurrence wins).  A point is extreme
-    iff its gap against the hull of the remaining points exceeds ``tol``.
+    Duplicates are collapsed (first occurrence wins).  From the last point
+    to the first, a point is dropped when its gap against the hull of the
+    points still kept is at most ``tol``, so of two points within ``tol`` the
+    first survives.  At tol 0 these are exactly the extreme points: no extreme
+    point lies in the hull of the others, and each other point lies in the
+    hull of the extreme ones.
     """
-    seen = {}
+    kept = {}
     for i, p in enumerate(points):
-        key = tuple(Fraction(v) for v in p)
-        seen.setdefault(key, i)
-    distinct = list(seen.items())
-    if len(distinct) == 1:
-        return [distinct[0][1]]
-    out = []
-    for j, (key, idx) in enumerate(distinct):
-        others = [list(k) for i, (k, _) in enumerate(distinct) if i != j]
-        gap, _ = hull_gap(list(key), others)
-        if gap > tol:
-            out.append(idx)
-    return sorted(out)
+        kept.setdefault(tuple(Fraction(v) for v in p), i)
+    for key in reversed(list(kept)):
+        others = [list(k) for k in kept if k != key]
+        if others and hull_gap(list(key), others)[0] <= tol:
+            del kept[key]
+    return sorted(kept.values())

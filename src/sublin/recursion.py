@@ -66,28 +66,29 @@ class LatticeEmbedding(NamedTuple):
     steps: tuple
 
 
-def _rationalize(x, snap_tol=None):
+def _rationalize(x):
     if is_exact(x):
         return Fraction(x)
     if isinstance(x, float):
         if not math.isfinite(x):
             raise ModelError(f"non-finite atom {x!r}")
         approx = Fraction(x).limit_denominator(MAX_LATTICE_DENOMINATOR)
-        tol = LATTICE_TOL if snap_tol is None else snap_tol
-        if abs(float(approx) - x) <= tol * max(1.0, abs(x)):
+        if abs(float(approx) - x) <= LATTICE_TOL * max(1.0, abs(x)):
             return approx
         raise NoCommonLattice(
-            f"atom {x!r} is not within {tol:g} of a rational with denominator "
-            f"<= {MAX_LATTICE_DENOMINATOR}; pass snap_tol to snap to grid"
+            f"atom {x!r} is not within {LATTICE_TOL:g} of a rational with "
+            f"denominator <= {MAX_LATTICE_DENOMINATOR}"
         )
     raise ModelError(f"not a number: {x!r}")
 
 
-def lattice_embed(seq: StepSequence, snap_tol=None) -> LatticeEmbedding:
+def lattice_embed(seq: StepSequence) -> LatticeEmbedding:
     """Common rational spacing h with every atom an integer multiple of h.
 
     Zero-weight atoms are pruned here (they cannot affect the recursion).
-    Raises :class:`NoCommonLattice` for incommensurable atoms.
+    A float atom snaps to the nearest rational with denominator <=
+    MAX_LATTICE_DENOMINATOR if that lies within LATTICE_TOL * max(1, |x|);
+    raises :class:`NoCommonLattice` for an atom that does not snap.
     """
     # each distinct set once: StepSequence.iid repeats one object n times
     pruned = {}
@@ -96,7 +97,7 @@ def lattice_embed(seq: StepSequence, snap_tol=None) -> LatticeEmbedding:
             measures = []
             for m in aset.members:
                 pairs = [(x, w) for x, w in m.atoms if w != 0]
-                pts = [_rationalize(x, snap_tol) for x, _ in pairs]
+                pts = [_rationalize(x) for x, _ in pairs]
                 measures.append((pts, tuple(w for _, w in pairs)))
             pruned[id(aset)] = measures
 
@@ -236,8 +237,6 @@ def sublinear_eval_sum(
     f: Callable,
     direction: str = "upper",
     record_strategy: bool = False,
-    state_cap: int = DEFAULT_STATE_CAP,
-    snap_tol=None,
 ):
     """Nested sublinear expectation of ``f(S_n)`` (upper) or ``-E[-f]`` (lower).
 
@@ -245,36 +244,26 @@ def sublinear_eval_sum(
     :class:`EvalResult` whose strategy lists, for steps k = 0..n-1, a pair
     ``(lo_k, arg)`` in both numeric modes: ``arg[i]`` is the index of the
     step-k measure chosen at the lattice point ``lo_k + i`` (partial sum
-    ``(lo_k + i) * h``); unreachable points hold 0.
+    ``(lo_k + i) * h``); unreachable points hold 0.  Raises StateExplosion
+    past DEFAULT_STATE_CAP reachable states.
     """
     if direction not in ("upper", "lower"):
         raise ModelError(f"direction must be 'upper' or 'lower', got {direction!r}")
     if direction == "lower":
-        res = sublinear_eval_sum(
-            seq, lambda x: -f(x), "upper", record_strategy, state_cap, snap_tol
-        )
+        res = sublinear_eval_sum(seq, lambda x: -f(x), "upper", record_strategy)
         if record_strategy:
             return EvalResult(-res.value, res.strategy)
         return -res
-    res = _sweep(seq, lattice_embed(seq, snap_tol), f, record_strategy, state_cap)
+    res = _sweep(seq, lattice_embed(seq), f, record_strategy, DEFAULT_STATE_CAP)
     return res if record_strategy else res.value
 
 
-def sublinear_event_probability(
-    seq: StepSequence,
-    event: Callable,
-    direction: str = "upper",
-    state_cap: int = DEFAULT_STATE_CAP,
-):
+def sublinear_event_probability(seq: StepSequence, event: Callable, direction: str = "upper"):
     """Upper probability of ``{S_n in A}`` over the enlargement, or its
     conjugate lower probability ``1 - V(complement)``."""
     if direction == "upper":
         one = Fraction(1) if seq.mode is NumericMode.EXACT else 1.0
-        return sublinear_eval_sum(
-            seq, lambda x: one if event(x) else 0 * one, "upper", state_cap=state_cap
-        )
+        return sublinear_eval_sum(seq, lambda x: one if event(x) else 0 * one)
     if direction == "lower":
-        return 1 - sublinear_event_probability(
-            seq, lambda x: not event(x), "upper", state_cap
-        )
+        return 1 - sublinear_event_probability(seq, lambda x: not event(x))
     raise ModelError(f"direction must be 'upper' or 'lower', got {direction!r}")

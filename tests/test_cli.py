@@ -190,6 +190,34 @@ class TestGNormal:
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
+_GRID_COMMANDS = {
+    "gnormal": ["gnormal", "--sigma-lo", "0.5", "--sigma-hi", "1", "--phi", "max(1-abs(x),0)"],
+    "clt": ["clt", "--model", cfg("rademacher.json"), "--phi", "max(1-abs(x),0)",
+            "--n-schedule", "16"],
+}
+
+
+class TestGridOptions:
+    # each grid option moves the G-heat prediction: a coarser grid, a longer
+    # time step, or a domain so narrow that the hat's zero ends stay fixed
+    @pytest.mark.parametrize("option", [["--dx", "0.1"], ["--cfl", "0.2"], ["--domain", "1"]],
+                             ids=["dx", "cfl", "domain"])
+    @pytest.mark.parametrize("command", list(_GRID_COMMANDS))
+    def test_option_changes_the_output(self, capsys, command, option):
+        argv = _GRID_COMMANDS[command] + ["--dx", "0.05"]
+        code, base, _ = run(capsys, *argv)
+        assert code == 0
+        code, out, _ = run(capsys, *argv, *option)
+        assert code == 0 and out != base
+
+    @pytest.mark.parametrize("command", list(_GRID_COMMANDS))
+    def test_no_time_option(self, capsys, command):
+        # the G-normal value is u(1, 0): the time horizon is not an option
+        code, out, err = run(capsys, *_GRID_COMMANDS[command], "--T", "2")
+        assert code == 1 and out == ""
+        assert err.startswith("error: ")
+
+
 class TestCounterexample:
     def test_clt_one_step_exact(self, capsys):
         code, out, _ = run(
@@ -525,7 +553,7 @@ class TestReadmeGolden:
         else:
             assert out == want["stdout"]
         assert report.read_bytes() == want["json"].encode()
-        if "out" in want:  # CRLF from the csv module for lln/clt, LF for diagnose
+        if "out" in want:  # CRLF line ends, as the csv module writes them
             assert table.read_bytes() == want["out"].encode()
 
 

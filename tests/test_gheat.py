@@ -221,18 +221,18 @@ class TestTimeArgument:
 
 
 class TestWorkCap:
-    @pytest.mark.parametrize("params,config", [
-        (GParams(1.0, 1.0), GridConfig(dx=1e-5)),
-        (GParams(0.5, 1.0), GridConfig(domain=1e12)),
-        (GParams(0.5, 1.0), GridConfig(domain=math.inf)),
-        (GParams(0.0, 0.0), GridConfig(domain=1e12)),  # no steps, still too many points
-        (GParams(0.5, 1.0), GridConfig(domain=1e12, T=0.0)),
-        (GParams(0.0, 1e6), GridConfig()),  # the default domain grows with sigma_hi
+    @pytest.mark.parametrize("params,T,config", [
+        (GParams(1.0, 1.0), 1.0, GridConfig(dx=1e-5)),
+        (GParams(0.5, 1.0), 1.0, GridConfig(domain=1e12)),
+        (GParams(0.5, 1.0), 1.0, GridConfig(domain=math.inf)),
+        (GParams(0.0, 0.0), 1.0, GridConfig(domain=1e12)),  # no steps, still too many points
+        (GParams(0.5, 1.0), 0.0, GridConfig(domain=1e12)),
+        (GParams(0.0, 1e6), 1.0, GridConfig()),  # the default domain grows with sigma_hi
     ], ids=["small-dx", "huge-domain", "infinite-domain", "degenerate-band", "T0", "huge-sigma"])
-    def test_refused_before_the_grid_is_built(self, params, config):
+    def test_refused_before_the_grid_is_built(self, params, T, config):
         def phi(x):
             raise AssertionError("phi evaluated on a grid past the cap")
 
         with pytest.raises(ModelTooLarge, match="point-steps"):
-            solve_g_heat(phi, params, config=config)
+            solve_g_heat(phi, params, T=T, config=config)
 

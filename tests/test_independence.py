@@ -35,13 +35,13 @@ def _reference_peng_exact(model, n):
     """The exact Peng check by enumeration: list every vertex of the step-n
     rectangular polytope, then test each joint against the polytope and each
     vertex against the hull of the joints."""
-    effective = _tolerance(model.exact(), None)
+    effective = _tolerance(model.exact())
     prefixes = [model.prefix_law(ti, n - 1) for ti in range(len(model.tables))]
     marginals = [model.marginal_law(ti, n) for ti in range(len(model.tables))]
-    cond_vertices = [marginals[i] for i in hull_vertices(marginals)]
+    cond_vertices = [marginals[i] for i in hull_vertices(marginals, effective)]
     width = len(model.supports[n - 1])
     poly, seen = [], set()
-    for base in (prefixes[i] for i in hull_vertices(prefixes)):
+    for base in (prefixes[i] for i in hull_vertices(prefixes, effective)):
         positive = sum(1 for w in base if w != 0)
         for choice in itertools.product(cond_vertices, repeat=positive):
             conds = iter(choice)
@@ -347,26 +347,44 @@ class TestEnlargement:
             assert joint_value(big, 2, probe) == nested_value(big, 2, probe)
             assert nested_value(big, 2, probe) == nested_value(m, 2, probe)
 
-    def test_cap(self, example36):
+    def test_cap(self, example36, monkeypatch):
         # the enlargement has 8 vertices, the products of the last step
-        assert len(enlarge_vertices(example36, cap=8).tables) == 8
+        monkeypatch.setattr(independence, "DEFAULT_ENUM_CAP", 8)
+        assert len(enlarge_vertices(example36).tables) == 8
+        monkeypatch.setattr(independence, "DEFAULT_ENUM_CAP", 7)
         with pytest.raises(ModelTooLarge, match="enlargement"):
-            enlarge_vertices(example36, cap=7)
+            enlarge_vertices(example36)
+        monkeypatch.setattr(independence, "DEFAULT_ENUM_CAP", 3)
         with pytest.raises(ModelTooLarge):
-            enlarge_vertices(example36, cap=3)
+            enlarge_vertices(example36)
 
-    def test_step_polytope_walk_fits_cap(self, example36):
+    def test_step_polytope_walk_fits_cap(self, example36, monkeypatch):
         # the step polytope has 2 prefix vertices times 2**2 marginal choices
         # = 8 vertices, but the walk stops at the second, which no joint is
-        rep = check_peng_independence(example36, 2, mode="exact", cap=4)
+        monkeypatch.setattr(independence, "DEFAULT_ENUM_CAP", 4)
+        rep = check_peng_independence(example36, 2, mode="exact")
         assert not rep.verdict
         assert rep.gap == F(3, 10)
         assert rep.witness["vertex"] == 1
         assert rep.witness["side"] == "polytope-outside"
 
-    def test_support_grid_cap(self, example36):
+    def test_support_grid_cap(self, example36, monkeypatch):
+        monkeypatch.setattr(independence, "DEFAULT_ENUM_CAP", 3)
         with pytest.raises(ModelTooLarge, match="support grid of size 4"):
-            check_peng_independence(example36, 2, mode="exact", cap=3)
+            check_peng_independence(example36, 2, mode="exact")
+
+    def test_float_twin_marginals_give_one_vertex(self):
+        # X's laws (0.3, 0.7) and (0.30000000000000004, 0.7) are an ulp apart:
+        # the enlargement keeps the first and drops the second
+        laws = [(0.3, 0.7), (0.30000000000000004, 0.7), (0.5, 0.5)]
+        m = JointModel(["X", "Y"], [[0, 1], [0, 1]],
+                       [[wx * wy for wx in law for wy in (0.5, 0.5)] for law in laws])
+        first, second = m.marginal_law(0, 1), m.marginal_law(1, 1)
+        assert first != second and max(abs(a - b) for a, b in zip(first, second)) < 1e-15
+        big = enlarge_vertices(m)
+        kept = {big.marginal_law(ti, 1) for ti in range(len(big.tables))}
+        assert len(big.tables) == 2 and first in kept and second not in kept
+        assert check_peng_independence(m, 2, mode="exact").verdict
 
     def test_two_variable_step_polytope_is_the_enlargement(self):
         # with two variables both enumerations assemble marginal-1 vertices
