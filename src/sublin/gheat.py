@@ -58,8 +58,9 @@ class GridConfig:
     domain: Optional[float] = None  # half-width L; default set from params
 
     def __post_init__(self):
-        if not self.dx > 0:
-            raise ModelError(f"need dx > 0, got {self.dx}")
+        # dx*dx sets the time step, so its square must be a finite float too
+        if not (self.dx > 0 and math.isfinite(self.dx * self.dx)):
+            raise ModelError(f"need dx > 0 with a finite square, got {self.dx}")
         if self.domain is not None and not self.domain >= 0:
             raise ModelError(f"domain must be >= 0, got {self.domain}")
         if not 0 < self.cfl <= 1:

@@ -1,9 +1,11 @@
 """Exact linear programming for convex-hull membership.
 
-A small dense simplex over `Fraction` arithmetic.  Float inputs are
-converted to exact rationals (every float is a rational), so every
-feasibility decision here is exact; callers apply their own numeric
-tolerance to the returned gap when working in float mode.
+A small dense simplex with Bland's rule on a fraction-free tableau: each
+row is a list of Python ints over one positive row denominator, and a
+pivot is an integer Gauss-Jordan step followed by one gcd reduction per
+row.  Float inputs are converted to exact rationals (every float is a
+rational), so every feasibility decision here is exact; callers apply
+their own numeric tolerance to the returned gap when working in float mode.
 
 Problem sizes are tiny throughout the package (a few dozen variables),
 so exact pivoting is fast enough and removes all conditioning worries.
@@ -11,6 +13,7 @@ so exact pivoting is fast enough and removes all conditioning worries.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -20,58 +23,95 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
+def _rational(v):
+    """``v`` as an exact rational: ints and Fractions as they are, else ``Fraction(v)``."""
+    return v if type(v) is int or type(v) is Fraction else Fraction(v)
+
+
+def _integer_row(fracs):
+    """Integer numerators of rationals ``fracs`` over their least common denominator."""
+    den = math.lcm(*(f.denominator for f in fracs))
+    return [f.numerator * (den // f.denominator) for f in fracs], den
+
+
+def _reduce(row, den):
+    """The integer row ``row`` over ``den`` > 0 in lowest terms."""
+    g = math.gcd(den, *row)
+    if g == 1:
+        return row, den
+    return [v // g for v in row], den // g
+
+
+def _eliminate(row, den, f, prow, pden, nonzero):
+    """Eliminate the entering column from ``row``/``den``, whose entry there is
+    ``f``: ``(row*pden - f*prow) / (den*pden)``, touching only the pivot row's
+    ``nonzero`` positions.
+    """
+    new = [v * pden for v in row] if pden != 1 else row[:]
+    for j in nonzero:
+        new[j] -= f * prow[j]
+    return _reduce(new, den * pden)
+
+
 def simplex_max(c: Sequence, A: Sequence[Sequence], b: Sequence):
     """Maximize ``c . x`` subject to ``A x <= b``, ``x >= 0``, ``b >= 0``.
 
     Uses Bland's rule, so it terminates on every input.  Returns
     ``(value, x)`` with exact Fraction entries.
+
+    The tableau is fraction-free: row i holds integer numerators over one
+    positive denominator, so entry j is ``rows[i][j] / dens[i]``.
     """
     m, n = len(A), len(c)
-    cost = [Fraction(v) for v in c]
-    rows = []
+    obj, obj_den = _integer_row([-_rational(v) for v in c])
+    obj += [0] * (m + 1)
+    rows, dens = [], []
     for i in range(m):
-        if Fraction(b[i]) < 0:
+        bi = _rational(b[i])
+        if bi < 0:
             raise ValueError("simplex_max requires b >= 0")
-        row = [Fraction(v) for v in A[i]]
-        row += [_ONE if j == i else _ZERO for j in range(m)]
-        row.append(Fraction(b[i]))
+        row, den = _integer_row([_rational(v) for v in A[i]] + [bi])
+        rhs = row.pop()
+        row += [den if j == i else 0 for j in range(m)]
+        row.append(rhs)
         rows.append(row)
-    obj = [-v for v in cost] + [_ZERO] * (m + 1)
+        dens.append(den)
     basis = list(range(n, n + m))
 
     while True:
         enter = next((j for j in range(n + m) if obj[j] < 0), None)
         if enter is None:
             break
+        # ratio rhs/coeff over rows with coeff > 0; the row denominator
+        # cancels, and ratios compare by cross-multiplying
         leave = None
-        best = None
         for i in range(m):
             coeff = rows[i][enter]
             if coeff > 0:
-                ratio = rows[i][-1] / coeff
-                if (
-                    best is None
-                    or ratio < best
-                    or (ratio == best and basis[i] < basis[leave])
-                ):
-                    best, leave = ratio, i
+                if leave is None:
+                    leave = i
+                    continue
+                here = rows[i][-1] * rows[leave][enter]
+                best = rows[leave][-1] * coeff
+                if here < best or (here == best and basis[i] < basis[leave]):
+                    leave = i
         if leave is None:
             raise NumericalFailure("unbounded linear program")
-        piv = rows[leave][enter]
-        rows[leave] = [v / piv for v in rows[leave]]
+        prow, pden = _reduce(rows[leave], rows[leave][enter])
+        rows[leave], dens[leave] = prow, pden
+        nonzero = [j for j, w in enumerate(prow) if w]
         for i in range(m):
-            if i != leave and rows[i][enter] != 0:
-                factor = rows[i][enter]
-                rows[i] = [v - factor * w for v, w in zip(rows[i], rows[leave])]
-        if obj[enter] != 0:
-            factor = obj[enter]
-            obj = [v - factor * w for v, w in zip(obj, rows[leave])]
+            f = rows[i][enter]
+            if i != leave and f:
+                rows[i], dens[i] = _eliminate(rows[i], dens[i], f, prow, pden, nonzero)
+        if obj[enter]:
+            obj, obj_den = _eliminate(obj, obj_den, obj[enter], prow, pden, nonzero)
         basis[leave] = enter
 
     x = [_ZERO] * (n + m)
     for i, bi in enumerate(basis):
-        x[bi] = rows[i][-1]
-    return obj[-1], x[:n]
+        x[bi] = Fraction(rows[i][-1], dens[i])
+    return Fraction(obj[-1], obj_den), x[:n]
 
 
 def hull_gap(point: Sequence, hull_points: Sequence[Sequence]):

@@ -179,6 +179,16 @@ class TestGNormal:
         assert code == 4 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("dx", ["1e300", "inf"])
+    def test_dx_without_a_finite_square(self, capsys, dx):
+        # dx**2 sets the time step: 1e300 overflows it, inf makes the grid 0*inf
+        code, out, err = run(
+            capsys, "gnormal", "--sigma-lo", "0.5", "--sigma-hi", "1", "--phi", "1-abs(x)",
+            "--dx", dx,
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_failure_after_the_value_prints_nothing(self, capsys):
         # the PDE value is finite; the quadrature oracle meets sqrt of a
         # negative number out on the domain and fails

@@ -144,6 +144,9 @@ class TestSolver:
             GridConfig(dx=0.0)
         with pytest.raises(ModelError):
             GridConfig(dx=math.nan)
+        for dx in (math.inf, 1e300):
+            with pytest.raises(ModelError):
+                GridConfig(dx=dx)
         with pytest.raises(ModelError):
             GridConfig(domain=-1.0)
 
