@@ -47,10 +47,13 @@ def _mode(args) -> NumericMode:
 
 def _phi(args):
     """The --phi expression.  Under --exact it must lie in the exact-rational
-    subset and is evaluated exactly on rational arguments (the DP's terminal
-    values); float arguments, as in limit predictions, stay float."""
+    subset.  Like any expression in that subset, it evaluates rational
+    arguments (the exact DP's terminal values) exactly and float arguments,
+    as in limit predictions, in float."""
     phi = parse_phi(args.phi)
-    return phi.exact_on_rationals() if args.exact else phi
+    if args.exact:
+        phi.require_exact()
+    return phi
 
 
 def _grid(args) -> GridConfig:
@@ -153,11 +156,10 @@ def _cmd_eval(args):
     aset = load_ambiguity_set(args.model, mode)
     phi = _phi(args)
     seq = StepSequence.iid(aset, args.n, mode)
-    exact = mode is NumericMode.EXACT
     if args.normalize == "n":
-        scale = Fraction(args.n) if exact else float(args.n)
+        scale = args.n
     elif args.normalize == "sqrt-n":
-        scale = limits._exact_sqrt(args.n) if exact else math.sqrt(args.n)
+        scale = limits._exact_sqrt(args.n) if mode is NumericMode.EXACT else math.sqrt(args.n)
     else:
         scale = 1
     direction = "lower" if args.lower else "upper"

@@ -100,8 +100,10 @@ def solve_g_heat(
     the interior is stepped in place.  In the linear case sigma_lo ==
     sigma_hi (the classical heat equation) a step multiplies the second
     difference by sigma^2 instead of splitting it at 0, with the same bits.
-    Raises ModelError unless T >= 0, and ModelTooLarge, before any grid is
-    built, when points x max(steps, 1) exceeds MAX_POINT_STEPS.
+    Raises ModelError unless T >= 0 or when the solve would step (T > 0
+    and sigma_hi > 0) on a grid with no interior point (round(L/dx) < 1),
+    and ModelTooLarge, before any grid is built, when points x max(steps, 1)
+    exceeds MAX_POINT_STEPS.
     """
     if not T >= 0:  # also catches nan
         raise ModelError(f"need T >= 0, got {T}")
@@ -123,6 +125,9 @@ def solve_g_heat(
             f"the cap of {MAX_POINT_STEPS:.0e} point-steps; use a larger dx or a smaller domain"
         )
     n_half = int(round(half))
+    if not degenerate and n_half < 1:
+        raise ModelError(f"a G-heat grid of half-width {L} at dx={config.dx} has no interior "
+                         "point to step; use a smaller dx or a larger domain")
     xs = np.arange(-n_half, n_half + 1) * config.dx
     u = evaluate_array(phi, xs)
     if degenerate:

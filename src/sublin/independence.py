@@ -23,7 +23,6 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from typing import Callable, Optional
 
 from .errors import ModelError, ModelTooLarge, NullHistoryError
@@ -324,14 +323,6 @@ def _assemble(bases, marginal_vertices, width, cap, what):
             yield vec
 
 
-def _distinct(vectors):
-    """The vectors without exact duplicates, first occurrence kept."""
-    seen = {}
-    for v in vectors:
-        seen.setdefault(tuple(Fraction(x) for x in v), v)
-    return list(seen.values())
-
-
 def check_peng_independence(model: JointModel, n: int, mode: str = "probe") -> IndependenceReport:
     """Decide whether X_n is independent of (X_1..X_{n-1}) in the nested sense.
 
@@ -393,12 +384,13 @@ def enlarge_vertices(model: JointModel) -> JointModel:
     history, for every step k, capped at DEFAULT_ENUM_CAP products.
 
     The upper expectation over the result equals the full nested recursion
-    value for every test function.
+    value for every test function.  The tables are pairwise distinct: a
+    product's row sums give its base and its quotients on positive cells its
+    choice of vertices.
     """
     partials = [[1]]
     for k in range(1, model.n_variables + 1):
         partials = list(_assemble(partials, _marginal_vertices(model, k),
                                   len(model.supports[k - 1]), DEFAULT_ENUM_CAP,
                                   "enlargement"))
-    tables = [tuple(v) for v in _distinct(partials)]
-    return JointModel(model.variable_names, model.supports, tables)
+    return JointModel(model.variable_names, model.supports, [tuple(v) for v in partials])

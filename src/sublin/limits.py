@@ -34,9 +34,9 @@ from .recursion import StepSequence, sublinear_eval_sum, sublinear_event_probabi
 
 
 def _fmt(x) -> str:
-    if isinstance(x, Fraction):
+    if is_exact(x):  # an int or a Fraction prints as "p/q", or "p" when q = 1
         try:
-            return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
+            return str(x)
         except ValueError:  # past Python's int-string digit limit
             raise ModelTooLarge("an exact result has too many digits to print") from None
     return f"{float(x):.17g}"
@@ -134,13 +134,7 @@ class _MemberTable(NamedTuple):
     over ``den``: E[X 1{|X| < n}] is ``wx[bisect_left(abs_keys, n)] / den``,
     E[X^2 1{|X| <= n}] is ``wx2[bisect_right(abs_keys, n)] / den``, and
     P(|X| >= n) and P(X^2 >= n) are ``tail`` at ``bisect_left`` on
-    ``abs_keys`` and ``sq_keys``.
-
-    A rational member's per-atom sums are ints unless a Fraction enters them:
-    ``fraction`` tells whether one is among the nonzero-weight atoms and
-    weights; a tail sums a Fraction weight (a zero one included) iff n is at
-    most ``fraction_abs`` (``fraction_sq``), the largest |x| (x*x) of an atom
-    with a Fraction weight, or -1."""
+    ``abs_keys`` and ``sq_keys``."""
 
     abs_keys: list
     sq_keys: list
@@ -149,18 +143,18 @@ class _MemberTable(NamedTuple):
     wx2: list
     tail: list
     rational: bool
-    fraction: bool
-    fraction_abs: object
-    fraction_sq: object
 
-    def value(self, num, fraction: bool):
-        if not self.rational:
-            return num
-        return Fraction(num, self.den) if fraction else num // self.den
+    def value(self, num):
+        return Fraction(num, self.den) if self.rational else num
 
 
 def _member_table(m: DiscreteDistribution, rational: bool) -> _MemberTable:
     pairs = sorted(((x, w) for x, w in m.atoms if w != 0), key=lambda p: abs(p[0]))
+    if rational:
+        try:  # floats convert exactly; ints and Fractions stay as they are
+            pairs = [tuple(v if is_exact(v) else Fraction(v) for v in p) for p in pairs]
+        except (OverflowError, ValueError):  # inf or nan
+            raise NumericalFailure("a law has a non-finite atom or weight") from None
     sq_keys = [x * x for x, _ in pairs]
     if rational:
         # over wd*xd^2 (w = wn/wd, x = xn/xd) all three terms have integer
@@ -182,13 +176,10 @@ def _member_table(m: DiscreteDistribution, rational: bool) -> _MemberTable:
         wx = [float(w * x) for x, w in pairs]
         wx2 = [float(w * s) for (_, w), s in zip(pairs, sq_keys)]
         zero = 0.0
-    fraction_abs = [abs(x) for x, v in m.atoms if isinstance(v, Fraction)]
     return _MemberTable(
         [abs(x) for x, _ in pairs], sq_keys, den,
         list(accumulate(wx, initial=zero)), list(accumulate(wx2, initial=zero)),
         list(accumulate(reversed(w), initial=zero))[::-1], rational,
-        any(isinstance(v, Fraction) for p in pairs for v in p),
-        max(fraction_abs, default=-1), max((x * x for x in fraction_abs), default=-1),
     )
 
 
@@ -207,38 +198,35 @@ def moment_summary(
 ) -> MomentSummary:
     """All displayed moment/tail quantities up to horizon n_max.
 
+    The summary is rational in exact mode (``seq.mode``) and on a sequence
+    whose step sets are all rational; then every field is a Fraction, float
+    atoms and weights included exactly.  Any other summary's fields are
+    floats, which may differ from per-atom sums in the last bits.
+
     Each distinct step set (by identity) gets one ``_MemberTable`` per
     member, built once: Python-int numerators over one denominator when the
-    set is rational, float sums over 1 otherwise.  At each n, each quantity
-    is one bisection per member; members are compared by cross-multiplying
-    numerators, and only the first maximiser (minimiser) becomes a value, an
-    int or a Fraction as the member's per-atom sum would be.
-
-    In exact mode (``seq.mode``) the averages divide with ``Fraction``, so
-    every field is an int or a Fraction; in float mode they divide with
-    ``/``, and float fields may differ from per-atom sums in the last bits.
+    summary is rational, float sums over 1 otherwise.  At each n, each
+    quantity is one bisection per member; members are compared by
+    cross-multiplying numerators, and only the first maximiser (minimiser)
+    becomes a value.
     """
     if n_max < 1:
         raise UsageError("n_max must be >= 1")
     schedule = list(schedule) if schedule is not None else default_diagnostic_schedule(n_max)
-    exact = seq.mode is NumericMode.EXACT
     n_steps = len(seq.steps)
 
-    def average(total, n):
-        return Fraction(total, n) if exact and is_exact(total) else total / n
-
-    # distinct steps in order of first appearance: member tables, positions
-    steps = {}
+    # distinct steps in order of first appearance, with their positions
+    distinct = {}
     for j, aset in enumerate(seq.steps):
-        if id(aset) not in steps:
-            rational = aset.exact()
-            steps[id(aset)] = ([_member_table(m, rational) for m in aset.members], [])
-        steps[id(aset)][1].append(j)
+        distinct.setdefault(id(aset), (aset, []))[1].append(j)
+    rational = seq.mode is NumericMode.EXACT or all(a.exact() for a, _ in distinct.values())
+    steps = [([_member_table(m, rational) for m in a.members], pos)
+             for a, pos in distinct.values()]
 
     def step_counts(m, extra):
         # how often each distinct step occurs among the first m; the last
         # step also stands for the ``extra`` steps past the sequence
-        for ts, pos in steps.values():
+        for ts, pos in steps:
             if pos[0] >= m:
                 break
             yield ts, bisect_left(pos, m) + (extra if pos[-1] == n_steps - 1 else 0)
@@ -248,37 +236,34 @@ def moment_summary(
     for ts, _ in step_counts(min(n_max, n_steps), 0):
         second = [t.wx2[-1] for t in ts]
         t, v = _first_max(ts, second)
-        per_step_sq_hi.append(t.value(v, t.fraction))
+        per_step_sq_hi.append(t.value(v))
         t, v = _first_max(ts, [-v for v in second])
-        per_step_sq_lo.append(-t.value(v, t.fraction))
+        per_step_sq_lo.append(-t.value(v))
 
     truncated = []
     tail_abs = []
     tail_sq = []
     cesaro = []
     for n in schedule:
-        hi_sum = 0
-        lo_sum = 0
-        ces_sum = 0
-        v_abs = 0
-        v_sq = 0
+        hi_sum = lo_sum = ces_sum = 0
+        v_abs, v_sq = [], []
         for ts, mult in step_counts(min(n, n_steps), max(n - n_steps, 0)):
             cut = [bisect_left(t.abs_keys, n) for t in ts]
             mean = [t.wx[k] for t, k in zip(ts, cut)]
             t, v = _first_max(ts, mean)
-            hi_sum += mult * t.value(v, t.fraction)
+            hi_sum += mult * t.value(v)
             t, v = _first_max(ts, [-v for v in mean])
-            lo_sum += mult * -t.value(v, t.fraction)
+            lo_sum += mult * -t.value(v)
             t, v = _first_max(ts, [t.wx2[bisect_right(t.abs_keys, n)] for t in ts])
-            ces_sum += mult * t.value(v, t.fraction)
+            ces_sum += mult * t.value(v)
             t, v = _first_max(ts, [t.tail[k] for t, k in zip(ts, cut)])
-            v_abs = max(v_abs, t.value(v, t.fraction_abs >= n))
+            v_abs.append(t.value(v))
             t, v = _first_max(ts, [t.tail[bisect_left(t.sq_keys, n)] for t in ts])
-            v_sq = max(v_sq, t.value(v, t.fraction_sq >= n))
-        truncated.append((n, average(lo_sum, n), average(hi_sum, n)))
-        tail_abs.append((n, n * v_abs))
-        tail_sq.append((n, n * v_sq))
-        cesaro.append((n, average(ces_sum, n * n)))
+            v_sq.append(t.value(v))
+        truncated.append((n, lo_sum / n, hi_sum / n))
+        tail_abs.append((n, n * max(v_abs)))
+        tail_sq.append((n, n * max(v_sq)))
+        cesaro.append((n, ces_sum / (n * n)))
 
     mu_lo_n, mu_bar_n = truncated[-1][1], truncated[-1][2]
     return MomentSummary(
@@ -464,13 +449,8 @@ def prop62_experiment(
     aset = squared_counterexample_family(K)
     seq = StepSequence.iid(aset, n, mode)
     exact = mode is NumericMode.EXACT
-
-    def terminal(s):
-        y = Fraction(s, n) if exact else s / n
-        floor = Fraction(1) - Fraction(clamp) if exact else 1.0 - clamp
-        return max(1 - y, floor)
-
-    value = sublinear_eval_sum(seq, terminal)
+    floor = 1 - (Fraction(clamp) if exact else clamp)
+    value = sublinear_eval_sum(seq, lambda s: max(1 - s / n, floor))
     no_jump = (1 - Fraction(1, K * K)) ** n
     bound = 1 - (1 - no_jump) * Fraction(clamp)
     return value, (bound if exact else float(bound))
@@ -492,15 +472,12 @@ def prop63_experiment(
     aset = counterexample_family(K)
     seq = StepSequence.iid(aset, n, mode)
     exact = mode is NumericMode.EXACT
-    if exact:
-        root = _exact_sqrt(n)
+    root = _exact_sqrt(n) if exact else math.sqrt(n)
+    floor = None if clamp is None else 1 - (Fraction(clamp) if exact else clamp)
 
     def terminal(s):
-        if exact:
-            base = 1 - abs(Fraction(s, 1)) / root
-            return base if clamp is None else max(base, 1 - Fraction(clamp))
-        base = 1.0 - abs(s) / math.sqrt(n)
-        return base if clamp is None else max(base, 1.0 - clamp)
+        base = 1 - abs(s) / root
+        return base if floor is None else max(base, floor)
 
     value = sublinear_eval_sum(seq, terminal)
     no_jump = (1 - Fraction(1, K * K)) ** n

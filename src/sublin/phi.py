@@ -9,9 +9,10 @@ Grammar (left-associative):
     FUNC   in {abs, min, max, clamp, pow, sqrt, exp}
 
 NUMBER is a decimal literal; rationals are written ``p/q`` and fold to an
-exact Fraction at parse time.  In exact-rational mode the expression is
-restricted to {+,-,*,abs,min,max,clamp} plus division by a constant, which
-keeps evaluation closed over the rationals.
+exact Fraction at parse time.  The exact subset, {+,-,*,abs,min,max,clamp}
+plus division by a constant, keeps evaluation closed over the rationals: an
+expression in it evaluates an int or Fraction argument exactly, and any other
+argument in float.
 
 The text is parsed by Python's own parser (:func:`ast.parse`), which has this
 grammar's precedence and associativity, restricted to the grammar above: any
@@ -23,7 +24,6 @@ interpreter's recursion limit, is a UsageError too.
 from __future__ import annotations
 
 import ast
-import copy
 import functools
 import math
 import operator
@@ -197,9 +197,11 @@ class PhiExpression:
     """A parsed test function; callable on floats or Fractions.
 
     ``root``, the Python expression tree of ``text``, is compiled once into
-    three closures: a float scalar one (the default call), a float64 array
-    one (see :func:`evaluate_array`) and, when the expression lies in the
-    exact subset, a Fraction one (``exact=True``).
+    three closures: a float scalar one, a float64 array one (see
+    :func:`evaluate_array`) and, when the expression lies in the exact
+    subset, a Fraction one.  A call takes the Fraction closure on an int or
+    Fraction argument when there is one, and the float closure otherwise;
+    ``exact=True`` forces the Fraction closure (UsageError outside the subset).
     """
 
     def __init__(self, text: str):
@@ -227,22 +229,12 @@ class PhiExpression:
             self._exact = _compile(self.root, _EXACT_OPS, source)
         except KeyError:
             self._exact = None
-        self._rationals_exact = False
 
     def __call__(self, x, exact: bool = False):
-        if exact or (self._rationals_exact and isinstance(x, (int, Fraction))):
+        if exact or (self._exact is not None and isinstance(x, (int, Fraction))):
             self.require_exact()
             return self._exact(x)
         return self._scalar(x)
-
-    def exact_on_rationals(self) -> PhiExpression:
-        """This expression, evaluated exactly on int and Fraction arguments
-        and in float on float arguments and arrays.  Raises UsageError
-        outside the exact subset."""
-        self.require_exact()
-        twin = copy.copy(self)
-        twin._rationals_exact = True
-        return twin
 
     def require_exact(self):
         """Raise UsageError unless the expression is in the exact subset."""

@@ -262,8 +262,7 @@ def sublinear_event_probability(seq: StepSequence, event: Callable, direction: s
     """Upper probability of ``{S_n in A}`` over the enlargement, or its
     conjugate lower probability ``1 - V(complement)``."""
     if direction == "upper":
-        one = Fraction(1) if seq.mode is NumericMode.EXACT else 1.0
-        return sublinear_eval_sum(seq, lambda x: one if event(x) else 0 * one)
+        return sublinear_eval_sum(seq, lambda x: 1 if event(x) else 0)
     if direction == "lower":
         return 1 - sublinear_event_probability(seq, lambda x: not event(x))
     raise ModelError(f"direction must be 'upper' or 'lower', got {direction!r}")

@@ -102,6 +102,16 @@ class TestTables:
         assert code == 0
         assert out.startswith("n=16 value=")
 
+    def test_clt_truncation_in_the_report(self, capsys, tmp_path):
+        path = tmp_path / "clt.json"
+        argv = ["clt", "--model", cfg("rademacher.json"), "--phi", "max(1-abs(x),0)",
+                "--n-schedule", "4,16", "--dx", "0.05", "--json", str(path)]
+        code, plain, _ = run(capsys, *argv)
+        assert code == 0 and json.loads(path.read_text())["metadata"]["truncate_sqrt_n"] is False
+        code, out, _ = run(capsys, *argv, "--truncate-sqrt-n")
+        assert code == 0 and json.loads(path.read_text())["metadata"]["truncate_sqrt_n"] is True
+        assert out == plain  # |x| <= 1 <= sqrt(n): nothing to clip
+
     def test_lln_exact_matches_eval(self, capsys):
         # the DP column of lln --exact is the exact value eval --exact gives
         model, phi = cfg("bernoulli-band.json"), "max(1-abs(x-1/3),0)"
@@ -188,6 +198,19 @@ class TestGNormal:
         )
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["gnormal", "--sigma-lo", "0.5", "--sigma-hi", "1", "--phi", "1-abs(x)", "--dx", "100"],
+        ["gnormal", "--sigma-lo", "0.5", "--sigma-hi", "1", "--phi", "1-abs(x)", "--domain", "0"],
+        ["clt", "--model", cfg("rademacher.json"), "--phi", "max(1-abs(x),0)",
+         "--n-schedule", "4", "--domain", "0.001"],
+    ], ids=["gnormal-dx", "gnormal-domain", "clt-domain"])
+    def test_grid_without_an_interior_point(self, capsys, argv):
+        # one grid point, phi(0), is no solve: the value would be phi(0)
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "no interior point" in err
 
     def test_failure_after_the_value_prints_nothing(self, capsys):
         # the PDE value is finite; the quadrature oracle meets sqrt of a
@@ -365,8 +388,23 @@ class TestEnlargeAndDiagnose:
         lines = out.splitlines()
         assert lines[0] == "mu=[3/2, 3] sigma2=[5/2, 9]"
         assert lines[5:7] == ["4,0,4,9/4", "5,0,5,9/5"]
+        # a rational model's moments are exact without --exact too
         code, out, _ = run(capsys, "diagnose", "--model", str(path), "--n-max", "5")
-        assert out.splitlines()[5:7] == ["4,0,4,2.25", "5,0,5,1.8"]
+        assert out.splitlines()[5:7] == ["4,0,4,9/4", "5,0,5,9/5"]
+
+    def test_big_int_atoms_print_exactly(self, capsys, tmp_path):
+        # (10**17 + 1)**2 is no float: --exact prints every digit of it
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"measures": [
+            {"atoms": [100000000000000001, 0], "probs": [1, 0]}]}))
+        code, out, _ = run(capsys, "diagnose", "--model", str(path), "--n-max", "3", "--exact")
+        square = str((10**17 + 1) ** 2)
+        assert code == 0 and out.splitlines()[0] == f"mu=[0, 0] sigma2=[{square}, {square}]"
+        report = tmp_path / "lln.json"
+        code, _, _ = run(capsys, "lln", "--exact", "--model", str(path), "--phi", "x",
+                         "--n-schedule", "1", "--json", str(report))
+        assert code == 0
+        assert json.loads(report.read_text())["metadata"]["mu"] == ["100000000000000001"] * 2
 
 
 class TestExitCodes:

@@ -122,6 +122,19 @@ class TestSolver:
         phi = lambda x: max(1 - abs(x), 0.0)
         assert g_normal_expectation(phi, p, COARSE) == pytest.approx(1.0, abs=1e-12)
 
+    def test_grid_without_an_interior_point(self):
+        # round(L/dx) < 1 leaves the one point x = 0: a solve that would step
+        # is refused, a degenerate one still returns phi
+        phi = lambda x: 1 - abs(x)
+        for config in (GridConfig(dx=100.0), GridConfig(domain=0.0), GridConfig(domain=0.005)):
+            with pytest.raises(ModelError, match="no interior point"):
+                solve_g_heat(phi, GParams(0.5, 1.0), config=config)
+            assert solve_g_heat(phi, GParams(0.0, 0.0), config=config).values.tolist() == [1]
+            assert solve_g_heat(phi, GParams(0.5, 1.0), T=0.0, config=config).values.tolist() == [1]
+        # round(L/dx) = 1: one interior point, stepped
+        grid = solve_g_heat(phi, GParams(0.5, 1.0), config=GridConfig(domain=0.01))
+        assert len(grid.xs) == 3 and grid.values[1] < 1
+
     def test_grid_function_interface(self):
         p = GParams(0.5, 1.0)
         u = solve_g_heat(lambda x: max(1 - abs(x), 0.0), p, config=COARSE)
@@ -201,6 +214,10 @@ class TestInPlaceStepping:
         sigma_lo = {"zero": 0.0, "inside": 0.4 * sigma_hi, "equal": sigma_hi}[band]
         params = GParams(sigma_lo, sigma_hi)
         config = GridConfig(dx=dx, cfl=cfl, domain=domain)
+        if domain == 0.0 and T > 0:  # a solve that would step a grid of one point
+            with pytest.raises(ModelError, match="no interior point"):
+                solve_g_heat(parse_phi(phi), params, T=T, config=config)
+            return
         got = solve_g_heat(parse_phi(phi), params, T=T, config=config)
         want = _reference_heat(parse_phi(phi), params, T, config)
         assert got.values.tobytes() == want.tobytes()

@@ -79,15 +79,15 @@ def _product(laws):
 
 
 @st.composite
-def small_models(draw):
-    """Two-variable models up to 3x3 and (2,2,2) models of one or two tables,
-    all products of random laws or all general tables, with zero cells, in
-    exact or float weights; and a step past the first."""
+def small_models(draw, max_tables=2):
+    """Two-variable models up to 3x3 and (2,2,2) models of one to
+    ``max_tables`` tables, all products of random laws or all general tables,
+    with zero cells, in exact or float weights; and a step past the first."""
     shape = draw(st.sampled_from([(2, 2), (2, 3), (3, 2), (3, 3), (2, 2, 2)]))
     weights = lambda size: st.lists(st.integers(0, 3), min_size=size, max_size=size).filter(any)
     product = draw(st.booleans())
     tables = []
-    for _ in range(draw(st.integers(1, 2))):
+    for _ in range(draw(st.integers(1, max_tables))):
         if product:
             tables.append(_product([_normalized(draw(weights(size))) for size in shape]))
         else:
@@ -385,6 +385,15 @@ class TestEnlargement:
         kept = {big.marginal_law(ti, 1) for ti in range(len(big.tables))}
         assert len(big.tables) == 2 and first in kept and second not in kept
         assert check_peng_independence(m, 2, mode="exact").verdict
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(case=small_models(max_tables=3))
+    def test_enlargement_tables_are_pairwise_distinct(self, case):
+        # a product's row sums give its base and its quotients its choice of
+        # vertices, so no two (base, choice) pairs give the same table
+        model, _ = case
+        tables = enlarge_vertices(model).tables
+        assert len({tuple(F(w) for w in t) for t in tables}) == len(tables)
 
     def test_two_variable_step_polytope_is_the_enlargement(self):
         # with two variables both enumerations assemble marginal-1 vertices

@@ -10,6 +10,8 @@ from sublin import (
     ModelError,
     AmbiguitySet,
     DiscreteDistribution,
+    GridConfig,
+    ModelTooLarge,
     NumericalFailure,
     NumericMode,
     StepSequence,
@@ -27,11 +29,12 @@ from sublin import (
     prop62_experiment,
     prop63_experiment,
     squared_counterexample_family,
+    sublinear_eval_sum,
     upper_expectation,
     upper_probability,
     weak_lln_check,
 )
-from sublin.limits import ExperimentRow, ExperimentTable, default_diagnostic_schedule
+from sublin.limits import ExperimentRow, ExperimentTable, _fmt, default_diagnostic_schedule
 from sublin.measures import is_exact
 
 F = Fraction
@@ -120,6 +123,26 @@ class TestMomentSummary:
         # float mode keeps float division
         assert dict(moment_summary(StepSequence.iid(aset, 1), 5).cesaro)[4] == 2.25
 
+    def test_field_types_follow_the_numbers(self):
+        # a rational summary is all Fractions, in either mode, and takes a
+        # float law exactly in exact mode; any other summary is all floats
+        ints, floats = AmbiguitySet([DiscreteDistribution([0, 3], [0, 1])]), AmbiguitySet(
+            [DiscreteDistribution([-0.1, 0.1], [0.5, 0.5])])
+        fields = lambda s: [v for f in TestMomentSummaryAgainstReference.FIELDS
+                            for v in _flat(getattr(s, f))]
+        for seq in (StepSequence.iid(ints, 1), StepSequence.iid(floats, 1, NumericMode.EXACT)):
+            assert all(type(v) is F for v in fields(moment_summary(seq, 5)))
+        assert moment_summary(StepSequence.iid(floats, 1, NumericMode.EXACT), 5).sigma2_bar \
+            == F(0.1) ** 2
+        for seq in (StepSequence.iid(floats, 1), StepSequence([ints, floats])):
+            assert all(type(v) is float for v in fields(moment_summary(seq, 5)))
+
+    @pytest.mark.parametrize("mode", list(NumericMode))
+    def test_non_finite_atom(self, mode):
+        aset = AmbiguitySet([DiscreteDistribution([0, math.inf], [0.5, 0.5])])
+        with pytest.raises(NumericalFailure):
+            moment_summary(StepSequence.iid(aset, 1, mode), 3)
+
 
 def _reference_summary(seq, n_max, schedule):
     """moment_summary as one envelope call per member set, step and n: the
@@ -206,7 +229,7 @@ class TestMomentSummaryAgainstReference:
         for name in self.FIELDS:
             value = getattr(got, name)
             assert value == want[name], name
-            assert [type(v) for v in _flat(value)] == [type(v) for v in _flat(want[name])], name
+            assert all(type(v) is F for v in _flat(value)), name
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(case=_moment_case())
@@ -278,6 +301,18 @@ class TestLLN:
         v = weak_lln_check(seq, 0.5, 30)
         assert v < 1  # strictly below certainty at finite n
 
+    def test_exact_ints_print_exactly(self):
+        # 10**17 + 1 is no float: an exact int prints in full, as a Fraction does
+        big = 10**17 + 1
+        aset = AmbiguitySet([DiscreteDistribution([big, 0], [1, 0])])
+        table = lln_experiment(aset, parse_phi("x"), [1], NumericMode.EXACT)
+        assert table.metadata["mu"] == [str(big), str(big)]
+        assert table.to_dict()["rows"][0]["value"] == str(big)
+        assert _fmt(-big) == str(-big) and _fmt(F(big, 3)) == f"{big}/3"
+        assert _fmt(True) == "1" and _fmt(0.1) == "0.10000000000000001"
+        with pytest.raises(ModelTooLarge):
+            _fmt(10**5000)
+
     def test_table_serialization(self, bernoulli_band):
         table = lln_experiment(bernoulli_band, lambda x: x, [4, 8])
         doc = table.to_dict()
@@ -311,6 +346,30 @@ class TestCLT:
         want = gaussian_quadrature(phi, 1.0)
         assert table.rows[-1].prediction == pytest.approx(want, abs=2e-3)
         assert table.rows[-1].value == pytest.approx(want, abs=0.05)
+
+    def test_truncation_inside_the_support_changes_nothing(self):
+        # |x| <= 1 <= sqrt(n): the clip keeps every atom, so every row keeps its bits
+        aset = load_ambiguity_set(str(CONFIGS / "rademacher.json"))
+        phi, grid, ns = parse_phi("max(1-abs(x),0)"), GridConfig(dx=0.05), [1, 4, 16, 25]
+        plain = clt_experiment(aset, phi, ns, grid=grid)
+        clipped = clt_experiment(aset, phi, ns, grid=grid, truncate_sqrt_n=True)
+        assert [(r.n, r.value.hex(), r.prediction.hex()) for r in clipped] == \
+            [(r.n, r.value.hex(), r.prediction.hex()) for r in plain]
+        assert clipped.metadata["truncate_sqrt_n"] and not plain.metadata["truncate_sqrt_n"]
+
+    def test_truncation_clips_the_heavy_atoms(self):
+        # P_k's atoms +-k reach past sqrt(25) = 5 for k > 5: the exact value is
+        # the DP over the family with those atoms moved to +-5
+        aset, phi, grid = counterexample_family(10), parse_phi("max(1-abs(x),0)"), GridConfig(dx=0.05)
+        mode = NumericMode.EXACT
+        clipped = AmbiguitySet([DiscreteDistribution(
+            [-min(k, 5), 0, min(k, 5)], [F(1, 2 * k * k), 1 - F(1, k * k), F(1, 2 * k * k)])
+            for k in range(1, 11)])
+        want = sublinear_eval_sum(StepSequence.iid(clipped, 25, mode), lambda s: phi(s / 5))
+        got = clt_experiment(aset, phi, [25], grid=grid, truncate_sqrt_n=True, mode=mode)
+        plain = clt_experiment(aset, phi, [25], grid=grid, mode=mode)
+        assert got.rows[0].value == want and type(got.rows[0].value) is F
+        assert plain.rows[0].value != want
 
 
 class TestProp62:

@@ -97,13 +97,15 @@ class TestExactCapability:
         assert parse_phi("clamp(x*x, 0, 2)").exact_capable
 
     def test_exact_on_rationals(self):
-        phi = parse_phi("max(1 - abs(x - 1/3), 0)").exact_on_rationals()
+        # an expression in the exact subset evaluates rationals exactly by default
+        phi = parse_phi("max(1 - abs(x - 1/3), 0)")
         assert phi(F(1, 2)) == F(5, 6) and isinstance(phi(F(1, 2)), F)
-        assert phi(1) == F(1, 3)
+        assert phi(1) == F(1, 3) and isinstance(phi(1), F)
         assert isinstance(phi(0.5), float)
         assert evaluate_array(phi, np.array([0.5])).tolist() == [phi(0.5)]
+        assert isinstance(parse_phi("exp(x)")(1), float)  # outside the subset: float
         with pytest.raises(UsageError):
-            parse_phi("exp(x)").exact_on_rationals()
+            parse_phi("exp(x)").require_exact()
 
 
 class TestLipschitz:
