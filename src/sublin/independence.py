@@ -264,23 +264,18 @@ def default_probes(model: JointModel, n: int):
     return probes
 
 
-def _max_prefix_expectation(model: JointModel, k: int, f: Callable):
-    """max over the tables of E[f(x_1..x_k)] under the law of (X_1..X_k);
-    ``f`` takes the tuple of support values."""
+def joint_value(model: JointModel, n: int, phi: Callable):
+    """E over the joint laws of the prefix: sup_P E_P[phi(X_1..X_n)];
+    ``phi`` takes the tuple of support values."""
     best = None
     for laws in model._prefix_laws:
         val = sum(
-            w * f(tuple(model.supports[j][i] for j, i in enumerate(idx)))
-            for idx, w in laws[k].items()
+            w * phi(tuple(model.supports[j][i] for j, i in enumerate(idx)))
+            for idx, w in laws[n].items()
             if w != 0
         )
         best = val if best is None else max(best, val)
     return best
-
-
-def joint_value(model: JointModel, n: int, phi: Callable):
-    """E over the joint laws of the prefix: sup_P E_P[phi(X_1..X_n)]."""
-    return _max_prefix_expectation(model, n, phi)
 
 
 def nested_value(model: JointModel, n: int, phi: Callable):
@@ -294,7 +289,7 @@ def nested_value(model: JointModel, n: int, phi: Callable):
             for law in marginals
         )
 
-    return _max_prefix_expectation(model, n - 1, inner)
+    return joint_value(model, n - 1, inner)
 
 
 def _marginal_vertices(model: JointModel, k: int):

@@ -30,7 +30,9 @@ from .measures import (
     upper_expectation,
 )
 from .phi import evaluate_array, lipschitz_estimate
-from .recursion import StepSequence, sublinear_eval_sum, sublinear_event_probability
+from .recursion import (
+    StepSequence, _check_length, sublinear_eval_sum, sublinear_event_probability,
+)
 
 
 def _fmt(x) -> str:
@@ -84,12 +86,6 @@ class ExperimentTable:
                 "rows": [dict(zip(_COLUMNS, cells)) for cells in self._cells()]}
 
 
-def _step_at(seq: StepSequence, i: int) -> AmbiguitySet:
-    # heterogeneous sequences shorter than the diagnostic horizon reuse
-    # their last step
-    return seq.steps[min(i, len(seq.steps) - 1)]
-
-
 def _decaying(table) -> bool:
     """Whether an ``(n, value)`` tail table decays: its largest value on the
     second half of the schedule is below that on the first, or all are 0."""
@@ -130,11 +126,12 @@ def default_diagnostic_schedule(n_max: int) -> list:
 
 class _MemberTable(NamedTuple):
     """One member's nonzero-weight atoms sorted by |x| (keys |x| and x*x),
-    with prefix sums of w*x and w*x^2 and suffix sums of w, as numerators
-    over ``den``: E[X 1{|X| < n}] is ``wx[bisect_left(abs_keys, n)] / den``,
-    E[X^2 1{|X| <= n}] is ``wx2[bisect_right(abs_keys, n)] / den``, and
-    P(|X| >= n) and P(X^2 >= n) are ``tail`` at ``bisect_left`` on
-    ``abs_keys`` and ``sq_keys``."""
+    with prefix sums of w*x and w*x^2 and suffix sums of w, as integer
+    numerators over ``den``: E[X 1{|X| < n}] is
+    ``wx[bisect_left(abs_keys, n)] / den``, E[X^2 1{|X| <= n}] is
+    ``wx2[bisect_right(abs_keys, n)] / den``, and P(|X| >= n) and
+    P(X^2 >= n) are ``tail`` at ``bisect_left`` on ``abs_keys`` and
+    ``sq_keys``."""
 
     abs_keys: list
     sq_keys: list
@@ -142,44 +139,28 @@ class _MemberTable(NamedTuple):
     wx: list
     wx2: list
     tail: list
-    rational: bool
-
-    def value(self, num):
-        return Fraction(num, self.den) if self.rational else num
 
 
-def _member_table(m: DiscreteDistribution, rational: bool) -> _MemberTable:
+def _member_table(m: DiscreteDistribution) -> _MemberTable:
     pairs = sorted(((x, w) for x, w in m.atoms if w != 0), key=lambda p: abs(p[0]))
-    if rational:
-        try:  # floats convert exactly; ints and Fractions stay as they are
-            pairs = [tuple(v if is_exact(v) else Fraction(v) for v in p) for p in pairs]
-        except (OverflowError, ValueError):  # inf or nan
-            raise NumericalFailure("a law has a non-finite atom or weight") from None
-    sq_keys = [x * x for x, _ in pairs]
-    if rational:
-        # over wd*xd^2 (w = wn/wd, x = xn/xd) all three terms have integer
-        # numerators: wn*xd^2, wn*xn*xd and wn*xn^2
-        den = math.lcm(*(w.denominator * x.denominator ** 2 for x, w in pairs))
-        w, wx, wx2 = [], [], []
-        for x, v in pairs:
-            xn, xd = x.numerator, x.denominator
-            c = v.numerator * (den // (v.denominator * xd * xd))
-            w.append(c * xd * xd)
-            wx.append(c * xn * xd)
-            wx2.append(c * xn * xn)
-        zero = 0
-    else:
-        if not all(math.isfinite(s) for s in sq_keys):
-            raise NumericalFailure("test function produced a non-finite value")
-        den = 1
-        w = [float(w) for _, w in pairs]
-        wx = [float(w * x) for x, w in pairs]
-        wx2 = [float(w * s) for (_, w), s in zip(pairs, sq_keys)]
-        zero = 0.0
+    try:  # floats convert exactly; ints and Fractions stay as they are
+        pairs = [tuple(v if is_exact(v) else Fraction(v) for v in p) for p in pairs]
+    except (OverflowError, ValueError):  # inf or nan
+        raise NumericalFailure("a law has a non-finite atom or weight") from None
+    # over wd*xd^2 (w = wn/wd, x = xn/xd) all three terms have integer
+    # numerators: wn*xd^2, wn*xn*xd and wn*xn^2
+    den = math.lcm(*(w.denominator * x.denominator ** 2 for x, w in pairs))
+    w, wx, wx2 = [], [], []
+    for x, v in pairs:
+        xn, xd = x.numerator, x.denominator
+        c = v.numerator * (den // (v.denominator * xd * xd))
+        w.append(c * xd * xd)
+        wx.append(c * xn * xd)
+        wx2.append(c * xn * xn)
     return _MemberTable(
-        [abs(x) for x, _ in pairs], sq_keys, den,
-        list(accumulate(wx, initial=zero)), list(accumulate(wx2, initial=zero)),
-        list(accumulate(reversed(w), initial=zero))[::-1], rational,
+        [abs(x) for x, _ in pairs], [x * x for x, _ in pairs], den,
+        list(accumulate(wx, initial=0)), list(accumulate(wx2, initial=0)),
+        list(accumulate(reversed(w), initial=0))[::-1],
     )
 
 
@@ -198,17 +179,18 @@ def moment_summary(
 ) -> MomentSummary:
     """All displayed moment/tail quantities up to horizon n_max.
 
-    The summary is rational in exact mode (``seq.mode``) and on a sequence
-    whose step sets are all rational; then every field is a Fraction, float
-    atoms and weights included exactly.  Any other summary's fields are
-    floats, which may differ from per-atom sums in the last bits.
+    Every quantity is computed exactly, float atoms and weights included
+    as the rationals they are.  The summary is rational in exact mode
+    (``seq.mode``) and on a sequence whose step sets are all rational; then
+    every field is a Fraction.  Any other summary rounds each field to a
+    float once, as it is stored: the correctly rounded value of the exact
+    quantity.
 
     Each distinct step set (by identity) gets one ``_MemberTable`` per
-    member, built once: Python-int numerators over one denominator when the
-    summary is rational, float sums over 1 otherwise.  At each n, each
-    quantity is one bisection per member; members are compared by
-    cross-multiplying numerators, and only the first maximiser (minimiser)
-    becomes a value.
+    member, built once: Python-int numerators over one denominator.  At
+    each n, each quantity is one bisection per member; members are compared
+    by cross-multiplying numerators, and only the first maximiser
+    (minimiser) becomes a value.
     """
     if n_max < 1:
         raise UsageError("n_max must be >= 1")
@@ -220,8 +202,10 @@ def moment_summary(
     for j, aset in enumerate(seq.steps):
         distinct.setdefault(id(aset), (aset, []))[1].append(j)
     rational = seq.mode is NumericMode.EXACT or all(a.exact() for a, _ in distinct.values())
-    steps = [([_member_table(m, rational) for m in a.members], pos)
-             for a, pos in distinct.values()]
+    steps = [([_member_table(m) for m in a.members], pos) for a, pos in distinct.values()]
+
+    def stored(q):
+        return q if rational else float(q)
 
     def step_counts(m, extra):
         # how often each distinct step occurs among the first m; the last
@@ -236,9 +220,9 @@ def moment_summary(
     for ts, _ in step_counts(min(n_max, n_steps), 0):
         second = [t.wx2[-1] for t in ts]
         t, v = _first_max(ts, second)
-        per_step_sq_hi.append(t.value(v))
+        per_step_sq_hi.append(Fraction(v, t.den))
         t, v = _first_max(ts, [-v for v in second])
-        per_step_sq_lo.append(-t.value(v))
+        per_step_sq_lo.append(-Fraction(v, t.den))
 
     truncated = []
     tail_abs = []
@@ -251,26 +235,25 @@ def moment_summary(
             cut = [bisect_left(t.abs_keys, n) for t in ts]
             mean = [t.wx[k] for t, k in zip(ts, cut)]
             t, v = _first_max(ts, mean)
-            hi_sum += mult * t.value(v)
+            hi_sum += mult * Fraction(v, t.den)
             t, v = _first_max(ts, [-v for v in mean])
-            lo_sum += mult * -t.value(v)
+            lo_sum -= mult * Fraction(v, t.den)
             t, v = _first_max(ts, [t.wx2[bisect_right(t.abs_keys, n)] for t in ts])
-            ces_sum += mult * t.value(v)
+            ces_sum += mult * Fraction(v, t.den)
             t, v = _first_max(ts, [t.tail[k] for t, k in zip(ts, cut)])
-            v_abs.append(t.value(v))
+            v_abs.append(Fraction(v, t.den))
             t, v = _first_max(ts, [t.tail[bisect_left(t.sq_keys, n)] for t in ts])
-            v_sq.append(t.value(v))
-        truncated.append((n, lo_sum / n, hi_sum / n))
-        tail_abs.append((n, n * max(v_abs)))
-        tail_sq.append((n, n * max(v_sq)))
-        cesaro.append((n, ces_sum / (n * n)))
+            v_sq.append(Fraction(v, t.den))
+        truncated.append((n, stored(lo_sum / n), stored(hi_sum / n)))
+        tail_abs.append((n, stored(n * max(v_abs))))
+        tail_sq.append((n, stored(n * max(v_sq))))
+        cesaro.append((n, stored(ces_sum / (n * n))))
 
-    mu_lo_n, mu_bar_n = truncated[-1][1], truncated[-1][2]
     return MomentSummary(
-        mu_bar=mu_bar_n,
-        mu_lo=mu_lo_n,
-        sigma2_bar=max(per_step_sq_hi),
-        sigma2_lo=min(per_step_sq_lo),
+        mu_bar=truncated[-1][2],
+        mu_lo=truncated[-1][1],
+        sigma2_bar=stored(max(per_step_sq_hi)),
+        sigma2_lo=stored(min(per_step_sq_lo)),
         truncated_means=tuple(truncated),
         tail_abs=tuple(tail_abs),
         tail_sq=tuple(tail_sq),
@@ -300,9 +283,6 @@ def lln_bounds(phi: Callable, mu_lo, mu_bar, lipschitz: float, tol: float = 1e-6
     mu_lo, mu_bar = float(mu_lo), float(mu_bar)
     if mu_lo > mu_bar:
         raise UsageError("need mu_lo <= mu_bar")
-    if mu_lo == mu_bar:
-        v = phi(mu_lo)
-        return v, v
     count = _lln_grid_count(mu_lo, mu_bar, lipschitz, tol)
     span = mu_bar - mu_lo
     lo = hi = None
@@ -357,12 +337,12 @@ def weak_lln_check(seq: StepSequence, eps: float, n: int) -> float:
     Computed under the enlargement, which lower-bounds the lower
     probability under the original measure set.
     """
-    summary = moment_summary(seq, n)
+    summary = moment_summary(seq, n, schedule=[n])
     lo = float(summary.mu_lo) - eps
     hi = float(summary.mu_bar) + eps
-    run = StepSequence.iid(seq.steps[0], n, seq.mode) if len(seq.steps) == 1 else (
-        StepSequence(tuple(_step_at(seq, i) for i in range(n)), seq.mode)
-    )
+    _check_length(n)
+    # past its end the sequence repeats its last step
+    run = StepSequence(seq.steps[:n] + seq.steps[-1:] * (n - len(seq.steps)), seq.mode)
     return sublinear_event_probability(run, lambda s: lo <= s / n <= hi, "lower")
 
 
@@ -444,8 +424,8 @@ def prop62_experiment(
     "always P_K" estimate 1 - (1 - (1-1/K^2)^n) * M, and the value is always
     <= 1.
     """
-    if clamp <= 1:
-        raise UsageError("clamp M must be > 1")
+    if not 1 < clamp < math.inf:
+        raise UsageError("clamp M must be > 1 and finite")
     aset = squared_counterexample_family(K)
     seq = StepSequence.iid(aset, n, mode)
     exact = mode is NumericMode.EXACT
@@ -467,8 +447,8 @@ def prop63_experiment(
     (value, analytic lower bound) where the bound is again the
     "always P_K" single-strategy estimate.
     """
-    if clamp is not None and clamp <= 0:
-        raise UsageError("clamp M must be positive")
+    if clamp is not None and not 0 < clamp < math.inf:
+        raise UsageError("clamp M must be positive and finite")
     aset = counterexample_family(K)
     seq = StepSequence.iid(aset, n, mode)
     exact = mode is NumericMode.EXACT

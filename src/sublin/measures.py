@@ -68,10 +68,12 @@ def is_exact(x) -> bool:
 
 
 def check_weights(weights: Sequence):
-    """The one rule for the weights of a law: none negative (below
-    -WEIGHT_TOL for floats) and a total of 1, exactly when every weight is
-    rational and within WEIGHT_TOL otherwise.  Raises ModelError."""
+    """The one rule for the weights of a law: all finite, none negative
+    (below -WEIGHT_TOL for floats) and a total of 1, exactly when every
+    weight is rational and within WEIGHT_TOL otherwise.  Raises ModelError."""
     for w in weights:
+        if not (is_exact(w) or math.isfinite(w)):
+            raise ModelError(f"non-finite weight {w!r}")
         if w < 0 if is_exact(w) else w < -WEIGHT_TOL:
             raise ModelError(f"negative weight {w!r}")
     try:
@@ -124,9 +126,6 @@ class DiscreteDistribution:
 
     def expectation(self, f: Callable):
         return sum(w * _check_value(f(x)) for x, w in self.atoms if w != 0)
-
-    def probability(self, event: Callable) -> float:
-        return sum(w for x, w in self.atoms if event(x))
 
     def law_vector(self, support: Sequence):
         """Weights aligned to an enclosing support (0 off the support)."""
@@ -208,13 +207,8 @@ def lower_expectation(aset: AmbiguitySet, f: Callable) -> EnvelopeValue:
 
 
 def upper_probability(aset: AmbiguitySet, event: Callable) -> EnvelopeValue:
-    """V(A) = sup over members of P(A)."""
-    best, arg = None, -1
-    for i, m in enumerate(aset.members):
-        v = m.probability(event)
-        if best is None or v > best:
-            best, arg = v, i
-    return EnvelopeValue(best, arg)
+    """V(A) = sup over members of P(A), the upper expectation of 1_A."""
+    return upper_expectation(aset, lambda x: 1 if event(x) else 0)
 
 
 def lower_probability(aset: AmbiguitySet, event: Callable) -> EnvelopeValue:

@@ -53,10 +53,18 @@ class StepSequence:
     def iid(cls, aset: AmbiguitySet, n: int, mode: NumericMode = NumericMode.FLOAT64):
         if n < 1:
             raise ModelError("n must be >= 1")
+        _check_length(n)
         return cls((aset,) * n, mode)
 
     def __len__(self):
         return len(self.steps)
+
+
+def _check_length(n: int):
+    """Refuse n steps before building them: n steps reach at least n + 1
+    lattice states, so the sweep would raise StateExplosion anyway."""
+    if n >= DEFAULT_STATE_CAP:
+        raise StateExplosion(f"{n} steps exceed the state cap ({DEFAULT_STATE_CAP})")
 
 
 class LatticeEmbedding(NamedTuple):
@@ -261,8 +269,6 @@ def sublinear_eval_sum(
 def sublinear_event_probability(seq: StepSequence, event: Callable, direction: str = "upper"):
     """Upper probability of ``{S_n in A}`` over the enlargement, or its
     conjugate lower probability ``1 - V(complement)``."""
-    if direction == "upper":
-        return sublinear_eval_sum(seq, lambda x: 1 if event(x) else 0)
     if direction == "lower":
         return 1 - sublinear_event_probability(seq, lambda x: not event(x))
-    raise ModelError(f"direction must be 'upper' or 'lower', got {direction!r}")
+    return sublinear_eval_sum(seq, lambda x: 1 if event(x) else 0, direction)

@@ -423,6 +423,14 @@ class TestExitCodes:
         assert code == 1 and out == ""
         assert err == f"error: --n must be >= 1, got {n}\n"
 
+    @pytest.mark.parametrize("clamp", ["nan", "inf", "1e400"])
+    @pytest.mark.parametrize("which", ["lln", "clt"])
+    def test_non_finite_clamp_is_a_usage_error(self, capsys, which, clamp):
+        code, out, err = run(capsys, "counterexample", "--which", which, "--K", "4",
+                             "--n", "4", "--clamp", clamp)
+        assert code == 1 and out == ""
+        assert err.startswith("error: clamp M must") and err.count("\n") == 1
+
     def test_usage_bad_phi(self, capsys):
         code, _, err = run(
             capsys, "eval", "--model", cfg("bernoulli-band.json"),
@@ -550,6 +558,13 @@ class TestExitCodes:
         )
         code, _, err = run(capsys, "eval", "--model", str(path), "--phi", "x", "--n", "2")
         assert code == 3
+
+    def test_huge_n_refused_before_the_steps_are_built(self, capsys):
+        # a 10**9-tuple of steps would take about 8 GB
+        code, out, err = run(capsys, "eval", "--model", cfg("bernoulli-band.json"),
+                             "--phi", "x", "--n", "1000000000")
+        assert code == 4 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_model_too_large(self, capsys, tmp_path):
         path = tmp_path / "wide.json"

@@ -14,6 +14,7 @@ from sublin import (
     ModelTooLarge,
     NumericalFailure,
     NumericMode,
+    StateExplosion,
     StepSequence,
     UsageError,
     bernoulli,
@@ -246,6 +247,29 @@ class TestMomentSummaryAgainstReference:
             for g, w in zip(_flat(getattr(got, name)), _flat(want[name]), strict=True):
                 assert g == pytest.approx(w, rel=1e-12, abs=1e-12), name
 
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(case=_moment_case())
+    def test_float_fields_are_the_exact_ones_rounded(self, case):
+        steps, n_max, schedule = case
+        floats = {id(a): AmbiguitySet([DiscreteDistribution(
+            [float(x) for x in m.points], [float(w) for w in m.weights]) for m in a.members])
+            for a in steps}
+        laws = [floats[id(a)] for a in steps]
+        got = moment_summary(StepSequence(laws), n_max, schedule)
+        want = moment_summary(StepSequence(laws, NumericMode.EXACT), n_max, schedule)
+        for name in self.FIELDS:
+            for g, w in zip(_flat(getattr(got, name)), _flat(getattr(want, name)), strict=True):
+                assert type(g) is float and g == float(w), name
+
+    def test_float_law_rounded_once(self):
+        # summing float products gave mu_lo = -0.024999999999999967 (the
+        # second law's mean), 4 ulps from the exact value of its numbers
+        aset = AmbiguitySet([DiscreteDistribution([0.1, -0.3, 2.5], [0.6, 0.3, 0.1]),
+                             DiscreteDistribution([0.2, -0.7], [0.75, 0.25])])
+        summary = moment_summary(StepSequence.iid(aset, 1), 20)
+        exact = F(0.2) * F(0.75) + F(-0.7) * F(0.25)
+        assert summary.mu_lo == float(exact) == -0.024999999999999981
+
 
 class TestLLN:
     def test_band_linear_phi_exact(self, bernoulli_band_exact):
@@ -293,6 +317,19 @@ class TestLLN:
         # P(S_n/n within eps of the mean interval) -> 1
         v = weak_lln_check(seq, 0.1, 200)
         assert v > 0.99
+
+    def test_weak_lln_repeats_the_last_step(self):
+        a = AmbiguitySet([bernoulli(F(1, 3)), bernoulli(F(1, 2))])
+        b = AmbiguitySet([bernoulli(F(1, 4))])
+        short = StepSequence([a, b], NumericMode.EXACT)
+        whole = StepSequence([a] + [b] * 5, NumericMode.EXACT)
+        assert weak_lln_check(short, 0.1, 6) == weak_lln_check(whole, 0.1, 6)
+        longer = StepSequence([a, b, b, a], NumericMode.EXACT)
+        assert weak_lln_check(longer, 0.1, 2) == weak_lln_check(short, 0.1, 2)
+
+    def test_weak_lln_past_the_state_cap(self, bernoulli_band):
+        with pytest.raises(StateExplosion):
+            weak_lln_check(StepSequence.iid(bernoulli_band, 1), 0.1, 10**9)
 
     def test_weak_lln_fails_for_counterexample(self):
         # heavy ambiguity: mass escapes any fixed neighborhood of zero mean

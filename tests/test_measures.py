@@ -53,6 +53,7 @@ class TestDiscreteDistribution:
         ([F(3, 2), F(-1, 2), 0], False),
         ([1.5, -0.5, 0.0], False),
         ([0.5, 0.5, 1e-6], False),
+        ([math.nan, 1.0, 0.0], False),  # nan compares False with the sign and the total
     ])
     def test_one_weight_rule_for_laws_and_joint_tables(self, weights, ok):
         builders = [lambda: DiscreteDistribution([0, 1, 2], weights),
@@ -123,6 +124,15 @@ class TestProbabilities:
         fam = counterexample_family(10)
         for m in range(1, 11):
             assert upper_probability(fam, lambda x: abs(x) >= m).value == F(1, m * m)
+
+    def test_probability_takes_the_weights_type(self):
+        # V(A) is the upper expectation of the indicator of A
+        for half in (F(1, 2), 0.5):
+            coin = AmbiguitySet([DiscreteDistribution([0, 1, 2], [half, half, 0 * half])])
+            never = upper_probability(coin, lambda x: x == 2).value
+            assert never == 0 and type(never) is type(half)
+            sure = lower_probability(coin, lambda x: True).value
+            assert sure == 1 and type(sure) is type(half)
 
     def test_conjugacy_exact_random(self):
         rng = random.Random(7)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from sublin import (
     AmbiguitySet,
     DiscreteDistribution,
+    ModelError,
     NoCommonLattice,
     NumericalFailure,
     NumericMode,
@@ -227,6 +228,11 @@ class TestEventProbability:
         seq = StepSequence.iid(AmbiguitySet([rademacher()]), 3)
         assert sublinear_event_probability(seq, lambda s: True) == 1
         assert sublinear_event_probability(seq, lambda s: False) == 0
+
+    def test_unknown_direction(self):
+        seq = StepSequence.iid(AmbiguitySet([rademacher()]), 2)
+        with pytest.raises(ModelError, match="direction must be 'upper' or 'lower'"):
+            sublinear_event_probability(seq, lambda s: s > 0, "sideways")
 
     def test_single_step_matches_static_envelope(self):
         fam = counterexample_family(7)
