@@ -19,7 +19,6 @@ from .gheat import (
     GParams,
     GridConfig,
     GridFunction,
-    g_function,
     g_normal_expectation,
     gaussian_quadrature,
     solve_g_heat,
@@ -29,7 +28,6 @@ from .independence import (
     JointModel,
     check_peng_independence,
     check_pseudo_independence,
-    conditional_expectation,
     enlarge_vertices,
     joint_model_from_dict,
     load_joint_model,
@@ -46,7 +44,6 @@ from .limits import (
     prop62_experiment,
     prop63_experiment,
     squared_counterexample_family,
-    weak_lln_check,
 )
 from .measures import (
     AmbiguitySet,
@@ -70,7 +67,6 @@ from .recursion import (
     StepSequence,
     lattice_embed,
     sublinear_eval_sum,
-    sublinear_event_probability,
 )
 
 __version__ = "0.1.0"

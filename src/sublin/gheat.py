@@ -44,13 +44,6 @@ class GParams:
             )
 
 
-def g_function(alpha: float, params: GParams) -> float:
-    """G(a) = (sigma_hi^2 a+ - sigma_lo^2 a-) / 2."""
-    pos = alpha if alpha > 0 else 0.0
-    neg = -alpha if alpha < 0 else 0.0
-    return 0.5 * (params.sigma_hi**2 * pos - params.sigma_lo**2 * neg)
-
-
 @dataclass(frozen=True)
 class GridConfig:
     dx: float = 0.01
@@ -74,8 +67,6 @@ class GridFunction:
     xs: np.ndarray
     values: np.ndarray
     t: float
-    params: GParams
-    config: GridConfig
     dt: float
 
     def value_at(self, x: float) -> float:
@@ -131,7 +122,7 @@ def solve_g_heat(
     xs = np.arange(-n_half, n_half + 1) * config.dx
     u = evaluate_array(phi, xs)
     if degenerate:
-        return GridFunction(xs, u, T, params, config, dt=0.0)
+        return GridFunction(xs, u, T, dt=0.0)
 
     n_steps = max(1, int(math.ceil(steps)))
     dt = T / n_steps
@@ -162,7 +153,7 @@ def solve_g_heat(
         np.add(mid, up, out=mid)
     if not np.all(np.isfinite(u)):
         raise NumericalFailure("non-finite values during time stepping")
-    return GridFunction(xs, u, T, params, config, dt=dt)
+    return GridFunction(xs, u, T, dt=dt)
 
 
 def g_normal_expectation(

@@ -172,24 +172,6 @@ class IndependenceReport:
         return self.verdict
 
 
-def conditional_expectation(model: JointModel, table_index: int, f: Callable, history):
-    """Classical E_P[f(X_n) | X_1..X_{n-1} = history] from the joint table.
-
-    ``history`` holds support *values* of the leading variables; its length
-    fixes n.
-    """
-    k = len(history) + 1
-    if k > model.n_variables:
-        raise ModelError("history longer than the variable list")
-    hist_idx = []
-    for value, support in zip(history, model.supports):
-        if value not in support:
-            raise ModelError(f"history value {value!r} not in support")
-        hist_idx.append(support.index(value))
-    law = model.conditional_law(table_index, k, tuple(hist_idx))
-    return sum(w * f(x) for x, w in zip(model.supports[k - 1], law) if w != 0)
-
-
 def positive_histories(model: JointModel, table_index: int, n: int):
     """Positive-probability histories (index tuples) of X_1..X_{n-1}."""
     return [idx for idx, w in model._prefix_laws[table_index][n - 1].items() if w > 0]

@@ -29,10 +29,8 @@ from .measures import (
     lower_expectation,
     upper_expectation,
 )
-from .phi import evaluate_array, lipschitz_estimate
-from .recursion import (
-    StepSequence, _check_length, sublinear_eval_sum, sublinear_event_probability,
-)
+from .phi import evaluate_array
+from .recursion import StepSequence, sublinear_eval_sum
 
 
 def _fmt(x) -> str:
@@ -261,29 +259,25 @@ def moment_summary(
     )
 
 
-LLN_GRID_CAP = 2_000_001
+LLN_GRID_POINTS = 2_000_001
 _GRID_CHUNK = 1 << 16
 
 
-def _lln_grid_count(mu_lo: float, mu_bar: float, lipschitz: float, tol: float) -> int:
-    spacing = tol / max(lipschitz, 1e-12)
-    count = max(2, int(math.ceil((mu_bar - mu_lo) / spacing)) + 1)
-    return min(count, LLN_GRID_CAP)
+def lln_bounds(phi: Callable, mu_lo, mu_bar):
+    """(min, max) of phi over LLN_GRID_POINTS evenly spaced points of
+    [mu_lo, mu_bar], its end points included.
 
-
-def lln_bounds(phi: Callable, mu_lo, mu_bar, lipschitz: float, tol: float = 1e-6):
-    """(min, max) of phi over [mu_lo, mu_bar] by grid search.
-
-    Grid spacing <= tol / lipschitz guarantees error <= tol, but the grid is
-    capped at LLN_GRID_CAP points; at the cap the error bound is
-    lipschitz * (mu_bar - mu_lo) / (LLN_GRID_CAP - 1), which can exceed tol
-    (``lln_experiment`` reports the bound achieved).  The grid is evaluated
-    in chunks, so it never sits in memory whole.
+    Every point of [mu_lo, mu_bar] lies within half a spacing of the grid,
+    the spacing being (mu_bar - mu_lo) / (LLN_GRID_POINTS - 1).  So for phi
+    with Lipschitz constant L the max is at most L * spacing / 2 below phi's
+    max over the interval, and the min at most that above its min, up to
+    rounding of the grid points.  The grid is evaluated in chunks, so it
+    never sits in memory whole.
     """
     mu_lo, mu_bar = float(mu_lo), float(mu_bar)
     if mu_lo > mu_bar:
         raise UsageError("need mu_lo <= mu_bar")
-    count = _lln_grid_count(mu_lo, mu_bar, lipschitz, tol)
+    count = LLN_GRID_POINTS
     span = mu_bar - mu_lo
     lo = hi = None
     for start in range(0, count, _GRID_CHUNK):
@@ -303,47 +297,26 @@ def lln_experiment(
     phi: Callable,
     n_schedule: Sequence[int],
     mode: NumericMode = NumericMode.FLOAT64,
-    lipschitz: Optional[float] = None,
 ) -> ExperimentTable:
     """E[phi(S_n/n)] for each n, against the i.i.d. limit max phi over
     [-E[-X], E[X]].
 
-    The prediction is ``lln_bounds`` at tol=1e-9, with ``lipschitz``
-    estimated on [-E[-X], E[X]] when not given; the metadata's
-    ``prediction_error`` is an estimate of the grid's error, the Lipschitz
-    constant times the grid spacing, and no bound when that constant is
-    the sampled estimate.
+    The prediction is the max of ``lln_bounds``; the metadata's
+    ``grid_spacing`` is the spacing of its grid, so for phi with Lipschitz
+    constant L the prediction is at most L * grid_spacing / 2 below the
+    limit, up to rounding of the grid points.
     """
-    tol = 1e-9
     mu_hi = upper_expectation(aset, lambda x: x).value
     mu_lo = lower_expectation(aset, lambda x: x).value
-    if lipschitz is None:
-        lipschitz = lipschitz_estimate(phi, mu_lo, mu_hi)
-    _, prediction = lln_bounds(phi, mu_lo, mu_hi, lipschitz, tol)
-    lo, hi = float(mu_lo), float(mu_hi)
-    error = lipschitz * (hi - lo) / (_lln_grid_count(lo, hi, lipschitz, tol) - 1)
+    _, prediction = lln_bounds(phi, mu_lo, mu_hi)
     rows = []
     for n in sorted(set(n_schedule)):
         seq = StepSequence.iid(aset, n, mode)
         value = sublinear_eval_sum(seq, lambda s, n=n: phi(s / n))
         rows.append(ExperimentRow(n, value, prediction))
+    spacing = (float(mu_hi) - float(mu_lo)) / (LLN_GRID_POINTS - 1)
     return ExperimentTable(rows, {"experiment": "lln", "mu": [_fmt(mu_lo), _fmt(mu_hi)],
-                                  "prediction_error": error})
-
-
-def weak_lln_check(seq: StepSequence, eps: float, n: int) -> float:
-    """Lower probability of {mu_lo - eps <= S_n/n <= mu_bar + eps}.
-
-    Computed under the enlargement, which lower-bounds the lower
-    probability under the original measure set.
-    """
-    summary = moment_summary(seq, n, schedule=[n])
-    lo = float(summary.mu_lo) - eps
-    hi = float(summary.mu_bar) + eps
-    _check_length(n)
-    # past its end the sequence repeats its last step
-    run = StepSequence(seq.steps[:n] + seq.steps[-1:] * (n - len(seq.steps)), seq.mode)
-    return sublinear_event_probability(run, lambda s: lo <= s / n <= hi, "lower")
+                                  "grid_spacing": spacing})
 
 
 # largest |E[X]| or |E[-X]| that clt_experiment accepts as centered

@@ -120,12 +120,17 @@ def _compile(root, ops, source):
     Constant subtrees fold to exact Fractions bottom-up: a negation, sum,
     difference or product of folded constants folds, and so does a quotient
     by a nonzero one; a call never does.  Constants are converted once,
-    here.  Raises UsageError on a node outside the grammar and KeyError when
-    the expression uses a primitive ``ops`` lacks.
+    here.  Raises UsageError on a node outside the grammar or a constant
+    past the float range of a float table, and KeyError when the expression
+    uses a primitive ``ops`` lacks.
     """
-    def closure(value):
+    def closure(value, node):
         if type(value) is Fraction:
-            c = ops["const"](value)
+            try:
+                c = ops["const"](value)
+            except OverflowError:
+                text = source[node.col_offset:node.end_col_offset]
+                raise UsageError(f"constant {text[:20]}... is too large for a float") from None
             return lambda x: c
         return value
 
@@ -150,7 +155,7 @@ def _compile(root, ops, source):
             checked = op is ast.Div and not (type(b) is Fraction and b)
             if type(a) is Fraction and type(b) is Fraction and not checked:
                 return _FOLD[op](a, b)
-            f, g = closure(a), closure(b)
+            f, g = closure(a, node.left), closure(b, node.right)
             if checked:
                 div = ops["/"]
                 return lambda x: div(f(x), g(x))
@@ -173,7 +178,7 @@ def _compile(root, ops, source):
                 )
             if "," in source[args[-1].end_col_offset:node.end_col_offset]:
                 raise UsageError(f"syntax error: trailing comma in a call of {name}")
-            fs = [closure(walk(a)) for a in args]
+            fs = [closure(walk(a), a) for a in args]
             if name == "clamp":
                 mx, mn = ops["max"], ops["min"]
                 f, lo, hi = fs
@@ -190,7 +195,7 @@ def _compile(root, ops, source):
         raise UsageError(f"syntax error: {source[node.col_offset:node.end_col_offset]!r} "
                          "is outside the phi grammar")
 
-    return closure(walk(root))
+    return closure(walk(root), root)
 
 
 class PhiExpression:
@@ -245,10 +250,6 @@ class PhiExpression:
                 "by a constant"
             )
 
-    @property
-    def exact_capable(self) -> bool:
-        return self._exact is not None
-
     def __repr__(self):
         return f"PhiExpression({self.text!r})"
 
@@ -277,17 +278,6 @@ def evaluate_array(f: Callable, xs: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(out)):
         raise NumericalFailure("test function produced non-finite values")
     return out
-
-
-def lipschitz_estimate(f: Callable, lo: float, hi: float) -> float:
-    """Max difference quotient of ``f`` over 2,001 evenly spaced points of
-    [lo, hi], with a 2x safety factor."""
-    lo, hi = float(lo), float(hi)
-    if hi <= lo:
-        return 0.0
-    step = (hi - lo) / 2000
-    vals = evaluate_array(f, lo + np.arange(2001, dtype=float) * step)
-    return 2.0 * float(np.max(np.abs(np.diff(vals)) / step))
 
 
 def parse_phi(text: str) -> PhiExpression:

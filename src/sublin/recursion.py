@@ -265,10 +265,3 @@ def sublinear_eval_sum(
     res = _sweep(seq, lattice_embed(seq), f, record_strategy, DEFAULT_STATE_CAP)
     return res if record_strategy else res.value
 
-
-def sublinear_event_probability(seq: StepSequence, event: Callable, direction: str = "upper"):
-    """Upper probability of ``{S_n in A}`` over the enlargement, or its
-    conjugate lower probability ``1 - V(complement)``."""
-    if direction == "lower":
-        return 1 - sublinear_event_probability(seq, lambda x: not event(x))
-    return sublinear_eval_sum(seq, lambda x: 1 if event(x) else 0, direction)

@@ -12,17 +12,15 @@ SIGNATURES = {
     "check_peng_independence": ["model", "n", "mode"],
     "check_pseudo_independence": ["model", "n"],
     "clt_experiment": ["aset", "phi", "n_schedule", "grid", "truncate_sqrt_n", "mode"],
-    "conditional_expectation": ["model", "table_index", "f", "history"],
     "counterexample_family": ["K"],
     "dirac": ["x"],
     "enlarge_vertices": ["model"],
-    "g_function": ["alpha", "params"],
     "g_normal_expectation": ["phi", "params", "config"],
     "gaussian_quadrature": ["phi", "sigma"],
     "joint_model_from_dict": ["doc", "mode"],
     "lattice_embed": ["seq"],
-    "lln_bounds": ["phi", "mu_lo", "mu_bar", "lipschitz", "tol"],
-    "lln_experiment": ["aset", "phi", "n_schedule", "mode", "lipschitz"],
+    "lln_bounds": ["phi", "mu_lo", "mu_bar"],
+    "lln_experiment": ["aset", "phi", "n_schedule", "mode"],
     "load_ambiguity_set": ["path", "mode"],
     "load_joint_model": ["path", "mode"],
     "lower_expectation": ["aset", "f"],
@@ -36,10 +34,8 @@ SIGNATURES = {
     "solve_g_heat": ["phi", "params", "T", "config"],
     "squared_counterexample_family": ["K"],
     "sublinear_eval_sum": ["seq", "f", "direction", "record_strategy"],
-    "sublinear_event_probability": ["seq", "event", "direction"],
     "upper_expectation": ["aset", "f"],
     "upper_probability": ["aset", "event"],
-    "weak_lln_check": ["seq", "eps", "n"],
 }
 
 

@@ -84,14 +84,16 @@ class TestTables:
         assert a.read_bytes() == b.read_bytes()
         assert a.read_text().splitlines()[0] == "n,value,prediction,gap"
 
-    def test_lln_json_reports_prediction_error(self, capsys, tmp_path):
+    def test_lln_json_reports_grid_spacing(self, capsys, tmp_path):
         path = tmp_path / "lln.json"
         code, _, _ = run(
             capsys, "lln", "--model", cfg("bernoulli-band.json"),
             "--phi", "x", "--n-schedule", "4", "--json", str(path),
         )
         assert code == 0
-        assert json.loads(path.read_text())["metadata"]["prediction_error"] > 1e-9
+        metadata = json.loads(path.read_text())["metadata"]
+        assert "prediction_error" not in metadata
+        assert metadata["grid_spacing"] == (0.6 - 0.4) / 2_000_000
 
     def test_clt_small(self, capsys):
         code, out, _ = run(
@@ -446,6 +448,12 @@ class TestExitCodes:
                              "--phi", phi, "--n", "2")
         assert code == 1 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_phi_constant_past_the_float_range(self, capsys):
+        code, out, err = run(capsys, "eval", "--model", cfg("rademacher.json"),
+                             "--phi", "x*1" + "0" * 310, "--n", "2")
+        assert code == 1 and out == ""
+        assert err == f"error: constant 1{'0' * 19}... is too large for a float\n"
 
     def test_python_only_phi_prints_one_error_line(self):
         # a fresh interpreter, because pytest captures warnings raised in process

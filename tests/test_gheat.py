@@ -10,7 +10,6 @@ from sublin import (
     GridConfig,
     ModelError,
     ModelTooLarge,
-    g_function,
     g_normal_expectation,
     gaussian_quadrature,
     parse_phi,
@@ -23,23 +22,6 @@ COARSE = GridConfig(dx=0.05, cfl=0.4)
 
 
 class TestGFunction:
-    def test_values(self):
-        p = GParams(0.5, 1.0)
-        assert g_function(2.0, p) == pytest.approx(1.0)  # (1/2)*1*2
-        assert g_function(-2.0, p) == pytest.approx(-0.25)  # (1/2)*0.25*(-2)
-        assert g_function(0.0, p) == 0.0
-
-    def test_classical_is_linear(self):
-        p = GParams(1.0, 1.0)
-        for a in [-3.0, -1.0, 0.0, 2.0]:
-            assert g_function(a, p) == pytest.approx(0.5 * a)
-
-    def test_monotone_and_sublinear(self):
-        p = GParams(0.3, 1.2)
-        assert g_function(1.0, p) >= g_function(0.5, p)
-        a, b = 1.3, -0.7
-        assert g_function(a + b, p) <= g_function(a, p) + g_function(b, p) + 1e-15
-
     def test_validation(self):
         with pytest.raises(ModelError):
             GParams(1.0, 0.5)

@@ -17,7 +17,6 @@ from sublin import (
     NumericMode,
     check_peng_independence,
     check_pseudo_independence,
-    conditional_expectation,
     enlarge_vertices,
     joint_model_from_dict,
 )
@@ -153,18 +152,13 @@ class TestJointModel:
 
 class TestConditionalExpectation:
     def test_two_measure_example(self, example36):
-        f = lambda y: y
-        assert conditional_expectation(example36, 0, f, (1,)) == F(3, 4)
-        assert conditional_expectation(example36, 0, f, (0,)) == F(3, 4)
-        assert conditional_expectation(example36, 1, f, (0,)) == F(1, 2)
-        assert conditional_expectation(example36, 1, f, (1,)) == F(1, 2)
+        # Y's law (P(Y=0), P(Y=1)) given X = 0 or X = 1, under each measure
+        for x in (0, 1):
+            assert example36.conditional_law(0, 2, (x,)) == (F(1, 4), F(3, 4))
+            assert example36.conditional_law(1, 2, (x,)) == (F(1, 2), F(1, 2))
 
     def test_empty_history_is_marginal(self, example36):
-        assert conditional_expectation(example36, 0, lambda x: x, ()) == F(3, 4)
-
-    def test_value_not_in_support(self, example36):
-        with pytest.raises(ModelError):
-            conditional_expectation(example36, 0, lambda y: y, (2,))
+        assert example36.conditional_law(0, 1, ()) == (F(1, 4), F(3, 4))
 
 
 class TestPseudoIndependence:

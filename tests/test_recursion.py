@@ -22,7 +22,6 @@ from sublin import (
     lattice_embed,
     rademacher,
     sublinear_eval_sum,
-    sublinear_event_probability,
 )
 from sublin import recursion
 from sublin.limits import (
@@ -218,26 +217,33 @@ class TestInvariants:
 
 
 class TestEventProbability:
+    """Upper and lower probabilities of {S_n in A}, as the upper and lower
+    expectations of A's indicator."""
+
     def test_conjugate_pair(self):
         seq = StepSequence.iid(counterexample_family(4), 5)
-        hi = sublinear_event_probability(seq, lambda s: abs(s) >= 4)
-        lo = sublinear_event_probability(seq, lambda s: abs(s) >= 4, direction="lower")
+        event = lambda s: 1 if abs(s) >= 4 else 0
+        hi = sublinear_eval_sum(seq, event)
+        lo = sublinear_eval_sum(seq, event, direction="lower")
         assert 0 <= lo <= hi <= 1
 
     def test_certain_event(self):
         seq = StepSequence.iid(AmbiguitySet([rademacher()]), 3)
-        assert sublinear_event_probability(seq, lambda s: True) == 1
-        assert sublinear_event_probability(seq, lambda s: False) == 0
+        for direction in ("upper", "lower"):
+            assert sublinear_eval_sum(seq, lambda s: 1, direction) == 1
+            assert sublinear_eval_sum(seq, lambda s: 0, direction) == 0
 
     def test_unknown_direction(self):
         seq = StepSequence.iid(AmbiguitySet([rademacher()]), 2)
         with pytest.raises(ModelError, match="direction must be 'upper' or 'lower'"):
-            sublinear_event_probability(seq, lambda s: s > 0, "sideways")
+            sublinear_eval_sum(seq, lambda s: 1 if s > 0 else 0, "sideways")
 
     def test_single_step_matches_static_envelope(self):
         fam = counterexample_family(7)
         seq = StepSequence.iid(fam, 1, NumericMode.EXACT)
-        assert sublinear_event_probability(seq, lambda s: abs(s) >= 7) == F(1, 49)
+        event = lambda s: 1 if abs(s) >= 7 else 0
+        assert sublinear_eval_sum(seq, event) == F(1, 49)
+        assert sublinear_eval_sum(seq, event, "lower") == 0  # P_1..P_6 never reach 7
 
 
 @st.composite
