@@ -300,8 +300,8 @@ class TestLLN:
         assert lo == hi == 2
 
     def test_prediction_finds_a_narrow_spike(self):
-        # a spike of width 2e-6 at 0.50003: the grid's spacing, 1e-7, puts
-        # points on it, and its flat zero sides say nothing about it
+        # a spike of half-width 1e-6 at 0.50003, zero elsewhere on the mean
+        # interval [2/5, 3/5]; a grid of spacing 1e-7 has points on it
         band = load_ambiguity_set(CONFIGS / "bernoulli-band.json")
         phi = parse_phi("max(1-abs(x-0.50003)*1000000,0)")
         table = lln_experiment(band, phi, [16])
