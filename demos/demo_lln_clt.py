@@ -13,13 +13,14 @@ from sublin import (
     bernoulli,
     clt_experiment,
     lln_experiment,
+    parse_phi,
     rademacher,
 )
 
 
 def main():
     band = AmbiguitySet([bernoulli(0.4), bernoulli(0.6)], "bernoulli-band")
-    hat = lambda x: max(1.0 - abs(x - 0.5), 0.0)
+    hat = parse_phi("max(1-abs(x-1/2),0)")
 
     print("LLN: E[phi(S_n/n)] for phi a hat centered at 1/2")
     table = lln_experiment(band, hat, [16, 64, 256, 1024])
@@ -30,7 +31,7 @@ def main():
     print("CLT: E[phi(S_n/sqrt(n))] against the G-heat PDE, sigma in {0.5, 1}")
     steps = AmbiguitySet([rademacher(0.5), rademacher(1.0)])
     table = clt_experiment(
-        steps, lambda x: max(1.0 - abs(x), 0.0), [25, 100, 400],
+        steps, parse_phi("max(1-abs(x),0)"), [25, 100, 400],
         grid=GridConfig(dx=0.02),
     )
     for row in table:

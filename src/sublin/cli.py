@@ -159,7 +159,7 @@ def _cmd_eval(args):
     if args.normalize == "n":
         scale = args.n
     elif args.normalize == "sqrt-n":
-        scale = limits._exact_sqrt(args.n) if mode is NumericMode.EXACT else math.sqrt(args.n)
+        scale = limits._sqrt(args.n, mode)
     else:
         scale = 1
     direction = "lower" if args.lower else "upper"

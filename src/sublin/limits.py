@@ -351,7 +351,7 @@ def clt_experiment(
     prediction = g_normal_expectation(phi, gparams, grid)
     rows = []
     for n in sorted(set(n_schedule)):
-        root = _exact_sqrt(n) if mode is NumericMode.EXACT else math.sqrt(n)
+        root = _sqrt(n, mode)
         run_set = aset
         if truncate_sqrt_n:
             run_set = aset.map(lambda x: max(-root, min(x, root)))
@@ -425,7 +425,7 @@ def prop63_experiment(
     aset = counterexample_family(K)
     seq = StepSequence.iid(aset, n, mode)
     exact = mode is NumericMode.EXACT
-    root = _exact_sqrt(n) if exact else math.sqrt(n)
+    root = _sqrt(n, mode)
     floor = None if clamp is None else 1 - (Fraction(clamp) if exact else clamp)
 
     def terminal(s):
@@ -439,7 +439,10 @@ def prop63_experiment(
     return value, (bound if exact else float(bound))
 
 
-def _exact_sqrt(n: int) -> Fraction:
+def _sqrt(n: int, mode: NumericMode):
+    """sqrt(n): a float, or in exact mode an exact integer root."""
+    if mode is not NumericMode.EXACT:
+        return math.sqrt(n)
     r = math.isqrt(n)
     if r * r != n:
         raise UsageError("exact-rational CLT scaling needs a perfect-square n")

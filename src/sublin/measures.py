@@ -186,9 +186,6 @@ class EnvelopeValue(NamedTuple):
     value: object
     argmax: int
 
-    def __float__(self):
-        return float(self.value)
-
 
 def upper_expectation(aset: AmbiguitySet, f: Callable) -> EnvelopeValue:
     """sup over members of E_P[f], with the maximizing member index."""

@@ -201,8 +201,8 @@ def _compile(root, ops, source):
 class PhiExpression:
     """A parsed test function; callable on floats or Fractions.
 
-    ``root``, the Python expression tree of ``text``, is compiled once into
-    three closures: a float scalar one, a float64 array one (see
+    The Python expression tree of ``text`` is compiled once into three
+    closures: a float scalar one, a float64 array one (see
     :func:`evaluate_array`) and, when the expression lies in the exact
     subset, a Fraction one.  A call takes the Fraction closure on an int or
     Fraction argument when there is one, and the float closure otherwise;
@@ -223,15 +223,15 @@ class PhiExpression:
             with warnings.catch_warnings():
                 # e.g. "invalid decimal literal" for "1if x else 2"
                 warnings.simplefilter("error")
-                self.root = ast.parse(source, mode="eval").body
-            self._scalar = _compile(self.root, _SCALAR_OPS, source)
+                root = ast.parse(source, mode="eval").body
+            self._scalar = _compile(root, _SCALAR_OPS, source)
         except SyntaxError as e:
             raise UsageError(f"syntax error: {e.msg}") from None
         except (RecursionError, MemoryError):  # the parser's stack overflow is a MemoryError
             raise UsageError("expression nested too deeply") from None
-        self._array = _compile(self.root, _ARRAY_OPS, source)
+        self._array = _compile(root, _ARRAY_OPS, source)
         try:
-            self._exact = _compile(self.root, _EXACT_OPS, source)
+            self._exact = _compile(root, _EXACT_OPS, source)
         except KeyError:
             self._exact = None
 
@@ -252,12 +252,6 @@ class PhiExpression:
 
     def __repr__(self):
         return f"PhiExpression({self.text!r})"
-
-    def __eq__(self, other):
-        return isinstance(other, PhiExpression) and ast.dump(self.root) == ast.dump(other.root)
-
-    def __hash__(self):
-        return hash(ast.dump(self.root))
 
 
 def evaluate_array(f: Callable, xs: np.ndarray) -> np.ndarray:

@@ -11,8 +11,8 @@ rectangular enlargement of the per-step ambiguity sets.
 
 One dense numpy sweep serves both numeric modes: float64 arrays in float
 mode, arrays of integer numerators over a common denominator in
-exact-rational mode.  Both are bounded by the reachable-state cap; exact
-mode is further capped to small instances.
+exact-rational mode.  Both are bounded by the reachable-state cap and the
+state-atom work cap; exact mode is further capped to small instances.
 """
 
 from __future__ import annotations
@@ -30,6 +30,8 @@ from .measures import AmbiguitySet, NumericMode, is_exact
 MAX_LATTICE_DENOMINATOR = 10**4
 LATTICE_TOL = 1e-12
 DEFAULT_STATE_CAP = 50_000_000
+# window states x atoms, summed over the steps: the sweep's time bound
+MAX_STATE_ATOMS = 10**10
 EXACT_WORK_CAP = 10**4
 # states per block of the backward sweep: a block's live arrays stay in L2
 _BLOCK = 32768
@@ -122,25 +124,27 @@ def lattice_embed(seq: StepSequence) -> LatticeEmbedding:
     return LatticeEmbedding(h, tuple(embedded[id(aset)] for aset in seq.steps))
 
 
-class EvalResult(NamedTuple):
-    value: object
-    strategy: object  # per-step (lo_k, argmax measure array), or None
-
-
-def _reachable(emb: LatticeEmbedding, state_cap: int):
-    """Forward reachable sets as (lo, boolean array) per step, step 0 = {0}."""
+def _reachable(emb: LatticeEmbedding):
+    """Forward reachable sets as (lo, boolean array) per step, step 0 = {0};
+    raises StateExplosion past DEFAULT_STATE_CAP or MAX_STATE_ATOMS."""
     lo, mask = 0, np.array([True])
     out = [(lo, mask)]
     total = 1
+    state_atoms = 0
     for measures in emb.steps:
+        state_atoms += len(mask) * sum(len(ints) for ints, _ in measures)
+        if state_atoms > MAX_STATE_ATOMS:
+            raise StateExplosion(
+                f"the backward sweep exceeds the work cap ({MAX_STATE_ATOMS} state-atoms)"
+            )
         atoms = sorted({a for ints, _ in measures for a in ints})
         new_lo = lo + atoms[0]
         new_hi = lo + len(mask) - 1 + atoms[-1]
         width = new_hi - new_lo + 1
         total += width
-        if total > state_cap:
+        if total > DEFAULT_STATE_CAP:
             raise StateExplosion(
-                f"reachable lattice exceeds the state cap ({state_cap})"
+                f"reachable lattice exceeds the state cap ({DEFAULT_STATE_CAP})"
             )
         new_mask = np.zeros(width, dtype=bool)
         for a in atoms:
@@ -151,7 +155,7 @@ def _reachable(emb: LatticeEmbedding, state_cap: int):
     return out
 
 
-def _sweep(seq, emb, f, record_strategy, state_cap):
+def _sweep(seq, emb, f):
     """Backward sweep of the recursion over the ``_reachable`` windows.
 
     ``seq.mode`` picks the arithmetic.  Float mode holds float64 values.
@@ -166,7 +170,7 @@ def _sweep(seq, emb, f, record_strategy, state_cap):
     streaming the full window (up to 200,001 states for
     ``prop62_experiment(100, 20)``) from L3 once per atom.  Every element
     sees the same operations in the same order as in one unblocked pass,
-    so values and strategies are bit-identical for any block size.
+    so values are bit-identical for any block size.
 
     Float error: a step sums at most max_atoms products whose weights sum
     to 1, so rounding the weights to float64 and the products and sums
@@ -184,7 +188,7 @@ def _sweep(seq, emb, f, record_strategy, state_cap):
             raise StateExplosion(
                 f"exact-rational evaluation capped at n*|support| <= {EXACT_WORK_CAP}"
             )
-    reach = _reachable(emb, state_cap)
+    reach = _reachable(emb)
     lo_n, mask_n = reach[-1]
     states = np.flatnonzero(mask_n) + lo_n
     if exact:
@@ -202,7 +206,6 @@ def _sweep(seq, emb, f, record_strategy, state_cap):
     v = np.zeros(len(mask_n), dtype=object if exact else float)
     v[mask_n] = vals
 
-    strategy = []
     for k in range(len(seq) - 1, -1, -1):
         lo_k, mask_k = reach[k]
         lo_next = reach[k + 1][0]
@@ -215,10 +218,9 @@ def _sweep(seq, emb, f, record_strategy, state_cap):
         else:
             weights = [[float(w) for w in ws] for _, ws in emb.steps[k]]
         best = np.empty(width, dtype=v.dtype)
-        argbest = np.zeros(width, dtype=np.int32)
         for b0 in range(0, width, _BLOCK):
             b1 = min(b0 + _BLOCK, width)
-            blk, arg = best[b0:b1], argbest[b0:b1]
+            blk = best[b0:b1]
             for mi, ((ints, _), ws) in enumerate(zip(emb.steps[k], weights)):
                 acc = np.zeros(b1 - b0, dtype=v.dtype)
                 for a, w in zip(ints, ws):
@@ -227,41 +229,22 @@ def _sweep(seq, emb, f, record_strategy, state_cap):
                 if mi == 0:
                     blk[:] = acc
                 else:
-                    if record_strategy:
-                        arg[acc > blk] = mi
                     np.maximum(blk, acc, out=blk)
         if not exact and not np.all(np.isfinite(best[mask_k])):
             raise NumericalFailure("non-finite value during backward sweep")
         v = np.where(mask_k, best, 0)
-        if record_strategy:
-            argbest[~mask_k] = 0  # unreachable points hold 0
-            strategy.append((lo_k, argbest))
-    value = Fraction(v[0], denom) if exact else float(v[0])
-    return EvalResult(value, strategy[::-1] if record_strategy else None)
+    return Fraction(v[0], denom) if exact else float(v[0])
 
 
-def sublinear_eval_sum(
-    seq: StepSequence,
-    f: Callable,
-    direction: str = "upper",
-    record_strategy: bool = False,
-):
+def sublinear_eval_sum(seq: StepSequence, f: Callable, direction: str = "upper"):
     """Nested sublinear expectation of ``f(S_n)`` (upper) or ``-E[-f]`` (lower).
 
-    Returns the value; pass ``record_strategy=True`` to get an
-    :class:`EvalResult` whose strategy lists, for steps k = 0..n-1, a pair
-    ``(lo_k, arg)`` in both numeric modes: ``arg[i]`` is the index of the
-    step-k measure chosen at the lattice point ``lo_k + i`` (partial sum
-    ``(lo_k + i) * h``); unreachable points hold 0.  Raises StateExplosion
-    past DEFAULT_STATE_CAP reachable states.
+    Raises StateExplosion past DEFAULT_STATE_CAP reachable states or
+    MAX_STATE_ATOMS state-atoms of sweep work.
     """
     if direction not in ("upper", "lower"):
         raise ModelError(f"direction must be 'upper' or 'lower', got {direction!r}")
     if direction == "lower":
-        res = sublinear_eval_sum(seq, lambda x: -f(x), "upper", record_strategy)
-        if record_strategy:
-            return EvalResult(-res.value, res.strategy)
-        return -res
-    res = _sweep(seq, lattice_embed(seq), f, record_strategy, DEFAULT_STATE_CAP)
-    return res if record_strategy else res.value
+        return -sublinear_eval_sum(seq, lambda x: -f(x), "upper")
+    return _sweep(seq, lattice_embed(seq), f)
 

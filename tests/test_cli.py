@@ -425,6 +425,14 @@ class TestExitCodes:
         assert code == 1 and out == ""
         assert err == f"error: --n must be >= 1, got {n}\n"
 
+    def test_sweep_past_the_work_cap_is_refused(self, capsys):
+        # windows of 2Kk + 1 states times 3K atoms for k < 20: 2.9e10 state-atoms
+        code, out, err = run(capsys, "counterexample", "--which", "clt", "--K", "5000",
+                             "--n", "20")
+        assert code == 4 and out == ""
+        assert err.startswith("error: the backward sweep exceeds the work cap")
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("clamp", ["nan", "inf", "1e400"])
     @pytest.mark.parametrize("which", ["lln", "clt"])
     def test_non_finite_clamp_is_a_usage_error(self, capsys, which, clamp):

@@ -18,7 +18,6 @@ from sublin import (
     StateExplosion,
     StepSequence,
     bernoulli,
-    dirac,
     lattice_embed,
     rademacher,
     sublinear_eval_sum,
@@ -27,7 +26,6 @@ from sublin import recursion
 from sublin.limits import (
     counterexample_family,
     prop62_experiment,
-    squared_counterexample_family,
 )
 
 from conftest import random_ambiguity_set
@@ -282,12 +280,12 @@ class TestSweepProperties:
         assert abs(got - exact) <= n * (max_atoms + 1) * 2.0**-53 * (3 * n + abs(c))
 
 
-def _reference_sweep(seq, emb, f, record_strategy, state_cap):
+def _reference_sweep(seq, emb, f):
     """The backward sweep as one unblocked pass per measure over the whole
     window: the reference that the blocked ``recursion._sweep`` must match
     bit for bit (same operations on each element, in the same order)."""
     exact = seq.mode is NumericMode.EXACT
-    reach = recursion._reachable(emb, state_cap)
+    reach = recursion._reachable(emb)
     lo_n, mask_n = reach[-1]
     states = np.flatnonzero(mask_n) + lo_n
     if exact:
@@ -299,7 +297,6 @@ def _reference_sweep(seq, emb, f, record_strategy, state_cap):
         vals = np.fromiter((f(x) for x in xs), dtype=float, count=len(xs))
     v = np.zeros(len(mask_n), dtype=object if exact else float)
     v[mask_n] = vals
-    strategy = []
     for k in range(len(seq) - 1, -1, -1):
         lo_k, mask_k = reach[k]
         lo_next = reach[k + 1][0]
@@ -311,23 +308,15 @@ def _reference_sweep(seq, emb, f, record_strategy, state_cap):
             denom *= step_lcm
         else:
             weights = [[float(w) for w in ws] for _, ws in emb.steps[k]]
-        best = argbest = None
-        for mi, ((ints, _), ws) in enumerate(zip(emb.steps[k], weights)):
+        best = None
+        for (ints, _), ws in zip(emb.steps[k], weights):
             acc = np.zeros(width, dtype=v.dtype)
             for a, w in zip(ints, ws):
                 start = lo_k + a - lo_next
                 acc += w * v[start : start + width]
-            if best is None:
-                best, argbest = acc, np.zeros(width, dtype=np.int32)
-            else:
-                if record_strategy:
-                    argbest = np.where(acc > best, mi, argbest)
-                best = np.maximum(best, acc)
+            best = acc if best is None else np.maximum(best, acc)
         v = np.where(mask_k, best, 0)
-        if record_strategy:
-            strategy.append((lo_k, np.where(mask_k, argbest, 0).astype(np.int32)))
-    value = Fraction(v[0], denom) if exact else float(v[0])
-    return value, strategy[::-1] if record_strategy else None
+    return Fraction(v[0], denom) if exact else float(v[0])
 
 
 # terminal values with ties, both zeros and an inexact one
@@ -337,23 +326,18 @@ _TERMINALS = [-0.0, 0.0, 0.5, 1.0, -1.0, 2.5, 1 / 3]
 class TestBlockedSweep:
     @pytest.mark.parametrize("block", [1, 3, 7])
     @settings(max_examples=50, deadline=None, derandomize=True)
-    @given(steps=rational_steps(), record=st.booleans(),
+    @given(steps=rational_steps(),
            table=st.lists(st.sampled_from(_TERMINALS), min_size=1, max_size=9))
-    def test_matches_unblocked_loop_bit_for_bit(self, block, steps, record, table):
+    def test_matches_unblocked_loop_bit_for_bit(self, block, steps, table):
         for seq, conv in [(StepSequence(steps, NumericMode.EXACT), F),
                           (StepSequence(_float_steps(steps)), float)]:
             f = lambda x: conv(table[round(float(x)) % len(table)])
             emb = lattice_embed(seq)
-            want_value, want_strategy = _reference_sweep(seq, emb, f, record, 10**6)
+            want = _reference_sweep(seq, emb, f)
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(recursion, "_BLOCK", block)
-                got = recursion._sweep(seq, emb, f, record, 10**6)
-            assert repr(got.value) == repr(want_value)
-            if record:
-                assert [(lo, arg.dtype.str, arg.tobytes()) for lo, arg in got.strategy] == [
-                    (lo, arg.dtype.str, arg.tobytes()) for lo, arg in want_strategy]
-            else:
-                assert got.strategy is None and want_strategy is None
+                got = recursion._sweep(seq, emb, f)
+            assert repr(got) == repr(want)
 
     def test_prop62_value_pinned(self):
         # a 200,001-state window: seven blocks, the last one ragged
@@ -371,42 +355,16 @@ class TestGuards:
         with pytest.raises(StateExplosion):
             sublinear_eval_sum(seq, lambda s: s)
 
-    def test_strategy_recording(self):
-        band = AmbiguitySet([bernoulli(F(1, 3)), bernoulli(F(2, 3))])
-        seq = StepSequence.iid(band, 2, NumericMode.EXACT)
-        res = sublinear_eval_sum(seq, lambda s: s, record_strategy=True)
-        assert res.strategy is not None
-        assert len(res.strategy) == 2
-
-    def test_exact_strategy_replays_as_classical_recursion(self):
-        # following the recorded argmax laws is a classical (single-law)
-        # recursion, and it must reproduce the robust value exactly
-        rng = random.Random(11)
-        for trial in range(20):
-            seq = small_exact_sequence(rng, rng.randint(1, 4))
-            f = lambda s: max(1 - abs(s - 1), F(0))
-            res = sublinear_eval_sum(seq, f, record_strategy=True)
-            h = lattice_embed(seq).h
-
-            def replay(k, s):
-                if k == len(seq):
-                    return f(s)
-                lo, arg = res.strategy[k]
-                law = seq.steps[k].members[arg[int(s / h) - lo]]
-                return sum(w * replay(k + 1, s + x) for x, w in law.atoms)
-
-            assert replay(0, F(0)) == res.value, f"trial {trial}"
-
-    def test_strategy_is_zero_at_unreachable_points(self):
-        # the squared family's atoms +-k^2 leave gaps in every window
-        seq = StepSequence.iid(squared_counterexample_family(10), 20)
-        res = sublinear_eval_sum(seq, lambda s: max(1 - s / 20, -1), record_strategy=True)
-        unreachable = 0
-        for (lo, arg), (lo_k, mask) in zip(res.strategy, recursion._reachable(
-                lattice_embed(seq), recursion.DEFAULT_STATE_CAP)):
-            assert lo == lo_k and not arg[~mask].any()
-            unreachable += int((~mask).sum())
-        assert unreachable == 1742
+    @pytest.mark.parametrize(
+        "mode", [NumericMode.FLOAT64, NumericMode.EXACT], ids=["float", "exact"]
+    )
+    def test_work_cap(self, mode, monkeypatch):
+        # windows of 1, 3, 5, ... states times 2 atoms: 2 * n**2 state-atoms
+        monkeypatch.setattr(recursion, "MAX_STATE_ATOMS", 1000)
+        aset = AmbiguitySet([rademacher()])
+        assert sublinear_eval_sum(StepSequence.iid(aset, 22, mode), lambda s: s) == 0
+        with pytest.raises(StateExplosion, match="work cap"):
+            sublinear_eval_sum(StepSequence.iid(aset, 23, mode), lambda s: s)
 
     def test_exact_rejects_float_terminal(self):
         seq = StepSequence.iid(AmbiguitySet([rademacher()]), 2, NumericMode.EXACT)
