@@ -11,8 +11,11 @@ rectangular enlargement of the per-step ambiguity sets.
 
 One dense numpy sweep serves both numeric modes: float64 arrays in float
 mode, arrays of integer numerators over a common denominator in
-exact-rational mode.  Both are bounded by the reachable-state cap and the
-state-atom work cap; exact mode is further capped to small instances.
+exact-rational mode.  The exact numerators are reduced by their gcd with
+the denominator after every step, and held as int64 while a step cannot
+take them past 2**62, as Python ints above that.  Both modes are bounded by
+the reachable-state cap and the state-atom work cap; exact mode is further
+capped to small instances.
 """
 
 from __future__ import annotations
@@ -35,6 +38,8 @@ MAX_STATE_ATOMS = 10**10
 EXACT_WORK_CAP = 10**4
 # states per block of the backward sweep: a block's live arrays stay in L2
 _BLOCK = 32768
+# exact numerators stay int64 while a step keeps them below this
+_INT64_BOUND = 2**62
 
 
 @dataclass(frozen=True)
@@ -159,10 +164,16 @@ def _sweep(seq, emb, f):
     """Backward sweep of the recursion over the ``_reachable`` windows.
 
     ``seq.mode`` picks the arithmetic.  Float mode holds float64 values.
-    Exact mode holds Python-int numerators (dtype object) over one common
-    denominator, which each step multiplies by the lcm of its weight
-    denominators, so the inner loop is bigint arithmetic with no gcd
-    normalization per operation.
+    Exact mode holds integer numerators over one common denominator.  Each
+    step multiplies the denominator by the lcm of its weight denominators
+    and weighs with the integers w * lcm, so the inner loop runs no gcd per
+    operation; after the step, ``_reduce`` divides the numerators and the
+    denominator by their gcd, which keeps them near the size of the value's
+    own denominator.  Before each step the numerators are held as int64 if
+    max|v| times the step's largest per-measure sum of |w * lcm| is below
+    2**62, and as Python ints (dtype object) otherwise.  That product bounds
+    every product and partial sum of the step, so int64 never wraps (numpy
+    would wrap silently).
 
     Each step walks its window in blocks of ``_BLOCK`` states and runs the
     whole per-measure loop on one block before the next, so the block's
@@ -206,15 +217,16 @@ def _sweep(seq, emb, f):
     v = np.zeros(len(mask_n), dtype=object if exact else float)
     v[mask_n] = vals
 
+    int_weights = {}
     for k in range(len(seq) - 1, -1, -1):
         lo_k, mask_k = reach[k]
         lo_next = reach[k + 1][0]
         width = len(mask_k)
         if exact:
-            fracs = [[Fraction(w) for w in ws] for _, ws in emb.steps[k]]
-            step_lcm = math.lcm(*(w.denominator for ws in fracs for w in ws))
-            weights = [[int(w * step_lcm) for w in ws] for ws in fracs]
+            step_lcm, weights, weight_sum = _integer_weights(emb.steps[k], int_weights)
             denom *= step_lcm
+            fits = max(int(v.max()), -int(v.min()), 1) * weight_sum < _INT64_BOUND
+            v = v.astype(np.int64 if fits else object, copy=False)
         else:
             weights = [[float(w) for w in ws] for _, ws in emb.steps[k]]
         best = np.empty(width, dtype=v.dtype)
@@ -233,7 +245,45 @@ def _sweep(seq, emb, f):
         if not exact and not np.all(np.isfinite(best[mask_k])):
             raise NumericalFailure("non-finite value during backward sweep")
         v = np.where(mask_k, best, 0)
-    return Fraction(v[0], denom) if exact else float(v[0])
+        if exact:
+            v, denom = _reduce(v, denom)
+    return Fraction(int(v[0]), denom) if exact else float(v[0])
+
+
+def _integer_weights(measures, cache):
+    """A step's weights as integers over the lcm of their denominators:
+    (lcm, integer weights per measure, largest per-measure sum of |weight|).
+    Computed once per distinct step, keyed by ``id`` as in ``lattice_embed``."""
+    key = id(measures)
+    if key not in cache:
+        fracs = [[Fraction(w) for w in ws] for _, ws in measures]
+        step_lcm = math.lcm(*(w.denominator for ws in fracs for w in ws))
+        weights = [[int(w * step_lcm) for w in ws] for ws in fracs]
+        cache[key] = step_lcm, weights, max(sum(map(abs, ws)) for ws in weights)
+    return cache[key]
+
+
+def _reduce(v, denom):
+    """Divide the numerators ``v`` and ``denom`` by their gcd.  On Python
+    ints, the gcd of the first 8 numerators decides whether a full pass,
+    which stops at 1, is worth making."""
+    if v.dtype == object:
+        g = math.gcd(denom, *v[:8].tolist())
+        if g > 1:
+            nums = v.tolist()
+            for i in range(8, len(nums), 64):
+                g = math.gcd(g, *nums[i : i + 64])
+                if g == 1:
+                    break
+    else:
+        g = math.gcd(denom, int(np.gcd.reduce(v)))
+    if g == 1:
+        return v, denom
+    # int64 numerators are below 2**62; if g is not, g divides them all
+    # only because they are all 0, and g may not fit in an int64
+    if v.dtype == object or g < _INT64_BOUND:
+        v //= g
+    return v, denom // g
 
 
 def sublinear_eval_sum(seq: StepSequence, f: Callable, direction: str = "upper"):

@@ -9,6 +9,7 @@ import math
 import random
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -24,8 +25,10 @@ from sublin import (
     enlarge_vertices,
     g_normal_expectation,
     gaussian_quadrature,
+    load_ambiguity_set,
     lower_probability,
     moment_summary,
+    parse_phi,
     prop62_experiment,
     prop63_experiment,
     sublinear_eval_sum,
@@ -38,6 +41,7 @@ from sublin.limits import counterexample_family
 from conftest import random_ambiguity_set, random_distribution
 
 F = Fraction
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 @contextlib.contextmanager
@@ -229,3 +233,15 @@ def test_criterion_8_property_suites():
             u = g_normal_expectation(phi, params, grid)
             v = g_normal_expectation(psi, params, grid)
             assert u <= v + 1e-10
+
+
+def test_criterion_9_exact_lln_on_the_band():
+    with criterion(9, "exact E[(S_n/n)^2] on the Bernoulli band at n=2000"):
+        start = time.perf_counter()
+        # max over p in {2/5, 3/5} of p(1-p)/n + p^2, as `sublin eval --exact` computes it
+        n = 2000
+        band = load_ambiguity_set(str(CONFIGS / "bernoulli-band.json"), NumericMode.EXACT)
+        phi = parse_phi("x*x")
+        seq = StepSequence.iid(band, n, NumericMode.EXACT)
+        assert sublinear_eval_sum(seq, lambda s: phi(s / n)) == F(9003, 25000)
+        assert time.perf_counter() - start < 2.0

@@ -344,6 +344,55 @@ class TestBlockedSweep:
         assert prop62_experiment(100, 20)[0].hex() == "0x1.fdf435b3ce857p-1"
 
 
+@st.composite
+def straddling_table(draw):
+    """Exact terminal values whose numerators lie near 2**62 / 2**shift, with
+    their negatives, zeros and denominators 1-3: with the step lcms of
+    ``rational_steps`` (up to about 2**14), some sweeps hold their
+    numerators as int64 at one step and as Python ints at another."""
+    near = 2**62 >> draw(st.integers(0, 16))
+    entry = st.one_of(
+        st.just(F(0)),
+        st.builds(lambda sign, d, q: F(sign * (near + d), q),
+                  st.sampled_from([-1, 1]), st.integers(-3, 3), st.integers(1, 3)))
+    return draw(st.lists(entry, min_size=1, max_size=9))
+
+
+class TestReducedSweep:
+    """The exact sweep divides by the gcd after every step and switches
+    between int64 and Python-int numerators; ``_reference_sweep`` does
+    neither, so the two must agree as Fractions."""
+
+    @pytest.mark.parametrize("block", [1, 7])
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(steps=rational_steps(), table=straddling_table())
+    def test_matches_reference_sweep(self, block, steps, table):
+        seq = StepSequence(steps, NumericMode.EXACT)
+        f = lambda x: table[round(x) % len(table)]
+        emb = lattice_embed(seq)
+        want = _reference_sweep(seq, emb, f)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(recursion, "_BLOCK", block)
+            got = recursion._sweep(seq, emb, f)
+        assert isinstance(got, Fraction) and got == want
+
+    def test_switches_between_int64_and_python_ints(self, monkeypatch):
+        # a 2**14 lcm between two 1/2-weight steps: the numerators go
+        # int64 -> Python ints -> int64 as the sweep runs, since the 2**14
+        # in f makes the middle step's value an integer again
+        fine = AmbiguitySet([DiscreteDistribution([-1, 1], [F(1, 2**14), 1 - F(1, 2**14)])])
+        coin = AmbiguitySet([rademacher()])
+        seq = StepSequence([coin, fine, coin], NumericMode.EXACT)
+        f = lambda s: F(2**52 + 2**14 * s * s)
+        seen = []
+        reduce = recursion._reduce
+        monkeypatch.setattr(recursion, "_reduce",
+                            lambda v, denom: seen.append(v.dtype) or reduce(v, denom))
+        got = sublinear_eval_sum(seq, f)
+        assert seen == [np.dtype(np.int64), np.dtype(object), np.dtype(np.int64)]
+        assert got == _reference_sweep(seq, lattice_embed(seq), f) == brute_force_upper(seq, f)
+
+
 class TestGuards:
     @pytest.mark.parametrize(
         "mode", [NumericMode.FLOAT64, NumericMode.EXACT], ids=["float", "exact"]
@@ -365,6 +414,19 @@ class TestGuards:
         assert sublinear_eval_sum(StepSequence.iid(aset, 22, mode), lambda s: s) == 0
         with pytest.raises(StateExplosion, match="work cap"):
             sublinear_eval_sum(StepSequence.iid(aset, 23, mode), lambda s: s)
+
+    @pytest.mark.parametrize("c", [0, F(0), -5], ids=["int", "fraction", "minus5"])
+    def test_constant_terminal_over_a_long_lcm(self, c):
+        # every numerator equal: the gcd is the whole denominator, which
+        # passes 2**63 here, and the value is the constant itself
+        seq = StepSequence.iid(counterexample_family(30), 40, NumericMode.EXACT)
+        assert sublinear_eval_sum(seq, lambda s: c) == c
+
+    def test_cancelling_int64_numerators_over_a_long_denominator(self):
+        # int64 numerators that cancel to 0 over a denominator of 2**71:
+        # the gcd, 2**71, fits no int64
+        seq = StepSequence.iid(AmbiguitySet([rademacher()]), 1, NumericMode.EXACT)
+        assert sublinear_eval_sum(seq, lambda s: F(s, 2**70)) == 0
 
     def test_exact_rejects_float_terminal(self):
         seq = StepSequence.iid(AmbiguitySet([rademacher()]), 2, NumericMode.EXACT)
