@@ -13,8 +13,11 @@ One dense numpy sweep serves both numeric modes: float64 arrays in float
 mode, arrays of integer numerators over a common denominator in
 exact-rational mode.  The exact numerators are reduced by their gcd with
 the denominator after every step, and held as int64 while a step cannot
-take them past 2**62, as Python ints above that.  Both modes are bounded by
-the reachable-state cap and the state-atom work cap; exact mode is further
+take them past 2**62, as Python ints above that.  A step with enough atoms
+sweeps only the states between the flat ends of v_{k+1}, where a clamped
+terminal holds one constant, and gives the states outside them that
+constant's value, computed once.  Both modes are bounded by the
+reachable-state cap and the state-atom work cap; exact mode is further
 capped to small instances.
 """
 
@@ -40,6 +43,8 @@ EXACT_WORK_CAP = 10**4
 _BLOCK = 32768
 # exact numerators stay int64 while a step keeps them below this
 _INT64_BOUND = 2**62
+# a step with this many atoms, summed over its measures, looks for flat ends
+_FLAT_MIN_ATOMS = 8
 
 
 @dataclass(frozen=True)
@@ -183,6 +188,20 @@ def _sweep(seq, emb, f):
     sees the same operations in the same order as in one unblocked pass,
     so values are bit-identical for any block size.
 
+    The blocks cover only the states between the window's flat ends.  State
+    i of step k reads v_{k+1}[i .. i + span], span = max atom - min atom.
+    If the reachable entries of the first P entries of v_{k+1} all equal
+    v[0], every state with i + span < P reads v[0] alone, and likewise for
+    the last Q entries and v[-1]: holes hold 0 but only unreachable states
+    read them, and those are zeroed.  Each end's value is computed once by
+    ``_constant_value`` with the same operations in the same order, so the
+    bits do not change (an entry -0.0 equals 0.0 here, and either adds +0.0
+    to an accumulator that starts at +0.0).  The clamped counterexample
+    terminals make nearly every state of ``prop62_experiment`` flat.  Only
+    a step whose atoms, summed over its measures, reach ``_FLAT_MIN_ATOMS``
+    looks for the ends: below that, the search costs more than the sweep
+    it saves.
+
     Float error: a step sums at most max_atoms products whose weights sum
     to 1, so rounding the weights to float64 and the products and sums
     costs at most about (max_atoms + 1) * 2**-53 * max|f| per step.  The
@@ -217,21 +236,29 @@ def _sweep(seq, emb, f):
     v = np.zeros(len(mask_n), dtype=object if exact else float)
     v[mask_n] = vals
 
-    int_weights = {}
+    weight_cache = {}
     for k in range(len(seq) - 1, -1, -1):
         lo_k, mask_k = reach[k]
-        lo_next = reach[k + 1][0]
+        lo_next, mask_next = reach[k + 1]
         width = len(mask_k)
+        step_lcm, weights, weight_sum, matrix = _step_weights(emb.steps[k], exact, weight_cache)
         if exact:
-            step_lcm, weights, weight_sum = _integer_weights(emb.steps[k], int_weights)
             denom *= step_lcm
             fits = max(int(v.max()), -int(v.min()), 1) * weight_sum < _INT64_BOUND
             v = v.astype(np.int64 if fits else object, copy=False)
-        else:
-            weights = [[float(w) for w in ws] for _, ws in emb.steps[k]]
         best = np.empty(width, dtype=v.dtype)
-        for b0 in range(0, width, _BLOCK):
-            b1 = min(b0 + _BLOCK, width)
+        # sweep states [head, tail); the rest read one constant end of v
+        head, tail = 0, width
+        if matrix is not None:
+            span = len(v) - width
+            head = max(_flat_run(v, mask_next, v[0]) - span, 0)
+            if head:
+                best[:head] = _constant_value(matrix, v[0])
+            tail = max(min(len(v) - _flat_run(v[::-1], mask_next[::-1], v[-1]), width), head)
+            if tail < width:
+                best[tail:] = _constant_value(matrix, v[-1])
+        for b0 in range(head, tail, _BLOCK):
+            b1 = min(b0 + _BLOCK, tail)
             blk = best[b0:b1]
             for mi, ((ints, _), ws) in enumerate(zip(emb.steps[k], weights)):
                 acc = np.zeros(b1 - b0, dtype=v.dtype)
@@ -250,17 +277,59 @@ def _sweep(seq, emb, f):
     return Fraction(int(v[0]), denom) if exact else float(v[0])
 
 
-def _integer_weights(measures, cache):
-    """A step's weights as integers over the lcm of their denominators:
-    (lcm, integer weights per measure, largest per-measure sum of |weight|).
-    Computed once per distinct step, keyed by ``id`` as in ``lattice_embed``."""
+def _step_weights(measures, exact, cache):
+    """A step's weights in the sweep's arithmetic, computed once per
+    distinct step and keyed by ``id`` as in ``lattice_embed``: (lcm,
+    weights per measure, largest per-measure sum of |weight|, matrix).
+    Float mode has float64 weights, lcm 1 and sum 1.  Exact mode has
+    integer weights over the lcm of their denominators.  ``matrix`` holds
+    the weights zero-padded to (max atoms, measures), or is None below
+    ``_FLAT_MIN_ATOMS`` atoms."""
     key = id(measures)
     if key not in cache:
-        fracs = [[Fraction(w) for w in ws] for _, ws in measures]
-        step_lcm = math.lcm(*(w.denominator for ws in fracs for w in ws))
-        weights = [[int(w * step_lcm) for w in ws] for ws in fracs]
-        cache[key] = step_lcm, weights, max(sum(map(abs, ws)) for ws in weights)
+        if exact:
+            fracs = [[Fraction(w) for w in ws] for _, ws in measures]
+            step_lcm = math.lcm(*(w.denominator for ws in fracs for w in ws))
+            weights = [[int(w * step_lcm) for w in ws] for ws in fracs]
+            weight_sum = max(sum(map(abs, ws)) for ws in weights)
+        else:
+            weights = [[float(w) for w in ws] for _, ws in measures]
+            step_lcm = weight_sum = 1
+        matrix = None
+        if sum(map(len, weights)) >= _FLAT_MIN_ATOMS:
+            # Python ints in exact mode: an int64 product could wrap
+            matrix = np.zeros((max(map(len, weights)), len(weights)),
+                              dtype=object if exact else float)
+            for mi, ws in enumerate(weights):
+                matrix[: len(ws), mi] = ws
+        cache[key] = step_lcm, weights, weight_sum, matrix
     return cache[key]
+
+
+def _flat_run(v, mask, c):
+    """Length of the longest prefix of ``v`` whose entries under ``mask``
+    all equal ``c``.  Probes blocks of doubling size, so a short run costs
+    little."""
+    start, size = 0, 8
+    while start < len(v):
+        end = min(start + size, len(v))
+        off = np.flatnonzero((v[start:end] != c) & mask[start:end])
+        if len(off):
+            return start + int(off[0])
+        start, size = end, 2 * size
+    return len(v)
+
+
+def _constant_value(matrix, c):
+    """The step's value at a state whose window holds ``c`` alone: the
+    per-measure sums of weight * c, atom by atom as the block loop adds
+    them, and their max.  The zero padding adds only zeros, and no sum is
+    -0.0 or NaN, so the max does not depend on the order of the measures."""
+    acc = np.zeros(matrix.shape[1], dtype=matrix.dtype)
+    c = int(c) if matrix.dtype == object else c
+    for row in matrix:
+        acc += row * c
+    return acc.max()
 
 
 def _reduce(v, denom):

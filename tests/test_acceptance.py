@@ -245,3 +245,12 @@ def test_criterion_9_exact_lln_on_the_band():
         seq = StepSequence.iid(band, n, NumericMode.EXACT)
         assert sublinear_eval_sum(seq, lambda s: phi(s / n)) == F(9003, 25000)
         assert time.perf_counter() - start < 2.0
+
+
+def test_criterion_10_lln_counterexample_at_n50():
+    with criterion(10, "LLN failure family at K=100, n=50"):
+        start = time.perf_counter()
+        # the clamp makes v_k one constant over nearly every state: the
+        # sweep fills those from the window's flat ends
+        assert prop62_experiment(100, 50)[0].hex() == "0x1.fae47c7325b9bp-1"
+        assert time.perf_counter() - start < 1.5

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sublin import (
@@ -26,6 +26,7 @@ from sublin import recursion
 from sublin.limits import (
     counterexample_family,
     prop62_experiment,
+    squared_counterexample_family,
 )
 
 from conftest import random_ambiguity_set
@@ -342,6 +343,89 @@ class TestBlockedSweep:
     def test_prop62_value_pinned(self):
         # a 200,001-state window: seven blocks, the last one ragged
         assert prop62_experiment(100, 20)[0].hex() == "0x1.fdf435b3ce857p-1"
+
+
+@st.composite
+def gappy_steps(draw):
+    """1-4 steps drawn from 1-2 step sets (a repeated set is one object, as
+    in ``StepSequence.iid``), each 4-5 laws on atoms {0, k**2} or {-k, 0, k}
+    with k in 1-4: at least ``recursion._FLAT_MIN_ATOMS`` atoms per step, on
+    a lattice with gaps."""
+    sets = []
+    for _ in range(draw(st.integers(1, 2))):
+        members = []
+        for _ in range(draw(st.integers(4, 5))):
+            k = draw(st.integers(1, 4))
+            points = draw(st.sampled_from([[0, k * k], [-k, 0, k]]))
+            raw = draw(st.lists(st.integers(1, 9), min_size=len(points), max_size=len(points)))
+            members.append(DiscreteDistribution(points, [F(w, sum(raw)) for w in raw]))
+        sets.append(AmbiguitySet(members))
+    return [draw(st.sampled_from(sets)) for _ in range(draw(st.integers(1, 4)))]
+
+
+# values that compare equal, for a clamped end: both zeros mixed, or one
+# value, possibly inexact
+_ENDS = [(-0.0, 0.0), (0.0, -0.0, -0.0), (1 / 3,), (-1.0,), (2.5,)]
+
+
+class TestFlatEnds:
+    """Where a step has ``_FLAT_MIN_ATOMS`` atoms, the sweep gives the states
+    that read only a constant end of v_{k+1} that end's value, computed
+    once; ``_reference_sweep`` sweeps every state."""
+
+    @pytest.mark.parametrize("block", [1, 7])
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(steps=gappy_steps(), left=st.sampled_from(_ENDS), right=st.sampled_from(_ENDS),
+           cuts=st.tuples(st.integers(-20, 70), st.integers(-20, 70)),
+           middle=st.lists(st.sampled_from(_TERMINALS), min_size=1, max_size=9))
+    # all flat, only the left end flat, only the right end flat
+    @example(steps=[squared_counterexample_family(5)] * 3, left=(1 / 3,), right=(2.5,),
+             cuts=(1000, 1000), middle=[1.0])
+    @example(steps=[squared_counterexample_family(5)] * 3, left=(-0.0, 0.0), right=(2.5,),
+             cuts=(20, 1000), middle=[0.5, -1.0, 1 / 3])
+    @example(steps=[counterexample_family(4)] * 3, left=(-1.0,), right=(0.0, -0.0, -0.0),
+             cuts=(-1000, 2), middle=[0.5, -1.0, 1 / 3])
+    def test_matches_reference_sweep(self, block, steps, left, right, cuts, middle):
+        def table(x):
+            i = round(float(x))
+            if i < cuts[0]:
+                return left[i % len(left)]
+            if i > cuts[1]:
+                return right[i % len(right)]
+            return middle[i % len(middle)]
+
+        # the upper value of table and of -table: only states on the
+        # maximising path reach v_0(0), so a low end checks the fill less
+        for seq, conv, sign in [(StepSequence(steps, NumericMode.EXACT), F, 1),
+                                (StepSequence(steps, NumericMode.EXACT), F, -1),
+                                (StepSequence(_float_steps(steps)), float, 1),
+                                (StepSequence(_float_steps(steps)), float, -1)]:
+            f = lambda x: conv(sign * table(x))
+            emb = lattice_embed(seq)
+            want = _reference_sweep(seq, emb, f)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(recursion, "_BLOCK", block)
+                got = recursion._sweep(seq, emb, f)
+            assert type(got) is type(want) and repr(got) == repr(want)
+
+    @pytest.mark.parametrize(
+        "mode", [NumericMode.FLOAT64, NumericMode.EXACT], ids=["float", "exact"]
+    )
+    def test_gate_is_the_step_atom_count(self, mode, monkeypatch):
+        calls = []
+        constant_value = recursion._constant_value
+        monkeypatch.setattr(recursion, "_constant_value",
+                            lambda m, c: calls.append(c) or constant_value(m, c))
+        # 2 atoms a step: below the gate, every state is swept
+        sublinear_eval_sum(StepSequence.iid(AmbiguitySet([rademacher()]), 9, mode),
+                           lambda s: max(s, -2))
+        assert calls == []
+        # 19 atoms a step over 10 laws: the clamped end is filled, not swept
+        seq = StepSequence.iid(squared_counterexample_family(10), 5, mode)
+        f = lambda s: max(1 - s / 5, -1)
+        got = sublinear_eval_sum(seq, f)
+        assert calls
+        assert repr(got) == repr(_reference_sweep(seq, lattice_embed(seq), f))
 
 
 @st.composite
