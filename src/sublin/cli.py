@@ -30,7 +30,7 @@ from .independence import (
     enlarge_vertices,
     load_joint_model,
 )
-from .limits import ExperimentTable, _fmt, moment_summary
+from .limits import ExperimentTable, _check_schedule, _fmt, moment_summary
 from .measures import NumericMode, load_ambiguity_set
 from .phi import parse_phi
 from .recursion import StepSequence, sublinear_eval_sum
@@ -65,9 +65,7 @@ def _schedule(text: str):
         ns = [int(v) for v in text.split(",") if v.strip()]
     except ValueError as e:
         raise UsageError(f"bad n-schedule {text!r}") from e
-    if not ns or any(n < 1 for n in ns) or ns != sorted(set(ns)):
-        raise UsageError("n-schedule must be strictly increasing positive integers")
-    return ns
+    return _check_schedule(ns)
 
 
 def _table_report(table: ExperimentTable):

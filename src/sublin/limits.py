@@ -115,6 +115,12 @@ class MomentSummary:
         return _decaying(self.tail_sq)
 
 
+def _check_schedule(ns: list) -> list:
+    if not ns or ns[0] < 1 or ns != sorted(set(ns)):
+        raise UsageError("n-schedule must be strictly increasing positive integers")
+    return ns
+
+
 def default_diagnostic_schedule(n_max: int) -> list:
     out = sorted({*range(1, min(11, n_max + 1)), *(
         int(round(10 ** (i / 4))) for i in range(4, 200) if 10 ** (i / 4) <= n_max
@@ -192,7 +198,8 @@ def moment_summary(
     """
     if n_max < 1:
         raise UsageError("n_max must be >= 1")
-    schedule = list(schedule) if schedule is not None else default_diagnostic_schedule(n_max)
+    schedule = _check_schedule(
+        list(schedule) if schedule is not None else default_diagnostic_schedule(n_max))
     n_steps = len(seq.steps)
 
     # distinct steps in order of first appearance, with their positions

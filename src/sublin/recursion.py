@@ -15,10 +15,10 @@ exact-rational mode.  The exact numerators are reduced by their gcd with
 the denominator after every step, and held as int64 while a step cannot
 take them past 2**62, as Python ints above that.  A step with enough atoms
 sweeps only the states between the flat ends of v_{k+1}, where a clamped
-terminal holds one constant, and gives the states outside them that
-constant's value, computed once.  Both modes are bounded by the
-reachable-state cap and the state-atom work cap; exact mode is further
-capped to small instances.
+terminal holds one constant, and copies the value of the nearest swept
+state across each end.  Both modes are bounded by the reachable-state cap
+and the state-atom work cap; exact mode is further capped to small
+instances.
 """
 
 from __future__ import annotations
@@ -193,14 +193,14 @@ def _sweep(seq, emb, f):
     If the reachable entries of the first P entries of v_{k+1} all equal
     v[0], every state with i + span < P reads v[0] alone, and likewise for
     the last Q entries and v[-1]: holes hold 0 but only unreachable states
-    read them, and those are zeroed.  Each end's value is computed once by
-    ``_constant_value`` with the same operations in the same order, so the
-    bits do not change (an entry -0.0 equals 0.0 here, and either adds +0.0
-    to an accumulator that starts at +0.0).  The clamped counterexample
-    terminals make nearly every state of ``prop62_experiment`` flat.  Only
-    a step whose atoms, summed over its measures, reach ``_FLAT_MIN_ATOMS``
-    looks for the ends: below that, the search costs more than the sweep
-    it saves.
+    read them, and those are zeroed.  The sweep takes in the last reachable
+    state below P - span and the first at or above len(v) - Q and copies
+    their values across the ends, bit for bit: every reachable state of an
+    end runs the same operations on entries equal to theirs (an entry -0.0
+    adds +0.0 to an accumulator that starts at +0.0).  The clamped counterexample terminals make nearly every state
+    of ``prop62_experiment`` flat.  Only a step whose atoms, summed over its
+    measures, reach ``_FLAT_MIN_ATOMS`` looks for the ends: below that, the
+    search costs more than the sweep it saves.
 
     Float error: a step sums at most max_atoms products whose weights sum
     to 1, so rounding the weights to float64 and the products and sums
@@ -241,22 +241,27 @@ def _sweep(seq, emb, f):
         lo_k, mask_k = reach[k]
         lo_next, mask_next = reach[k + 1]
         width = len(mask_k)
-        step_lcm, weights, weight_sum, matrix = _step_weights(emb.steps[k], exact, weight_cache)
+        step_lcm, weights, weight_sum = _step_weights(emb.steps[k], exact, weight_cache)
         if exact:
             denom *= step_lcm
             fits = max(int(v.max()), -int(v.min()), 1) * weight_sum < _INT64_BOUND
             v = v.astype(np.int64 if fits else object, copy=False)
         best = np.empty(width, dtype=v.dtype)
-        # sweep states [head, tail); the rest read one constant end of v
+        # sweep states [head, tail), then copy best[head] and best[tail - 1]
+        # across the flat ends that they border; _flat_run(m, m, False)
+        # counts the unreachable states that m starts with
         head, tail = 0, width
-        if matrix is not None:
+        if sum(map(len, weights)) >= _FLAT_MIN_ATOMS:
             span = len(v) - width
-            head = max(_flat_run(v, mask_next, v[0]) - span, 0)
-            if head:
-                best[:head] = _constant_value(matrix, v[0])
-            tail = max(min(len(v) - _flat_run(v[::-1], mask_next[::-1], v[-1]), width), head)
-            if tail < width:
-                best[tail:] = _constant_value(matrix, v[-1])
+            below = _flat_run(v, mask_next, v[0]) - span
+            if below > 0:
+                back = mask_k[below - 1 :: -1]
+                head = below - 1 - _flat_run(back, back, False)
+            above = len(v) - _flat_run(v[::-1], mask_next[::-1], v[-1])
+            if above < width:
+                ahead = mask_k[above:]
+                tail = above + _flat_run(ahead, ahead, False) + 1
+            tail = max(tail, head + 1)
         for b0 in range(head, tail, _BLOCK):
             b1 = min(b0 + _BLOCK, tail)
             blk = best[b0:b1]
@@ -269,6 +274,8 @@ def _sweep(seq, emb, f):
                     blk[:] = acc
                 else:
                     np.maximum(blk, acc, out=blk)
+        best[:head] = best[head]
+        best[tail:] = best[tail - 1]
         if not exact and not np.all(np.isfinite(best[mask_k])):
             raise NumericalFailure("non-finite value during backward sweep")
         v = np.where(mask_k, best, 0)
@@ -280,11 +287,9 @@ def _sweep(seq, emb, f):
 def _step_weights(measures, exact, cache):
     """A step's weights in the sweep's arithmetic, computed once per
     distinct step and keyed by ``id`` as in ``lattice_embed``: (lcm,
-    weights per measure, largest per-measure sum of |weight|, matrix).
-    Float mode has float64 weights, lcm 1 and sum 1.  Exact mode has
-    integer weights over the lcm of their denominators.  ``matrix`` holds
-    the weights zero-padded to (max atoms, measures), or is None below
-    ``_FLAT_MIN_ATOMS`` atoms."""
+    weights per measure, largest per-measure sum of |weight|).  Float mode
+    has float64 weights, lcm 1 and sum 1.  Exact mode has integer weights
+    over the lcm of their denominators."""
     key = id(measures)
     if key not in cache:
         if exact:
@@ -295,14 +300,7 @@ def _step_weights(measures, exact, cache):
         else:
             weights = [[float(w) for w in ws] for _, ws in measures]
             step_lcm = weight_sum = 1
-        matrix = None
-        if sum(map(len, weights)) >= _FLAT_MIN_ATOMS:
-            # Python ints in exact mode: an int64 product could wrap
-            matrix = np.zeros((max(map(len, weights)), len(weights)),
-                              dtype=object if exact else float)
-            for mi, ws in enumerate(weights):
-                matrix[: len(ws), mi] = ws
-        cache[key] = step_lcm, weights, weight_sum, matrix
+        cache[key] = step_lcm, weights, weight_sum
     return cache[key]
 
 
@@ -318,18 +316,6 @@ def _flat_run(v, mask, c):
             return start + int(off[0])
         start, size = end, 2 * size
     return len(v)
-
-
-def _constant_value(matrix, c):
-    """The step's value at a state whose window holds ``c`` alone: the
-    per-measure sums of weight * c, atom by atom as the block loop adds
-    them, and their max.  The zero padding adds only zeros, and no sum is
-    -0.0 or NaN, so the max does not depend on the order of the measures."""
-    acc = np.zeros(matrix.shape[1], dtype=matrix.dtype)
-    c = int(c) if matrix.dtype == object else c
-    for row in matrix:
-        acc += row * c
-    return acc.max()
 
 
 def _reduce(v, denom):
@@ -365,5 +351,7 @@ def sublinear_eval_sum(seq: StepSequence, f: Callable, direction: str = "upper")
         raise ModelError(f"direction must be 'upper' or 'lower', got {direction!r}")
     if direction == "lower":
         return -sublinear_eval_sum(seq, lambda x: -f(x), "upper")
-    return _sweep(seq, lattice_embed(seq), f)
+    # overflow to inf and inf - inf are left to the finiteness checks
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _sweep(seq, lattice_embed(seq), f)
 

@@ -476,6 +476,27 @@ class TestExitCodes:
         assert done.returncode == 1 and done.stdout == ""
         assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
 
+    @pytest.mark.parametrize("model, phi", [
+        ({"measures": [{"atoms": [-1, 1], "probs": [0.5, 0.5000000000001]}]},
+         str(int(sys.float_info.max))),
+        ({"measures": [{"atoms": [-1, 1], "probs": ["1/2", "1/2"]}]},
+         f"x*{int(sys.float_info.max)}"),
+    ], ids=["sweep", "terminal"])
+    def test_float_overflow_prints_one_error_line(self, tmp_path, model, phi):
+        # a fresh interpreter: a numpy overflow warning would print on stderr
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(model))
+        src = os.path.join(HERE, os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-m", "sublin.cli", "eval", "--model", str(path),
+             "--phi", phi, "--n", "2"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 3 and done.stdout == ""
+        assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+
     def test_missing_model_file(self, capsys):
         code, _, err = run(capsys, "eval", "--model", "no-such.json", "--phi", "x", "--n", "2")
         assert code == 2

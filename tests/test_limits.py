@@ -111,6 +111,13 @@ class TestMomentSummary:
         assert sched[0] >= 1 and sched[-1] == 100
         assert all(a < b for a, b in zip(sched, sched[1:]))
 
+    @pytest.mark.parametrize("schedule", [[], [0], [-2, 3], [4, 2], [3, 3]],
+                             ids=["empty", "zero", "negative", "decreasing", "repeated"])
+    def test_bad_schedule_refused(self, schedule):
+        seq = StepSequence.iid(counterexample_family(3), 1)
+        with pytest.raises(UsageError, match="strictly increasing positive"):
+            moment_summary(seq, 5, schedule)
+
     def test_int_weights_stay_exact(self):
         # a Dirac law with int weights sums to ints; exact mode still divides exactly
         aset = AmbiguitySet([DiscreteDistribution([0, 3], [0, 1]),

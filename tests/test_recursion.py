@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -370,8 +371,8 @@ _ENDS = [(-0.0, 0.0), (0.0, -0.0, -0.0), (1 / 3,), (-1.0,), (2.5,)]
 
 class TestFlatEnds:
     """Where a step has ``_FLAT_MIN_ATOMS`` atoms, the sweep gives the states
-    that read only a constant end of v_{k+1} that end's value, computed
-    once; ``_reference_sweep`` sweeps every state."""
+    that read only a constant end of v_{k+1} the value of the reachable
+    state nearest that end; ``_reference_sweep`` sweeps every state."""
 
     @pytest.mark.parametrize("block", [1, 7])
     @settings(max_examples=60, deadline=None, derandomize=True)
@@ -413,14 +414,14 @@ class TestFlatEnds:
     )
     def test_gate_is_the_step_atom_count(self, mode, monkeypatch):
         calls = []
-        constant_value = recursion._constant_value
-        monkeypatch.setattr(recursion, "_constant_value",
-                            lambda m, c: calls.append(c) or constant_value(m, c))
-        # 2 atoms a step: below the gate, every state is swept
+        flat_run = recursion._flat_run
+        monkeypatch.setattr(recursion, "_flat_run",
+                            lambda v, mask, c: calls.append(c) or flat_run(v, mask, c))
+        # 2 atoms a step: below the gate, no end is probed and every state is swept
         sublinear_eval_sum(StepSequence.iid(AmbiguitySet([rademacher()]), 9, mode),
                            lambda s: max(s, -2))
         assert calls == []
-        # 19 atoms a step over 10 laws: the clamped end is filled, not swept
+        # 19 atoms a step over 10 laws: the ends are probed and the clamped one is filled
         seq = StepSequence.iid(squared_counterexample_family(10), 5, mode)
         f = lambda s: max(1 - s / 5, -1)
         got = sublinear_eval_sum(seq, f)
@@ -511,6 +512,21 @@ class TestGuards:
         # the gcd, 2**71, fits no int64
         seq = StepSequence.iid(AmbiguitySet([rademacher()]), 1, NumericMode.EXACT)
         assert sublinear_eval_sum(seq, lambda s: F(s, 2**70)) == 0
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_sweep_overflow_is_a_numerical_failure(self):
+        # weights within WEIGHT_TOL of 1 that sum past it: the largest
+        # float times their sum overflows in the sweep's add
+        aset = AmbiguitySet([DiscreteDistribution([-1, 1], [0.5, 0.5000000000001])])
+        with pytest.raises(NumericalFailure, match="backward sweep"):
+            sublinear_eval_sum(StepSequence.iid(aset, 2), lambda s: sys.float_info.max)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_terminal_overflow_is_a_numerical_failure(self):
+        # the terminal gets numpy scalars, whose product with 1e308 overflows
+        seq = StepSequence.iid(AmbiguitySet([rademacher()]), 2)
+        with pytest.raises(NumericalFailure, match="terminal"):
+            sublinear_eval_sum(seq, lambda s: s * 1e308)
 
     def test_exact_rejects_float_terminal(self):
         seq = StepSequence.iid(AmbiguitySet([rademacher()]), 2, NumericMode.EXACT)
