@@ -161,7 +161,7 @@ def _cmd_eval(args):
     else:
         scale = 1
     direction = "lower" if args.lower else "upper"
-    value = _fmt(sublinear_eval_sum(seq, lambda s: phi(s / scale), direction))
+    value = _fmt(sublinear_eval_sum(seq, phi, direction, scale))
     return [f"value={value}"], {"value": value}
 
 

@@ -29,7 +29,7 @@ from .measures import (
     lower_expectation,
     upper_expectation,
 )
-from .phi import evaluate_array
+from .phi import evaluate_array, parse_phi
 from .recursion import StepSequence, sublinear_eval_sum
 
 
@@ -317,9 +317,9 @@ def lln_experiment(
     mu_lo = lower_expectation(aset, lambda x: x).value
     _, prediction = lln_bounds(phi, mu_lo, mu_hi)
     rows = []
-    for n in sorted(set(n_schedule)):
+    for n in _check_schedule(sorted(set(n_schedule))):
         seq = StepSequence.iid(aset, n, mode)
-        value = sublinear_eval_sum(seq, lambda s, n=n: phi(s / n))
+        value = sublinear_eval_sum(seq, phi, scale=n)
         rows.append(ExperimentRow(n, value, prediction))
     spacing = (float(mu_hi) - float(mu_lo)) / (LLN_GRID_POINTS - 1)
     return ExperimentTable(rows, {"experiment": "lln", "mu": [_fmt(mu_lo), _fmt(mu_hi)],
@@ -357,13 +357,13 @@ def clt_experiment(
     gparams = GParams(math.sqrt(float(sig2_lo)), math.sqrt(float(sig2_hi)))
     prediction = g_normal_expectation(phi, gparams, grid)
     rows = []
-    for n in sorted(set(n_schedule)):
+    for n in _check_schedule(sorted(set(n_schedule))):
         root = _sqrt(n, mode)
         run_set = aset
         if truncate_sqrt_n:
             run_set = aset.map(lambda x: max(-root, min(x, root)))
         seq = StepSequence.iid(run_set, n, mode)
-        value = sublinear_eval_sum(seq, lambda s, root=root: phi(s / root))
+        value = sublinear_eval_sum(seq, phi, scale=root)
         rows.append(ExperimentRow(n, value, prediction))
     return ExperimentTable(
         rows,
@@ -409,8 +409,7 @@ def prop62_experiment(
     aset = squared_counterexample_family(K)
     seq = StepSequence.iid(aset, n, mode)
     exact = mode is NumericMode.EXACT
-    floor = 1 - (Fraction(clamp) if exact else clamp)
-    value = sublinear_eval_sum(seq, lambda s: max(1 - s / n, floor))
+    value = sublinear_eval_sum(seq, parse_phi(f"max(1-x,{1 - Fraction(clamp)})"), scale=n)
     no_jump = (1 - Fraction(1, K * K)) ** n
     bound = 1 - (1 - no_jump) * Fraction(clamp)
     return value, (bound if exact else float(bound))
@@ -433,13 +432,8 @@ def prop63_experiment(
     seq = StepSequence.iid(aset, n, mode)
     exact = mode is NumericMode.EXACT
     root = _sqrt(n, mode)
-    floor = None if clamp is None else 1 - (Fraction(clamp) if exact else clamp)
-
-    def terminal(s):
-        base = 1 - abs(s) / root
-        return base if floor is None else max(base, floor)
-
-    value = sublinear_eval_sum(seq, terminal)
+    phi = parse_phi("1-abs(x)" if clamp is None else f"max(1-abs(x),{1 - Fraction(clamp)})")
+    value = sublinear_eval_sum(seq, phi, scale=root)
     no_jump = (1 - Fraction(1, K * K)) ** n
     per_jump_cost = Fraction(clamp) if clamp is not None else Fraction(K * n)  # crude
     bound = 1 - (1 - no_jump) * per_jump_cost

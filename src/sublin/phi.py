@@ -255,7 +255,8 @@ class PhiExpression:
 
 
 def evaluate_array(f: Callable, xs: np.ndarray) -> np.ndarray:
-    """``f`` at every point of the float64 array ``xs``, as a float64 array.
+    """``f`` at every point of the float64 array ``xs``, as a float64 array:
+    the LLN grid, the G-heat initial data and the DP's terminal values.
 
     A PhiExpression runs its compiled array closure, which gives the scalar
     call's values (to 1 ulp where exp or pow is involved); any other

@@ -3,11 +3,12 @@
 The evaluator embeds all step atoms on a common rational lattice, tracks
 the reachable range of partial sums forward, and then sweeps backward
 
-    v_n(x)   = f(x)
+    v_n(x)   = f(x / scale)
     v_{k-1}(x) = max over step-k laws Q of  sum_y Q(y) v_k(x + y)
 
 so ``v_0(0)`` is the nested (robust-DP) value, i.e. the supremum over the
-rectangular enlargement of the per-step ambiguity sets.
+rectangular enlargement of the per-step ambiguity sets.  Float mode
+evaluates v_n in one call of :func:`~sublin.phi.evaluate_array`.
 
 One dense numpy sweep serves both numeric modes: float64 arrays in float
 mode, arrays of integer numerators over a common denominator in
@@ -32,6 +33,7 @@ import numpy as np
 
 from .errors import ModelError, NoCommonLattice, NumericalFailure, StateExplosion
 from .measures import AmbiguitySet, NumericMode, is_exact
+from .phi import evaluate_array
 
 MAX_LATTICE_DENOMINATOR = 10**4
 LATTICE_TOL = 1e-12
@@ -165,8 +167,8 @@ def _reachable(emb: LatticeEmbedding):
     return out
 
 
-def _sweep(seq, emb, f):
-    """Backward sweep of the recursion over the ``_reachable`` windows.
+def _sweep(seq, emb, f, scale=1, sign=1):
+    """Backward sweep from v_n = ``sign * f(S_n / scale)`` over the ``_reachable`` windows.
 
     ``seq.mode`` picks the arithmetic.  Float mode holds float64 values.
     Exact mode holds integer numerators over one common denominator.  Each
@@ -222,17 +224,16 @@ def _sweep(seq, emb, f):
     lo_n, mask_n = reach[-1]
     states = np.flatnonzero(mask_n) + lo_n
     if exact:
-        terminal = [f(s * emb.h) for s in states.tolist()]
+        step = emb.h / scale
+        terminal = [f(s * step) for s in states.tolist()]
         if any(isinstance(t, float) for t in terminal):
             raise NumericalFailure("terminal function returned a float in exact mode")
         terminal = [Fraction(t) for t in terminal]
         denom = math.lcm(*(t.denominator for t in terminal))
-        vals = [int(t * denom) for t in terminal]
+        vals = [sign * int(t * denom) for t in terminal]
     else:
-        xs = states * float(emb.h)
-        vals = np.fromiter((f(x) for x in xs), dtype=float, count=len(xs))
-        if not np.all(np.isfinite(vals)):
-            raise NumericalFailure("terminal function produced non-finite values")
+        vals = evaluate_array(f, states * float(emb.h) / float(scale))
+        vals *= sign
     v = np.zeros(len(mask_n), dtype=object if exact else float)
     v[mask_n] = vals
 
@@ -341,17 +342,20 @@ def _reduce(v, denom):
     return v, denom // g
 
 
-def sublinear_eval_sum(seq: StepSequence, f: Callable, direction: str = "upper"):
-    """Nested sublinear expectation of ``f(S_n)`` (upper) or ``-E[-f]`` (lower).
+def sublinear_eval_sum(seq: StepSequence, f: Callable, direction: str = "upper", scale=1):
+    """Nested sublinear expectation of ``f(S_n / scale)`` (upper) or
+    ``-E[-f(S_n / scale)]`` (lower), with ``scale`` 1, n or sqrt(n).
 
-    Raises StateExplosion past DEFAULT_STATE_CAP reachable states or
-    MAX_STATE_ATOMS state-atoms of sweep work.
+    Float mode evaluates ``f`` by :func:`~sublin.phi.evaluate_array` at every
+    reachable ``s * h / scale``, rounded after each operation; exact mode calls
+    ``f`` on each ``s * (h / scale)``.  The lower direction negates the terminal
+    values and the result.  Raises StateExplosion past DEFAULT_STATE_CAP
+    reachable states or MAX_STATE_ATOMS state-atoms of sweep work.
     """
     if direction not in ("upper", "lower"):
         raise ModelError(f"direction must be 'upper' or 'lower', got {direction!r}")
-    if direction == "lower":
-        return -sublinear_eval_sum(seq, lambda x: -f(x), "upper")
+    sign = -1 if direction == "lower" else 1
     # overflow to inf and inf - inf are left to the finiteness checks
     with np.errstate(over="ignore", invalid="ignore"):
-        return _sweep(seq, lattice_embed(seq), f)
+        return sign * _sweep(seq, lattice_embed(seq), f, scale, sign)
 

@@ -33,7 +33,7 @@ SIGNATURES = {
     "same_distribution": ["a", "b", "tol"],
     "solve_g_heat": ["phi", "params", "T", "config"],
     "squared_counterexample_family": ["K"],
-    "sublinear_eval_sum": ["seq", "f", "direction"],
+    "sublinear_eval_sum": ["seq", "f", "direction", "scale"],
     "upper_expectation": ["aset", "f"],
     "upper_probability": ["aset", "event"],
 }

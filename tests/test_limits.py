@@ -293,6 +293,15 @@ class TestLLN:
         assert gaps[0] > gaps[-1]
         assert table.rows[-1].prediction == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("schedule", [[], [0], [-3]], ids=["empty", "zero", "negative"])
+    def test_bad_schedule_refused(self, bernoulli_band, schedule):
+        with pytest.raises(UsageError, match="strictly increasing positive"):
+            lln_experiment(bernoulli_band, parse_phi("abs(x)"), schedule)
+
+    def test_unsorted_repeated_schedule_sorted(self, bernoulli_band):
+        table = lln_experiment(bernoulli_band, parse_phi("abs(x)"), [4, 2, 4])
+        assert [row.n for row in table.rows] == [2, 4]
+
     def test_rows_monotone_schedule_required(self):
         with pytest.raises(ModelError):
             ExperimentTable([ExperimentRow(8, 0.0, 0.0), ExperimentRow(4, 0.0, 0.0)], {})
@@ -365,6 +374,12 @@ class TestCLT:
         )
         assert abs(table.rows[-1].gap) < abs(table.rows[0].gap) + 1e-6
         assert abs(table.rows[-1].gap) < 0.05
+
+    @pytest.mark.parametrize("schedule", [[], [0], [-3]], ids=["empty", "zero", "negative"])
+    def test_bad_schedule_refused(self, two_variance_rademacher, schedule):
+        with pytest.raises(UsageError, match="strictly increasing positive"):
+            clt_experiment(two_variance_rademacher, parse_phi("abs(x)"), schedule,
+                           grid=GridConfig(dx=0.1))
 
     def test_requires_mean_zero(self, bernoulli_band):
         with pytest.raises(NumericalFailure):

@@ -20,10 +20,11 @@ from sublin import (
     StepSequence,
     bernoulli,
     lattice_embed,
+    parse_phi,
     rademacher,
     sublinear_eval_sum,
 )
-from sublin import recursion
+from sublin import limits, recursion
 from sublin.limits import (
     counterexample_family,
     prop62_experiment,
@@ -31,6 +32,7 @@ from sublin.limits import (
 )
 
 from conftest import random_ambiguity_set
+from test_phi import _EXACT_OPS, _NUMBERS, _phi_texts
 
 F = Fraction
 
@@ -282,6 +284,43 @@ class TestSweepProperties:
         assert abs(got - exact) <= n * (max_atoms + 1) * 2.0**-53 * (3 * n + abs(c))
 
 
+_TWO_COINS = AmbiguitySet([DiscreteDistribution([0, 1], [F(1, 2), F(1, 2)]),
+                           DiscreteDistribution([0, 1], [F(1, 4), F(3, 4)])])
+
+
+class TestScale:
+    """``scale`` divides the partial sum before the terminal.  A parsed phi
+    read through ``evaluate_array`` gives the value of the opaque reference
+    that divides by itself: the same float ``repr``, or an equal Fraction."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(text=_phi_texts(_EXACT_OPS, _NUMBERS), steps=rational_steps(),
+           den=st.integers(1, 3), n=st.integers(1, 9),
+           scale=st.sampled_from(["1", "n", "sqrt-n"]),
+           direction=st.sampled_from(["upper", "lower"]), exact=st.booleans())
+    # 5 * (1/5) != 5 / 5 in float: each catches a terminal that premultiplies h / scale
+    @example(text=("x", "x"), steps=[_TWO_COINS], den=1, n=5, scale="n",
+             direction="upper", exact=False)
+    @example(text=("x * x", "x * x"), steps=[_TWO_COINS], den=1, n=3, scale="sqrt-n",
+             direction="lower", exact=False)
+    def test_matches_opaque_reference(self, text, steps, den, n, scale, direction, exact):
+        mode = NumericMode.EXACT if exact else NumericMode.FLOAT64
+        num = F if exact else float
+        aset = AmbiguitySet([DiscreteDistribution([num(F(x, den)) for x in d.points],
+                                                  [num(w) for w in d.weights])
+                             for d in steps[0].members])
+        if scale == "sqrt-n":
+            n = math.isqrt(n) ** 2 if exact else n
+            c = limits._sqrt(n, mode)
+        else:
+            c = n if scale == "n" else 1
+        seq = StepSequence.iid(aset, n, mode)
+        phi = parse_phi(text[0])
+        got = sublinear_eval_sum(seq, phi, direction, c)
+        want = sublinear_eval_sum(seq, lambda s: phi(s / c), direction)
+        assert type(got) is type(want) and repr(got) == repr(want)
+
+
 def _reference_sweep(seq, emb, f):
     """The backward sweep as one unblocked pass per measure over the whole
     window: the reference that the blocked ``recursion._sweep`` must match
@@ -523,10 +562,16 @@ class TestGuards:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_terminal_overflow_is_a_numerical_failure(self):
-        # the terminal gets numpy scalars, whose product with 1e308 overflows
         seq = StepSequence.iid(AmbiguitySet([rademacher()]), 2)
-        with pytest.raises(NumericalFailure, match="terminal"):
+        # an opaque terminal gets Python floats, whose product with 1e308 is inf
+        with pytest.raises(NumericalFailure, match="non-finite"):
             sublinear_eval_sum(seq, lambda s: s * 1e308)
+        # a parsed one runs its array closure: the product overflows at x = +-2e200
+        with pytest.raises(NumericalFailure, match="non-finite"):
+            sublinear_eval_sum(seq, parse_phi("x*x"), scale=1e-200)
+        # and its checked exp refuses x = +-800
+        with pytest.raises(NumericalFailure, match="exp outside"):
+            sublinear_eval_sum(seq, parse_phi("exp(x)"), scale=1 / 400)
 
     def test_exact_rejects_float_terminal(self):
         seq = StepSequence.iid(AmbiguitySet([rademacher()]), 2, NumericMode.EXACT)
