@@ -35,7 +35,7 @@ class ModelTooLarge(SublinError):
 
 
 class StateExplosion(ModelTooLarge):
-    """The reachable partial-sum lattice exceeded the memory cap."""
+    """The DP's partial-sum windows exceeded a state or work cap."""
 
 
 class NoCommonLattice(NumericalFailure):

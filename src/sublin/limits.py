@@ -313,11 +313,12 @@ def lln_experiment(
     constant L the prediction is at most L * grid_spacing / 2 below the
     limit, up to rounding of the grid points.
     """
+    schedule = _check_schedule(sorted(set(n_schedule)))
     mu_hi = upper_expectation(aset, lambda x: x).value
     mu_lo = lower_expectation(aset, lambda x: x).value
     _, prediction = lln_bounds(phi, mu_lo, mu_hi)
     rows = []
-    for n in _check_schedule(sorted(set(n_schedule))):
+    for n in schedule:
         seq = StepSequence.iid(aset, n, mode)
         value = sublinear_eval_sum(seq, phi, scale=n)
         rows.append(ExperimentRow(n, value, prediction))
@@ -345,6 +346,7 @@ def clt_experiment(
     step's atoms to [-sqrt(n), sqrt(n)] before running (the triangular
     truncation device); default off.
     """
+    schedule = _check_schedule(sorted(set(n_schedule)))
     mu_hi = upper_expectation(aset, lambda x: x).value
     mu_lo = lower_expectation(aset, lambda x: x).value
     if abs(float(mu_hi)) > CLT_MEAN_TOL or abs(float(mu_lo)) > CLT_MEAN_TOL:
@@ -357,7 +359,7 @@ def clt_experiment(
     gparams = GParams(math.sqrt(float(sig2_lo)), math.sqrt(float(sig2_hi)))
     prediction = g_normal_expectation(phi, gparams, grid)
     rows = []
-    for n in _check_schedule(sorted(set(n_schedule))):
+    for n in schedule:
         root = _sqrt(n, mode)
         run_set = aset
         if truncate_sqrt_n:

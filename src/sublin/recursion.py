@@ -1,14 +1,17 @@
 """Backward recursion for sublinear expectations of partial sums.
 
-The evaluator embeds all step atoms on a common rational lattice, tracks
-the reachable range of partial sums forward, and then sweeps backward
+The evaluator embeds all step atoms on a common rational lattice, bounds
+each step's window of partial sums by its least and greatest atoms, and
+then sweeps backward over every state of each window
 
     v_n(x)   = f(x / scale)
     v_{k-1}(x) = max over step-k laws Q of  sum_y Q(y) v_k(x + y)
 
 so ``v_0(0)`` is the nested (robust-DP) value, i.e. the supremum over the
-rectangular enlargement of the per-step ambiguity sets.  Float mode
-evaluates v_n in one call of :func:`~sublin.phi.evaluate_array`.
+rectangular enlargement of the per-step ambiguity sets.  A state the walk
+can reach reads only reachable states, so the values that the others carry
+never reach v_0(0).  Float mode evaluates v_n in one call of
+:func:`~sublin.phi.evaluate_array`.
 
 One dense numpy sweep serves both numeric modes: float64 arrays in float
 mode, arrays of integer numerators over a common denominator in
@@ -17,7 +20,7 @@ the denominator after every step, and held as int64 while a step cannot
 take them past 2**62, as Python ints above that.  A step with enough atoms
 sweeps only the states between the flat ends of v_{k+1}, where a clamped
 terminal holds one constant, and copies the value of the nearest swept
-state across each end.  Both modes are bounded by the reachable-state cap
+state across each end.  Both modes are bounded by the window-state cap
 and the state-atom work cap; exact mode is further capped to small
 instances.
 """
@@ -136,39 +139,34 @@ def lattice_embed(seq: StepSequence) -> LatticeEmbedding:
     return LatticeEmbedding(h, tuple(embedded[id(aset)] for aset in seq.steps))
 
 
-def _reachable(emb: LatticeEmbedding):
-    """Forward reachable sets as (lo, boolean array) per step, step 0 = {0};
-    raises StateExplosion past DEFAULT_STATE_CAP or MAX_STATE_ATOMS."""
-    lo, mask = 0, np.array([True])
-    out = [(lo, mask)]
+def _windows(emb: LatticeEmbedding):
+    """Each step's window of partial sums as (lo, width), from its least and
+    greatest atom, step 0 = (0, 1); raises StateExplosion past
+    DEFAULT_STATE_CAP window states or MAX_STATE_ATOMS."""
+    lo, width = 0, 1
+    out = [(lo, width)]
     total = 1
     state_atoms = 0
     for measures in emb.steps:
-        state_atoms += len(mask) * sum(len(ints) for ints, _ in measures)
+        state_atoms += width * sum(len(ints) for ints, _ in measures)
         if state_atoms > MAX_STATE_ATOMS:
             raise StateExplosion(
                 f"the backward sweep exceeds the work cap ({MAX_STATE_ATOMS} state-atoms)"
             )
-        atoms = sorted({a for ints, _ in measures for a in ints})
-        new_lo = lo + atoms[0]
-        new_hi = lo + len(mask) - 1 + atoms[-1]
-        width = new_hi - new_lo + 1
+        least = min(min(ints) for ints, _ in measures)
+        greatest = max(max(ints) for ints, _ in measures)
+        lo, width = lo + least, width + greatest - least
         total += width
         if total > DEFAULT_STATE_CAP:
             raise StateExplosion(
                 f"reachable lattice exceeds the state cap ({DEFAULT_STATE_CAP})"
             )
-        new_mask = np.zeros(width, dtype=bool)
-        for a in atoms:
-            off = lo + a - new_lo
-            new_mask[off : off + len(mask)] |= mask
-        lo, mask = new_lo, new_mask
-        out.append((lo, mask))
+        out.append((lo, width))
     return out
 
 
 def _sweep(seq, emb, f, scale=1, sign=1):
-    """Backward sweep from v_n = ``sign * f(S_n / scale)`` over the ``_reachable`` windows.
+    """Backward sweep from v_n = ``sign * f(S_n / scale)`` over the ``_windows``.
 
     ``seq.mode`` picks the arithmetic.  Float mode holds float64 values.
     Exact mode holds integer numerators over one common denominator.  Each
@@ -192,15 +190,14 @@ def _sweep(seq, emb, f, scale=1, sign=1):
 
     The blocks cover only the states between the window's flat ends.  State
     i of step k reads v_{k+1}[i .. i + span], span = max atom - min atom.
-    If the reachable entries of the first P entries of v_{k+1} all equal
-    v[0], every state with i + span < P reads v[0] alone, and likewise for
-    the last Q entries and v[-1]: holes hold 0 but only unreachable states
-    read them, and those are zeroed.  The sweep takes in the last reachable
-    state below P - span and the first at or above len(v) - Q and copies
-    their values across the ends, bit for bit: every reachable state of an
-    end runs the same operations on entries equal to theirs (an entry -0.0
-    adds +0.0 to an accumulator that starts at +0.0).  The clamped counterexample terminals make nearly every state
-    of ``prop62_experiment`` flat.  Only a step whose atoms, summed over its
+    If the first P entries of v_{k+1} all equal v[0], every state at or
+    below head = P - span - 1 reads only entries equal to v[0], so it runs
+    head's operations on equal inputs; likewise every state at or above
+    len(v) - Q, for the last Q entries and v[-1].  The sweep copies the
+    values of those two states across the ends, bit for bit (an entry -0.0
+    adds +0.0 to an accumulator that starts at +0.0).  The clamped
+    counterexample terminals make nearly every state of
+    ``prop62_experiment`` flat.  Only a step whose atoms, summed over its
     measures, reach ``_FLAT_MIN_ATOMS`` looks for the ends: below that, the
     search costs more than the sweep it saves.
 
@@ -220,9 +217,9 @@ def _sweep(seq, emb, f, scale=1, sign=1):
             raise StateExplosion(
                 f"exact-rational evaluation capped at n*|support| <= {EXACT_WORK_CAP}"
             )
-    reach = _reachable(emb)
-    lo_n, mask_n = reach[-1]
-    states = np.flatnonzero(mask_n) + lo_n
+    windows = _windows(emb)
+    lo_n, width_n = windows[-1]
+    states = np.arange(lo_n, lo_n + width_n)
     if exact:
         step = emb.h / scale
         terminal = [f(s * step) for s in states.tolist()]
@@ -230,18 +227,15 @@ def _sweep(seq, emb, f, scale=1, sign=1):
             raise NumericalFailure("terminal function returned a float in exact mode")
         terminal = [Fraction(t) for t in terminal]
         denom = math.lcm(*(t.denominator for t in terminal))
-        vals = [sign * int(t * denom) for t in terminal]
+        v = np.array([sign * int(t * denom) for t in terminal], dtype=object)
     else:
-        vals = evaluate_array(f, states * float(emb.h) / float(scale))
-        vals *= sign
-    v = np.zeros(len(mask_n), dtype=object if exact else float)
-    v[mask_n] = vals
+        v = evaluate_array(f, states * float(emb.h) / float(scale))
+        v *= sign
 
     weight_cache = {}
     for k in range(len(seq) - 1, -1, -1):
-        lo_k, mask_k = reach[k]
-        lo_next, mask_next = reach[k + 1]
-        width = len(mask_k)
+        lo_k, width = windows[k]
+        lo_next = windows[k + 1][0]
         step_lcm, weights, weight_sum = _step_weights(emb.steps[k], exact, weight_cache)
         if exact:
             denom *= step_lcm
@@ -249,19 +243,12 @@ def _sweep(seq, emb, f, scale=1, sign=1):
             v = v.astype(np.int64 if fits else object, copy=False)
         best = np.empty(width, dtype=v.dtype)
         # sweep states [head, tail), then copy best[head] and best[tail - 1]
-        # across the flat ends that they border; _flat_run(m, m, False)
-        # counts the unreachable states that m starts with
+        # across the flat ends that they border
         head, tail = 0, width
         if sum(map(len, weights)) >= _FLAT_MIN_ATOMS:
             span = len(v) - width
-            below = _flat_run(v, mask_next, v[0]) - span
-            if below > 0:
-                back = mask_k[below - 1 :: -1]
-                head = below - 1 - _flat_run(back, back, False)
-            above = len(v) - _flat_run(v[::-1], mask_next[::-1], v[-1])
-            if above < width:
-                ahead = mask_k[above:]
-                tail = above + _flat_run(ahead, ahead, False) + 1
+            head = max(_flat_run(v, v[0]) - span - 1, 0)
+            tail = min(len(v) - _flat_run(v[::-1], v[-1]) + 1, width)
             tail = max(tail, head + 1)
         for b0 in range(head, tail, _BLOCK):
             b1 = min(b0 + _BLOCK, tail)
@@ -277,9 +264,9 @@ def _sweep(seq, emb, f, scale=1, sign=1):
                     np.maximum(blk, acc, out=blk)
         best[:head] = best[head]
         best[tail:] = best[tail - 1]
-        if not exact and not np.all(np.isfinite(best[mask_k])):
+        if not exact and not np.all(np.isfinite(best)):
             raise NumericalFailure("non-finite value during backward sweep")
-        v = np.where(mask_k, best, 0)
+        v = best
         if exact:
             v, denom = _reduce(v, denom)
     return Fraction(int(v[0]), denom) if exact else float(v[0])
@@ -305,14 +292,13 @@ def _step_weights(measures, exact, cache):
     return cache[key]
 
 
-def _flat_run(v, mask, c):
-    """Length of the longest prefix of ``v`` whose entries under ``mask``
-    all equal ``c``.  Probes blocks of doubling size, so a short run costs
-    little."""
+def _flat_run(v, c):
+    """Length of the longest prefix of ``v`` whose entries all equal ``c``.
+    Probes blocks of doubling size, so a short run costs little."""
     start, size = 0, 8
     while start < len(v):
         end = min(start + size, len(v))
-        off = np.flatnonzero((v[start:end] != c) & mask[start:end])
+        off = np.flatnonzero(v[start:end] != c)
         if len(off):
             return start + int(off[0])
         start, size = end, 2 * size
@@ -347,10 +333,13 @@ def sublinear_eval_sum(seq: StepSequence, f: Callable, direction: str = "upper",
     ``-E[-f(S_n / scale)]`` (lower), with ``scale`` 1, n or sqrt(n).
 
     Float mode evaluates ``f`` by :func:`~sublin.phi.evaluate_array` at every
-    reachable ``s * h / scale``, rounded after each operation; exact mode calls
-    ``f`` on each ``s * (h / scale)``.  The lower direction negates the terminal
-    values and the result.  Raises StateExplosion past DEFAULT_STATE_CAP
-    reachable states or MAX_STATE_ATOMS state-atoms of sweep work.
+    ``s * h / scale`` of the final window, the lattice points between the
+    least and greatest S_n, rounded after each operation; exact mode calls
+    ``f`` on each ``s * (h / scale)`` there.  The lower direction negates the
+    terminal values and the result.  Raises StateExplosion past
+    DEFAULT_STATE_CAP window states or MAX_STATE_ATOMS state-atoms of sweep
+    work.  ``f`` must be defined and finite at every point of the window,
+    reachable or not.
     """
     if direction not in ("upper", "lower"):
         raise ModelError(f"direction must be 'upper' or 'lower', got {direction!r}")

@@ -224,6 +224,15 @@ class TestGNormal:
         assert code == 3 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_phi_undefined_inside_the_window(self, capsys):
+        # S_1 is +-1/2 or +-1, never 0, but phi is evaluated on the whole
+        # window from -1 to 1, so 1/x fails at 0
+        code, out, err = run(
+            capsys, "eval", "--model", cfg("rademacher.json"), "--phi", "1/x", "--n", "1",
+        )
+        assert code == 3 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 _GRID_COMMANDS = {
     "gnormal": ["gnormal", "--sigma-lo", "0.5", "--sigma-hi", "1", "--phi", "max(1-abs(x),0)"],

@@ -40,6 +40,11 @@ F = Fraction
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
+def _never_called(x):
+    # a phi for runs that must refuse their schedule before evaluating phi
+    raise AssertionError("phi evaluated before the schedule was checked")
+
+
 class TestCounterexampleFamily:
     @pytest.mark.parametrize("K", [2, 5, 17])
     def test_standardized_moments(self, K):
@@ -295,8 +300,9 @@ class TestLLN:
 
     @pytest.mark.parametrize("schedule", [[], [0], [-3]], ids=["empty", "zero", "negative"])
     def test_bad_schedule_refused(self, bernoulli_band, schedule):
-        with pytest.raises(UsageError, match="strictly increasing positive"):
-            lln_experiment(bernoulli_band, parse_phi("abs(x)"), schedule)
+        for phi in (parse_phi("abs(x)"), _never_called):
+            with pytest.raises(UsageError, match="strictly increasing positive"):
+                lln_experiment(bernoulli_band, phi, schedule)
 
     def test_unsorted_repeated_schedule_sorted(self, bernoulli_band):
         table = lln_experiment(bernoulli_band, parse_phi("abs(x)"), [4, 2, 4])
@@ -377,9 +383,10 @@ class TestCLT:
 
     @pytest.mark.parametrize("schedule", [[], [0], [-3]], ids=["empty", "zero", "negative"])
     def test_bad_schedule_refused(self, two_variance_rademacher, schedule):
-        with pytest.raises(UsageError, match="strictly increasing positive"):
-            clt_experiment(two_variance_rademacher, parse_phi("abs(x)"), schedule,
-                           grid=GridConfig(dx=0.1))
+        for phi in (parse_phi("abs(x)"), _never_called):
+            with pytest.raises(UsageError, match="strictly increasing positive"):
+                clt_experiment(two_variance_rademacher, phi, schedule,
+                               grid=GridConfig(dx=0.1))
 
     def test_requires_mean_zero(self, bernoulli_band):
         with pytest.raises(NumericalFailure):

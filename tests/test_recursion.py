@@ -321,12 +321,30 @@ class TestScale:
         assert type(got) is type(want) and repr(got) == repr(want)
 
 
+def _reachable(emb):
+    """Forward reachable sets as (lo, boolean array) per step, step 0 = {0}."""
+    lo, mask = 0, np.array([True])
+    out = [(lo, mask)]
+    for measures in emb.steps:
+        atoms = sorted({a for ints, _ in measures for a in ints})
+        new_lo = lo + atoms[0]
+        new_mask = np.zeros(len(mask) + atoms[-1] - atoms[0], dtype=bool)
+        for a in atoms:
+            off = lo + a - new_lo
+            new_mask[off : off + len(mask)] |= mask
+        lo, mask = new_lo, new_mask
+        out.append((lo, mask))
+    return out
+
+
 def _reference_sweep(seq, emb, f):
     """The backward sweep as one unblocked pass per measure over the whole
     window: the reference that the blocked ``recursion._sweep`` must match
-    bit for bit (same operations on each element, in the same order)."""
+    bit for bit (same operations on each element, in the same order).  It
+    evaluates ``f`` at the reachable states only and zeroes the others after
+    every step, so it checks that their values never reach v_0(0)."""
     exact = seq.mode is NumericMode.EXACT
-    reach = recursion._reachable(emb)
+    reach = _reachable(emb)
     lo_n, mask_n = reach[-1]
     states = np.flatnonzero(mask_n) + lo_n
     if exact:
@@ -408,10 +426,17 @@ def gappy_steps(draw):
 _ENDS = [(-0.0, 0.0), (0.0, -0.0, -0.0), (1 / 3,), (-1.0,), (2.5,)]
 
 
+# two laws on {-3, -1, 1, 3}: 8 atoms a step, and every other state of
+# every window unreachable
+_ODD_STEPS = AmbiguitySet([DiscreteDistribution([-3, -1, 1, 3], [F(1, 4)] * 4),
+                           DiscreteDistribution([-3, -1, 1, 3], [F(k, 10) for k in (1, 2, 3, 4)])])
+
+
 class TestFlatEnds:
     """Where a step has ``_FLAT_MIN_ATOMS`` atoms, the sweep gives the states
-    that read only a constant end of v_{k+1} the value of the reachable
-    state nearest that end; ``_reference_sweep`` sweeps every state."""
+    that read only a constant end of v_{k+1} the value of the swept state
+    nearest that end; ``_reference_sweep`` sweeps every state and zeroes
+    the unreachable ones."""
 
     @pytest.mark.parametrize("block", [1, 7])
     @settings(max_examples=60, deadline=None, derandomize=True)
@@ -425,6 +450,9 @@ class TestFlatEnds:
              cuts=(20, 1000), middle=[0.5, -1.0, 1 / 3])
     @example(steps=[counterexample_family(4)] * 3, left=(-1.0,), right=(0.0, -0.0, -0.0),
              cuts=(-1000, 2), middle=[0.5, -1.0, 1 / 3])
+    # holes on every other state, inside both flat ends too
+    @example(steps=[_ODD_STEPS] * 3, left=(1 / 3,), right=(2.5,),
+             cuts=(-1, 1), middle=[0.5, -1.0, 1.5])
     def test_matches_reference_sweep(self, block, steps, left, right, cuts, middle):
         def table(x):
             i = round(float(x))
@@ -455,7 +483,7 @@ class TestFlatEnds:
         calls = []
         flat_run = recursion._flat_run
         monkeypatch.setattr(recursion, "_flat_run",
-                            lambda v, mask, c: calls.append(c) or flat_run(v, mask, c))
+                            lambda v, c: calls.append(c) or flat_run(v, c))
         # 2 atoms a step: below the gate, no end is probed and every state is swept
         sublinear_eval_sum(StepSequence.iid(AmbiguitySet([rademacher()]), 9, mode),
                            lambda s: max(s, -2))
@@ -572,6 +600,14 @@ class TestGuards:
         # and its checked exp refuses x = +-800
         with pytest.raises(NumericalFailure, match="exp outside"):
             sublinear_eval_sum(seq, parse_phi("exp(x)"), scale=1 / 400)
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_terminal_is_evaluated_on_the_whole_window(self, n):
+        # a {-1, 1} step reaches S_n = +-1 but never 0 at odd n; 0 still
+        # lies in the final window, so phi must be defined there
+        seq = StepSequence.iid(AmbiguitySet([DiscreteDistribution([-1, 1], [0.5, 0.5])]), n)
+        with pytest.raises(NumericalFailure, match="division by zero"):
+            sublinear_eval_sum(seq, parse_phi("1/x"))
 
     def test_exact_rejects_float_terminal(self):
         seq = StepSequence.iid(AmbiguitySet([rademacher()]), 2, NumericMode.EXACT)
