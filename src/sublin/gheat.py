@@ -136,21 +136,23 @@ def solve_g_heat(
     # +0.0), except at d2 == -0.0; that needs mid == +0.0, which stays +0.0
     linear = sig2_lo == sig2_hi
     d2, up, down = np.empty_like(mid), np.empty_like(mid), np.empty_like(mid)
-    for _ in range(n_steps):
-        np.multiply(2.0, mid, out=d2)
-        np.subtract(right, d2, out=d2)
-        np.add(d2, left, out=d2)
-        if linear:
-            np.multiply(sig2_hi, d2, out=up)
-            np.add(up, 0.0, out=up)
-        else:
-            np.maximum(d2, 0.0, out=up)
-            np.multiply(sig2_hi, up, out=up)
-            np.minimum(d2, 0.0, out=down)
-            np.multiply(sig2_lo, down, out=down)
-            np.add(up, down, out=up)
-        np.multiply(half_lam, up, out=up)
-        np.add(mid, up, out=mid)
+    # overflow to inf and inf - inf are left to the finiteness check below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(n_steps):
+            np.multiply(2.0, mid, out=d2)
+            np.subtract(right, d2, out=d2)
+            np.add(d2, left, out=d2)
+            if linear:
+                np.multiply(sig2_hi, d2, out=up)
+                np.add(up, 0.0, out=up)
+            else:
+                np.maximum(d2, 0.0, out=up)
+                np.multiply(sig2_hi, up, out=up)
+                np.minimum(d2, 0.0, out=down)
+                np.multiply(sig2_lo, down, out=down)
+                np.add(up, down, out=up)
+            np.multiply(half_lam, up, out=up)
+            np.add(mid, up, out=mid)
     if not np.all(np.isfinite(u)):
         raise NumericalFailure("non-finite values during time stepping")
     return GridFunction(xs, u, T, dt=dt)

@@ -210,39 +210,15 @@ def default_probes(model: JointModel, n: int):
     """Probe family: the all-coordinates-equal indicator (the sharpest
     known refuter), per-coordinate hats, and their pairwise products."""
 
-    def equality(values):
-        return 1 if all(v == values[0] for v in values) else 0
+    def hat(*cells):
+        name = "*".join(f"hat({model.variable_names[k]}={t})" for k, t in cells)
+        return name, lambda values: 1 if all(values[k] == t for k, t in cells) else 0
 
-    probes = [("all-equal", equality)]
-
-    def hat(k, j):
-        support = model.supports[k]
-        target = support[j]
-
-        def phi(values):
-            return 1 if values[k] == target else 0
-
-        return (f"hat({model.variable_names[k]}={target})", phi)
-
-    for k in range(n):
-        for j in range(len(model.supports[k])):
-            probes.append(hat(k, j))
-    for k1 in range(n):
-        for k2 in range(k1 + 1, n):
-            for j1 in range(len(model.supports[k1])):
-                for j2 in range(len(model.supports[k2])):
-                    t1, t2 = model.supports[k1][j1], model.supports[k2][j2]
-
-                    def phi(values, k1=k1, k2=k2, t1=t1, t2=t2):
-                        return 1 if values[k1] == t1 and values[k2] == t2 else 0
-
-                    probes.append(
-                        (
-                            f"hat({model.variable_names[k1]}={t1})*"
-                            f"hat({model.variable_names[k2]}={t2})",
-                            phi,
-                        )
-                    )
+    singles = [[(k, t) for t in model.supports[k]] for k in range(n)]
+    probes = [("all-equal", lambda values: 1 if all(v == values[0] for v in values) else 0)]
+    probes += [hat(c) for row in singles for c in row]
+    for k1, k2 in itertools.combinations(range(n), 2):
+        probes += [hat(a, b) for a, b in itertools.product(singles[k1], singles[k2])]
     return probes
 
 

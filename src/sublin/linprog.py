@@ -117,28 +117,27 @@ def simplex_max(c: Sequence, A: Sequence[Sequence], b: Sequence):
 def hull_gap(point: Sequence, hull_points: Sequence[Sequence]):
     """Separation gap between ``point`` and ``conv(hull_points)``.
 
-    Solves ``max  y.q - max_i y.p_i`` over ``|y|_inf <= 1``.  The optimum
-    is 0 exactly when the point lies in the hull; otherwise it is positive
-    and ``y`` is a separating direction.  Returns ``(gap, y)``.
+    Solves ``max  y.q - t`` subject to ``y.p_i <= t`` and ``|y|_inf <= 1``.
+    The optimum is 0 exactly when the point lies in the hull; otherwise it
+    is positive and ``y`` is a separating direction.  Returns ``(gap, y)``.
+
+    The LP substitutes ``y = 2u - 1`` with ``0 <= u <= 1``, and
+    ``t + low = s+ - s-`` with ``low = min_i sum(p_i)``, so that every
+    right-hand side is >= 0: m + 2 columns and k + m rows for k points in R^m.
     """
     if not hull_points:
         raise ValueError("hull_points must be nonempty")
     q = [Fraction(v) for v in point]
+    ps = [[Fraction(v) for v in p] for p in hull_points]
     m = len(q)
-    # variables: y+ (m), y- (m), s+, s-
-    c = q + [-v for v in q] + [-_ONE, _ONE]
-    A = []
-    b = []
-    for p in hull_points:
-        pr = [Fraction(v) for v in p]
-        A.append(pr + [-v for v in pr] + [-_ONE, _ONE])
-        b.append(_ZERO)
-    for j in range(2 * m):
-        A.append([_ONE if k == j else _ZERO for k in range(2 * m)] + [_ZERO, _ZERO])
-        b.append(_ONE)
+    low = min(sum(p) for p in ps)
+    c = [2 * v for v in q] + [-_ONE, _ONE]
+    A = [[2 * v for v in p] + [-_ONE, _ONE] for p in ps]
+    b = [sum(p) - low for p in ps]
+    A += [[_ONE if k == j else _ZERO for k in range(m + 2)] for j in range(m)]
+    b += [_ONE] * m
     value, x = simplex_max(c, A, b)
-    y = [x[j] - x[m + j] for j in range(m)]
-    return value, y
+    return value + low - sum(q), [2 * u - 1 for u in x[:m]]
 
 
 def in_hull(point: Sequence, hull_points: Sequence[Sequence], tol=0) -> bool:

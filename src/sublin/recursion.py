@@ -159,7 +159,7 @@ def _windows(emb: LatticeEmbedding):
         total += width
         if total > DEFAULT_STATE_CAP:
             raise StateExplosion(
-                f"reachable lattice exceeds the state cap ({DEFAULT_STATE_CAP})"
+                f"the backward sweep exceeds the state cap ({DEFAULT_STATE_CAP} window states)"
             )
         out.append((lo, width))
     return out

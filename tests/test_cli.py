@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from sublin import StepSequence, load_ambiguity_set, parse_phi, sublinear_eval_sum
 from sublin.cli import build_parser, main
 
 F = Fraction
@@ -45,10 +46,26 @@ class TestEval:
     def test_sqrt_normalization(self, capsys):
         code, out, _ = run(
             capsys, "eval", "--model", cfg("rademacher.json"),
-            "--phi", "max(1-abs(x),0)", "--n", "16",
+            "--phi", "max(1-abs(x),0)", "--n", "16", "--normalize", "sqrt-n",
         )
-        assert code == 0
-        assert out.startswith("value=")
+        assert code == 0 and out == "value=0.63901519775390625\n"
+        seq = StepSequence.iid(load_ambiguity_set(cfg("rademacher.json")), 16)
+        assert float(out[6:]) == sublinear_eval_sum(seq, parse_phi("max(1-abs(x),0)"), scale=4.0)
+
+    def test_sqrt_normalization_exact(self, capsys):
+        code, out, _ = run(
+            capsys, "eval", "--model", cfg("rademacher.json"),
+            "--phi", "max(1-abs(x),0)", "--n", "16", "--normalize", "sqrt-n", "--exact",
+        )
+        assert code == 0 and out == "value=83757/131072\n"
+
+    def test_exact_sqrt_normalization_needs_a_square(self, capsys):
+        code, out, err = run(
+            capsys, "eval", "--model", cfg("rademacher.json"),
+            "--phi", "max(1-abs(x),0)", "--n", "15", "--normalize", "sqrt-n", "--exact",
+        )
+        assert code == 1 and out == ""
+        assert "perfect-square" in err and err.count("\n") == 1
 
     def test_json_report(self, capsys, tmp_path):
         path = tmp_path / "r.json"
@@ -442,6 +459,13 @@ class TestExitCodes:
         assert err.startswith("error: the backward sweep exceeds the work cap")
         assert err.count("\n") == 1
 
+    def test_exact_dp_past_the_exact_work_cap_is_refused(self, capsys):
+        # n * |support| = 5001 * 2 passes EXACT_WORK_CAP (10**4)
+        code, out, err = run(capsys, "eval", "--model", cfg("bernoulli-band.json"),
+                             "--phi", "x", "--n", "5001", "--exact")
+        assert code == 4 and out == ""
+        assert err.startswith("error: exact-rational evaluation capped") and err.count("\n") == 1
+
     @pytest.mark.parametrize("clamp", ["nan", "inf", "1e400"])
     @pytest.mark.parametrize("which", ["lln", "clt"])
     def test_non_finite_clamp_is_a_usage_error(self, capsys, which, clamp):
@@ -505,6 +529,25 @@ class TestExitCodes:
         )
         assert done.returncode == 3 and done.stdout == ""
         assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("warnings", ["", "error::RuntimeWarning"], ids=["default", "error"])
+    @pytest.mark.parametrize("argv", [
+        ["gnormal", "--sigma-lo", "0.5", "--sigma-hi", "1"],
+        ["clt", "--model", cfg("rademacher.json"), "--n-schedule", "1"],
+    ], ids=["gnormal", "clt"])
+    def test_g_heat_overflow_prints_one_error_line(self, argv, warnings):
+        # a fresh interpreter: a numpy overflow warning would print on stderr,
+        # or under the error filter end in a traceback
+        src = os.path.join(HERE, os.pardir, "src")
+        env = dict(os.environ, PYTHONWARNINGS=warnings, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-m", "sublin.cli", *argv, "--dx", "0.5",
+             "--phi", f"{17 * 10**307}*min(abs(x),1)"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 3 and done.stdout == ""
+        assert done.stderr == "error: non-finite values during time stepping\n"
 
     def test_missing_model_file(self, capsys):
         code, _, err = run(capsys, "eval", "--model", "no-such.json", "--phi", "x", "--n", "2")

@@ -10,6 +10,7 @@ from sublin import (
     GridConfig,
     ModelError,
     ModelTooLarge,
+    NumericalFailure,
     g_normal_expectation,
     gaussian_quadrature,
     parse_phi,
@@ -238,3 +239,12 @@ class TestWorkCap:
         with pytest.raises(ModelTooLarge, match="point-steps"):
             solve_g_heat(phi, params, T=T, config=config)
 
+
+class TestOverflow:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("sigma_lo", [0.5, 1.0], ids=["split", "linear"])
+    def test_overflow_is_a_numerical_failure(self, sigma_lo):
+        # 1.7e308 next to 0: the first second difference overflows to inf, then inf - inf
+        phi = parse_phi(f"{17 * 10**307}*min(abs(x),1)")
+        with pytest.raises(NumericalFailure, match="non-finite values during time stepping"):
+            solve_g_heat(phi, GParams(sigma_lo, 1.0), T=1.0, config=GridConfig(dx=0.5))

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 import time
 from fractions import Fraction
 
@@ -235,6 +236,28 @@ class TestPengIndependence:
     def test_bad_mode(self, example36):
         with pytest.raises(ModelError):
             check_peng_independence(example36, 2, mode="nope")
+
+    def test_probe_family_is_pinned(self):
+        # all-equal, singles by (variable, value), then pairs by (k1, k2, v1, v2)
+        m = JointModel(["X", "Y", "Z"], [[0, 1], [0, 1], [1, 2]], [[F(1, 8)] * 8])
+        names = [
+            "all-equal",
+            "hat(X=0)", "hat(X=1)", "hat(Y=0)", "hat(Y=1)", "hat(Z=1)", "hat(Z=2)",
+            "hat(X=0)*hat(Y=0)", "hat(X=0)*hat(Y=1)", "hat(X=1)*hat(Y=0)", "hat(X=1)*hat(Y=1)",
+            "hat(X=0)*hat(Z=1)", "hat(X=0)*hat(Z=2)", "hat(X=1)*hat(Z=1)", "hat(X=1)*hat(Z=2)",
+            "hat(Y=0)*hat(Z=1)", "hat(Y=0)*hat(Z=2)", "hat(Y=1)*hat(Z=1)", "hat(Y=1)*hat(Z=2)",
+        ]
+        probes = independence.default_probes(m, 3)
+        assert [name for name, _ in probes] == names
+        assert [name for name, _ in independence.default_probes(m, 2)] == [
+            name for name in names if "Z" not in name]
+        for name, phi in probes:
+            cells = [("XYZ".index(v), int(t)) for v, t in re.findall(r"hat\((\w)=(\d)\)", name)]
+            for values in itertools.product(*m.supports):
+                want = (all(values[k] == t for k, t in cells) if cells
+                        else len(set(values)) == 1)
+                got = phi(values)
+                assert type(got) is int and got == want
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(small_models())

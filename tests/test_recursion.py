@@ -553,7 +553,7 @@ class TestGuards:
         monkeypatch.setattr(recursion, "DEFAULT_STATE_CAP", 1000)
         aset = AmbiguitySet([DiscreteDistribution([0, 10**6], [F(1, 2), F(1, 2)])])
         seq = StepSequence.iid(aset, 50, mode)
-        with pytest.raises(StateExplosion):
+        with pytest.raises(StateExplosion, match=r"state cap \(1000 window states\)"):
             sublinear_eval_sum(seq, lambda s: s)
 
     @pytest.mark.parametrize(
@@ -566,6 +566,15 @@ class TestGuards:
         assert sublinear_eval_sum(StepSequence.iid(aset, 22, mode), lambda s: s) == 0
         with pytest.raises(StateExplosion, match="work cap"):
             sublinear_eval_sum(StepSequence.iid(aset, 23, mode), lambda s: s)
+
+    def test_exact_work_cap(self, monkeypatch):
+        # n steps times the 2 atoms of a {-1, 1} step
+        monkeypatch.setattr(recursion, "EXACT_WORK_CAP", 20)
+        aset = AmbiguitySet([rademacher()])
+        assert sublinear_eval_sum(StepSequence.iid(aset, 10, NumericMode.EXACT), lambda s: s) == 0
+        with pytest.raises(StateExplosion, match=r"n\*\|support\| <= 20"):
+            sublinear_eval_sum(StepSequence.iid(aset, 11, NumericMode.EXACT), lambda s: s)
+        assert sublinear_eval_sum(StepSequence.iid(aset, 11), lambda s: s) == 0
 
     @pytest.mark.parametrize("c", [0, F(0), -5], ids=["int", "fraction", "minus5"])
     def test_constant_terminal_over_a_long_lcm(self, c):
