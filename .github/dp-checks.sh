@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # The pinned DP checks of both CI jobs: each command's stdout must equal its
-# expected line byte for byte, within 60 s.  Run from the repository root
+# expected line byte for byte, within 60 s, and the last command must be
+# refused with exit code 4 within 60 s.  Run from the repository root
 # with `sublin` on PATH, under the warning filter CI sets, so that a numpy
 # overflow or invalid-value warning fails the check:
 #
@@ -30,3 +31,14 @@ echo "Exact LLN counterexample at K=10, n=10"
 out=$(timeout 60 sublin counterexample --which lln --K 10 --n 10 --exact)
 want="value=40438207500880449001/50000000000000000000 lower-bound=40438207500880449001/50000000000000000000 classical-reference=0 robust-limit=1"
 test "$out" = "$want" || { echo "got: $out"; exit 1; }
+
+echo "Exact CLT counterexample at K=40, n=121 is refused"
+# its numerators pass 10,000 bits: the exact meter refuses the sweep after
+# about 9 s of a run that would take about a minute to finish
+code=0
+err=$(timeout 60 sublin counterexample --which clt --K 40 --n 121 --exact 2>&1 >/dev/null) || code=$?
+test "$code" = 4 || { echo "exit code $code: $err"; exit 1; }
+case "$err" in
+  "error: the backward sweep exceeds the work cap"*) ;;
+  *) echo "got: $err"; exit 1 ;;
+esac

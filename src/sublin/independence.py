@@ -180,11 +180,13 @@ def positive_histories(model: JointModel, table_index: int, n: int):
 def check_pseudo_independence(model: JointModel, n: int) -> IndependenceReport:
     """Def-style check: each conditional law of X_n lies in the hull of the
     marginal laws of X_n, for every measure and positive-probability history,
-    exactly on exact models and within HULL_TOL otherwise."""
+    exactly on exact models and within HULL_TOL otherwise.  The reported gap
+    is a Fraction on an exact model and a float on a float one."""
     if not 1 <= n <= model.n_variables:
         raise ModelError(f"step {n} out of range")
     marginals = [model.marginal_law(ti, n) for ti in range(len(model.tables))]
-    effective = _tolerance(model.exact())
+    exact = model.exact()
+    effective = _tolerance(exact)
     worst = 0
     for ti in range(len(model.tables)):
         for hist in positive_histories(model, ti, n):
@@ -200,10 +202,16 @@ def check_pseudo_independence(model: JointModel, n: int) -> IndependenceReport:
                         ),
                         "direction": direction,
                     },
-                    gap=gap,
+                    gap=_reported(gap, exact),
                 )
             worst = max(worst, gap)
-    return IndependenceReport(True, gap=worst)
+    return IndependenceReport(True, gap=_reported(worst, exact))
+
+
+def _reported(gap, exact):
+    """A hull gap as reported: the exact Fraction on an exact model, a float
+    on a float one, as the probe mode's gaps are."""
+    return gap if exact else float(gap)
 
 
 def default_probes(model: JointModel, n: int):
@@ -287,11 +295,12 @@ def check_peng_independence(model: JointModel, n: int, mode: str = "probe") -> I
     ``side="polytope-outside"`` and its ``vertex`` index), after at most
     T' + 1 LPs on exact inputs.  DEFAULT_ENUM_CAP bounds the support grid and
     the walk.  Gaps are compared exactly on exact models and within HULL_TOL
-    otherwise.
+    otherwise, and reported as floats on a float model.
     """
     if not 1 <= n <= model.n_variables:
         raise ModelError(f"step {n} out of range")
-    effective = _tolerance(model.exact())
+    exact = model.exact()
+    effective = _tolerance(exact)
 
     if mode == "probe":
         worst = 0
@@ -325,7 +334,7 @@ def check_peng_independence(model: JointModel, n: int, mode: str = "probe") -> I
             gap, direction = hull_gap(v, joints)
             if gap > effective:
                 witness = {"vertex": vi, "side": "polytope-outside", "direction": direction}
-                return IndependenceReport(False, witness, gap)
+                return IndependenceReport(False, witness, _reported(gap, exact))
         return IndependenceReport(True)
 
     raise ModelError(f"mode must be 'probe' or 'exact', got {mode!r}")

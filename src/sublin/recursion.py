@@ -21,8 +21,8 @@ take them past 2**62, as Python ints above that.  A step with enough atoms
 sweeps only the states between the flat ends of v_{k+1}, where a clamped
 terminal holds one constant, and copies the value of the nearest swept
 state across each end.  Both modes are bounded by the window-state cap
-and the state-atom work cap; exact mode is further capped to small
-instances.
+and by one work budget, ``MAX_STATE_ATOMS`` float state-atoms, against
+which exact steps are charged by the size of their numerators.
 """
 
 from __future__ import annotations
@@ -41,9 +41,9 @@ from .phi import evaluate_array
 MAX_LATTICE_DENOMINATOR = 10**4
 LATTICE_TOL = 1e-12
 DEFAULT_STATE_CAP = 50_000_000
-# window states x atoms, summed over the steps: the sweep's time bound
+# the sweep's time budget in float state-atoms (window states x atoms, summed
+# over the steps); exact steps cost more per state-atom, see _sweep
 MAX_STATE_ATOMS = 10**10
-EXACT_WORK_CAP = 10**4
 # states per block of the backward sweep: a block's live arrays stay in L2
 _BLOCK = 32768
 # exact numerators stay int64 while a step keeps them below this
@@ -139,20 +139,26 @@ def lattice_embed(seq: StepSequence) -> LatticeEmbedding:
     return LatticeEmbedding(h, tuple(embedded[id(aset)] for aset in seq.steps))
 
 
+def _charge(spent, work, note=""):
+    """``spent + work`` float state-atoms; StateExplosion past MAX_STATE_ATOMS."""
+    spent += work
+    if spent > MAX_STATE_ATOMS:
+        raise StateExplosion(
+            f"the backward sweep exceeds the work cap ({MAX_STATE_ATOMS} state-atoms{note})")
+    return spent
+
+
 def _windows(emb: LatticeEmbedding):
     """Each step's window of partial sums as (lo, width), from its least and
     greatest atom, step 0 = (0, 1); raises StateExplosion past
-    DEFAULT_STATE_CAP window states or MAX_STATE_ATOMS."""
+    DEFAULT_STATE_CAP window states, or past MAX_STATE_ATOMS with every
+    window state-atom charged 1, a float state-atom's cost."""
     lo, width = 0, 1
     out = [(lo, width)]
     total = 1
     state_atoms = 0
     for measures in emb.steps:
-        state_atoms += width * sum(len(ints) for ints, _ in measures)
-        if state_atoms > MAX_STATE_ATOMS:
-            raise StateExplosion(
-                f"the backward sweep exceeds the work cap ({MAX_STATE_ATOMS} state-atoms)"
-            )
+        state_atoms = _charge(state_atoms, width * sum(len(ints) for ints, _ in measures))
         least = min(min(ints) for ints, _ in measures)
         greatest = max(max(ints) for ints, _ in measures)
         lo, width = lo + least, width + greatest - least
@@ -201,6 +207,26 @@ def _sweep(seq, emb, f, scale=1, sign=1):
     measures, reach ``_FLAT_MIN_ATOMS`` looks for the ends: below that, the
     search costs more than the sweep it saves.
 
+    Work: ``_windows`` charges every window state-atom 1 before the sweep
+    starts, about what float mode costs (1.2 ns per state-atom on the wide
+    steps of ``prop63_experiment(400, 25)``, on a shared 2-vCPU x86 host).
+    Exact mode is metered as it runs: before each step it charges the
+    states it sweeps times the step's atoms, plus 3 per window state for
+    the passes over the whole window (the int64 test, the flat-end fill and
+    the gcd reduction), times a cost per state-atom, and raises
+    StateExplosion at the first step that would take the total past
+    MAX_STATE_ATOMS.  The cost is 3 on an int64 step and 10 * (w + 10) +
+    w**2 // 32 on a Python-int step, for w 64-bit words of the int64 test's
+    bound; the square stands for the gcd reduction, which grows faster
+    than w.  The constants are fitted, at 1.2 ns a unit, to every step of
+    exact ``prop63_experiment`` at (10, 400), (20, 225), (20, 100), (30, 81)
+    and (40, 121), ``prop62_experiment`` at (30, 100), (50, 50) and
+    (100, 50) and the Bernoulli band at n = 5,000, timed on that host: each
+    run took 0.42-0.89 times its charge.  So the budget stops an exact
+    sweep within about as long as 10**10 float state-atoms take: exact
+    ``prop63_experiment(40, 121)``, which takes 41-56 s to finish, is
+    refused after about 8 s.
+
     Float error: a step sums at most max_atoms products whose weights sum
     to 1, so rounding the weights to float64 and the products and sums
     costs at most about (max_atoms + 1) * 2**-53 * max|f| per step.  The
@@ -209,14 +235,6 @@ def _sweep(seq, emb, f, scale=1, sign=1):
     is within n * (max_atoms + 1) * 2**-53 * max|f| of the exact one.
     """
     exact = seq.mode is NumericMode.EXACT
-    if exact:
-        work = len(seq) * max(
-            len({a for ints, _ in measures for a in ints}) for measures in emb.steps
-        )
-        if work > EXACT_WORK_CAP:
-            raise StateExplosion(
-                f"exact-rational evaluation capped at n*|support| <= {EXACT_WORK_CAP}"
-            )
     windows = _windows(emb)
     lo_n, width_n = windows[-1]
     states = np.arange(lo_n, lo_n + width_n)
@@ -233,13 +251,15 @@ def _sweep(seq, emb, f, scale=1, sign=1):
         v *= sign
 
     weight_cache = {}
+    spent = 0
     for k in range(len(seq) - 1, -1, -1):
         lo_k, width = windows[k]
         lo_next = windows[k + 1][0]
         step_lcm, weights, weight_sum = _step_weights(emb.steps[k], exact, weight_cache)
         if exact:
             denom *= step_lcm
-            fits = max(int(v.max()), -int(v.min()), 1) * weight_sum < _INT64_BOUND
+            bound = max(int(v.max()), -int(v.min()), 1) * weight_sum
+            fits = bound < _INT64_BOUND
             v = v.astype(np.int64 if fits else object, copy=False)
         best = np.empty(width, dtype=v.dtype)
         # sweep states [head, tail), then copy best[head] and best[tail - 1]
@@ -250,6 +270,11 @@ def _sweep(seq, emb, f, scale=1, sign=1):
             head = max(_flat_run(v, v[0]) - span - 1, 0)
             tail = min(len(v) - _flat_run(v[::-1], v[-1]) + 1, width)
             tail = max(tail, head + 1)
+        if exact:
+            words = bound.bit_length() // 64 + 1
+            cost = 3 if fits else 10 * (words + 10) + words * words // 32
+            spent = _charge(spent, ((tail - head) * sum(map(len, weights)) + 3 * width) * cost,
+                            ", exact steps charged by numerator size")
         for b0 in range(head, tail, _BLOCK):
             b1 = min(b0 + _BLOCK, tail)
             blk = best[b0:b1]
@@ -337,9 +362,10 @@ def sublinear_eval_sum(seq: StepSequence, f: Callable, direction: str = "upper",
     least and greatest S_n, rounded after each operation; exact mode calls
     ``f`` on each ``s * (h / scale)`` there.  The lower direction negates the
     terminal values and the result.  Raises StateExplosion past
-    DEFAULT_STATE_CAP window states or MAX_STATE_ATOMS state-atoms of sweep
-    work.  ``f`` must be defined and finite at every point of the window,
-    reachable or not.
+    DEFAULT_STATE_CAP window states or MAX_STATE_ATOMS float state-atoms of
+    sweep work, against which exact mode charges each step by the size of
+    its numerators (see ``_sweep``).  ``f`` must be defined and finite at
+    every point of the window, reachable or not.
     """
     if direction not in ("upper", "lower"):
         raise ModelError(f"direction must be 'upper' or 'lower', got {direction!r}")

@@ -369,6 +369,23 @@ class TestIndependence:
         assert doc["witness"]["history"] == ["1/2"]
         assert all(isinstance(x, str) for x in doc["witness"]["direction"])
 
+    @pytest.mark.parametrize("mode,line", [
+        ("pseudo", "verdict=true gap=1.3877787807814452e-16"),
+        ("peng-probe", "verdict=false gap=0.12"),
+        ("peng-exact", "verdict=false gap=0.2400000000000001"),
+    ])
+    def test_float_model_gaps_print_as_floats(self, capsys, tmp_path, mode, line):
+        # decimal-float laws: the hull LPs still solve in exact rationals,
+        # but every mode reports the gap as a float
+        model = tmp_path / "float-joint.json"
+        model.write_text(json.dumps({
+            "variables": ["X", "Y"], "supports": [[0, 1], [0, 1]],
+            "measures": [{"table": [[0.12, 0.28], [0.18, 0.42]]},
+                         {"table": [[0.06, 0.54], [0.04, 0.36]]}],
+        }))
+        code, out, _ = run(capsys, "check-independence", "--config", str(model), "--mode", mode)
+        assert code == 0 and out.splitlines()[0] == line
+
     @pytest.mark.parametrize("step", ["0", "3"])
     def test_step_out_of_range_is_a_usage_error(self, capsys, step):
         code, out, err = run(
@@ -459,12 +476,21 @@ class TestExitCodes:
         assert err.startswith("error: the backward sweep exceeds the work cap")
         assert err.count("\n") == 1
 
-    def test_exact_dp_past_the_exact_work_cap_is_refused(self, capsys):
-        # n * |support| = 5001 * 2 passes EXACT_WORK_CAP (10**4)
-        code, out, err = run(capsys, "eval", "--model", cfg("bernoulli-band.json"),
-                             "--phi", "x", "--n", "5001", "--exact")
+    def test_exact_dp_past_the_exact_work_cap_is_refused(self, capsys, monkeypatch):
+        # 6.8e5 window state-atoms pass the pre-sweep check; the exact meter
+        # charges the sweep's numerators of up to 600 bits 6.5e7
+        monkeypatch.setattr("sublin.recursion.MAX_STATE_ATOMS", 10**7)
+        code, out, err = run(capsys, "counterexample", "--which", "clt", "--K", "10",
+                             "--n", "49", "--exact")
         assert code == 4 and out == ""
-        assert err.startswith("error: exact-rational evaluation capped") and err.count("\n") == 1
+        assert err.startswith("error: the backward sweep exceeds the work cap")
+        assert "numerator size" in err and err.count("\n") == 1
+
+    def test_exact_band_past_n5000_is_admitted(self, capsys):
+        # 5.0e7 state-atoms, all int64: the meter charges 2.6e8 of the 1e10 budget
+        code, out, _ = run(capsys, "eval", "--model", cfg("bernoulli-band.json"),
+                           "--phi", "x", "--n", "5001", "--normalize", "n", "--exact")
+        assert code == 0 and out == "value=3/5\n"
 
     @pytest.mark.parametrize("clamp", ["nan", "inf", "1e400"])
     @pytest.mark.parametrize("which", ["lln", "clt"])

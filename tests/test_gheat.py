@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,18 +7,27 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sublin import (
+    AmbiguitySet,
+    DiscreteDistribution,
     GParams,
     GridConfig,
     ModelError,
     ModelTooLarge,
     NumericalFailure,
+    NumericMode,
+    StepSequence,
     g_normal_expectation,
     gaussian_quadrature,
     parse_phi,
     solve_g_heat,
+    sublinear_eval_sum,
 )
 from sublin.gheat import default_domain
 from sublin.phi import evaluate_array
+
+from test_phi import _EXACT_OPS, _NUMBERS, _phi_texts
+
+F = Fraction
 
 COARSE = GridConfig(dx=0.05, cfl=0.4)
 
@@ -211,6 +221,46 @@ class TestInPlaceStepping:
         got = solve_g_heat(parse_phi(phi), params, T=0.5, config=config)
         want = _reference_heat(parse_phi(phi), params, 0.5, config)
         assert got.values.tobytes() == want.tobytes()
+
+
+_EXACT_KINKS = st.tuples(st.fractions(-1, 1, max_denominator=4),
+                         st.fractions(F(1, 4), 4, max_denominator=4)).flatmap(
+    lambda t: st.sampled_from([f"max(1 - abs(x - ({t[0]})), 0)", f"1 - abs(x - ({t[0]}))",
+                               f"clamp({t[1]}*x, 0, 1)", f"min(abs(x - ({t[0]})), {t[1]}/2)"]))
+
+
+class TestExactSchemeOracle:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(phi=st.one_of(_EXACT_KINKS, _phi_texts(_EXACT_OPS, _NUMBERS).map(lambda t: t[0])),
+           sig2_hi=st.fractions(F(1, 20), 1, max_denominator=20),
+           band=st.fractions(0, 1, max_denominator=4),
+           dx=st.fractions(F(1, 20), F(1, 4), max_denominator=40),
+           cfl=st.fractions(F(1, 4), 1, max_denominator=10),
+           steps=st.integers(1, 30))
+    # 100 steps against a half-width of 160 cells
+    @example(phi="min(abs(x-1/3),1/2)", sig2_hi=F(1), band=F(1, 4), dx=F(1, 20), cfl=F(2, 5),
+             steps=100)
+    def test_solver_is_the_exact_dp_up_to_rounding(self, phi, sig2_hi, band, dx, cfl, steps):
+        # fewer steps than half-width cells: u(T, 0) never reads the boundary, and
+        # one step is the robust DP step over the laws (p, 1 - 2p, p) on {-dx, 0, dx}
+        phi = parse_phi(phi)
+        sig2 = (band * sig2_hi, sig2_hi)
+        T = steps * cfl * dx * dx / sig2_hi
+        params = GParams(math.sqrt(sig2[0]), math.sqrt(sig2[1]))
+        config = GridConfig(dx=float(dx), cfl=float(cfl))
+        got = solve_g_heat(phi, params, T=float(T), config=config)
+        u0 = solve_g_heat(phi, params, T=0.0, config=config).values
+        # rounding may add a step to the solver's count
+        n, mid = round(float(T) / got.dt), len(u0) // 2
+        assert steps <= n < mid
+        laws = [DiscreteDistribution([-dx, 0, dx], [p, 1 - 2 * p, p])
+                for p in (T / n / (2 * dx * dx) * s for s in sig2)]
+        want = sublinear_eval_sum(StepSequence.iid(AmbiguitySet(laws), n, NumericMode.EXACT), phi)
+        # solve_g_heat's rounding bound, over the cone of points that reach x = 0
+        cone = range(mid - n, mid + n + 1)
+        start_error = max(abs(F(u0[j]) - phi((j - mid) * dx)) for j in cone)
+        top = max(abs(F(u0[j])) for j in cone)
+        assert abs(F(got.value_at(0.0)) - want) <= start_error + 29 * n * top / 2**53
 
 
 class TestTimeArgument:

@@ -285,7 +285,8 @@ class TestPengIndependence:
             assert got.witness["side"] == want.witness["side"]
         if not want.verdict and want.witness["side"] == "polytope-outside":
             assert got.witness == want.witness
-            assert got.gap == want.gap
+            # the check reports a float model's gap as a float
+            assert got.gap == (want.gap if model.exact() else float(want.gap))
         if model.exact():
             # a vertex of the polytope inside the hull of the joints is a joint
             assert lps[0] <= len(set(model.tables)) + 1

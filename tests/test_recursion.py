@@ -557,24 +557,41 @@ class TestGuards:
             sublinear_eval_sum(seq, lambda s: s)
 
     @pytest.mark.parametrize(
-        "mode", [NumericMode.FLOAT64, NumericMode.EXACT], ids=["float", "exact"]
+        "mode,charge", [(NumericMode.FLOAT64, 2), (NumericMode.EXACT, 15)], ids=["float", "exact"]
     )
-    def test_work_cap(self, mode, monkeypatch):
-        # windows of 1, 3, 5, ... states times 2 atoms: 2 * n**2 state-atoms
-        monkeypatch.setattr(recursion, "MAX_STATE_ATOMS", 1000)
+    def test_work_cap(self, mode, charge, monkeypatch):
+        # windows of 1, 3, 5, ... states times 2 atoms: 2 * n**2 state-atoms,
+        # each charged 1 in float mode; an exact int64 step charges each
+        # state (2 atoms + 3) * 3, so 15 * n**2 in all
+        monkeypatch.setattr(recursion, "MAX_STATE_ATOMS", charge * 22**2)
         aset = AmbiguitySet([rademacher()])
         assert sublinear_eval_sum(StepSequence.iid(aset, 22, mode), lambda s: s) == 0
         with pytest.raises(StateExplosion, match="work cap"):
             sublinear_eval_sum(StepSequence.iid(aset, 23, mode), lambda s: s)
 
-    def test_exact_work_cap(self, monkeypatch):
-        # n steps times the 2 atoms of a {-1, 1} step
-        monkeypatch.setattr(recursion, "EXACT_WORK_CAP", 20)
-        aset = AmbiguitySet([rademacher()])
-        assert sublinear_eval_sum(StepSequence.iid(aset, 10, NumericMode.EXACT), lambda s: s) == 0
-        with pytest.raises(StateExplosion, match=r"n\*\|support\| <= 20"):
-            sublinear_eval_sum(StepSequence.iid(aset, 11, NumericMode.EXACT), lambda s: s)
-        assert sublinear_eval_sum(StepSequence.iid(aset, 11), lambda s: s) == 0
+    def test_exact_meter_refuses_large_numerators(self, monkeypatch):
+        # exact prop63_experiment(10, 49): 6.8e5 window state-atoms pass the
+        # pre-sweep check, but its numerators pass 600 bits, and the meter
+        # charges 6.5e7 over the whole sweep
+        monkeypatch.setattr(recursion, "MAX_STATE_ATOMS", 10**7)
+        steps = []
+        reduce = recursion._reduce
+        monkeypatch.setattr(recursion, "_reduce",
+                            lambda v, denom: steps.append(v.dtype) or reduce(v, denom))
+        phi = parse_phi("max(1-abs(x),0)")
+        seq = StepSequence.iid(counterexample_family(10), 49, NumericMode.EXACT)
+        with pytest.raises(StateExplosion, match="work cap .*charged by numerator size"):
+            sublinear_eval_sum(seq, phi, scale=7)
+        assert 0 < len(steps) < 49 and steps[-1] == np.dtype(object)
+        # the float sweep of the same shape is charged its window state-atoms only
+        seq = StepSequence.iid(counterexample_family(10), 49)
+        assert 0 < sublinear_eval_sum(seq, phi, scale=7) < 1
+
+    def test_exact_meter_admits_the_band_at_n5000(self):
+        # 5.0e7 state-atoms, all int64: charged 2.6e8 of the 1e10 budget
+        band = AmbiguitySet([bernoulli(F(2, 5)), bernoulli(F(3, 5))])
+        seq = StepSequence.iid(band, 5000, NumericMode.EXACT)
+        assert sublinear_eval_sum(seq, parse_phi("x*x"), scale=5000) == F(22503, 62500)
 
     @pytest.mark.parametrize("c", [0, F(0), -5], ids=["int", "fraction", "minus5"])
     def test_constant_terminal_over_a_long_lcm(self, c):
