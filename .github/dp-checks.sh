@@ -26,15 +26,21 @@ want="value=0.99984376757672211 lower-bound=0.99984376171818845 classical-refere
 test "$out" = "$want" || { echo "got: $out"; exit 1; }
 
 echo "Exact LLN counterexample at K=10, n=10"
-# 968 of the 5,511 window states are unreachable; the exact sweep and
-# its gcd reduction run over their values too
+# 968 of the 5,511 window states are unreachable; the sweep computes 190
+# states, fills the rest from the flat ends, and reduces only the 190
 out=$(timeout 60 sublin counterexample --which lln --K 10 --n 10 --exact)
 want="value=40438207500880449001/50000000000000000000 lower-bound=40438207500880449001/50000000000000000000 classical-reference=0 robust-limit=1"
 test "$out" = "$want" || { echo "got: $out"; exit 1; }
 
+echo "Exact CLT counterexample at K=2, n=1 with --clamp 0.3"
+# the clamp 0.3 is 3/10 under --exact, as a model file's 0.3 is
+out=$(timeout 60 sublin counterexample --which clt --K 2 --n 1 --clamp 0.3 --exact)
+want="value=37/40 lower-bound=37/40 classical-reference=0.20211543919713459 robust-limit=1"
+test "$out" = "$want" || { echo "got: $out"; exit 1; }
+
 echo "Exact CLT counterexample at K=40, n=121 is refused"
 # its numerators pass 10,000 bits: the exact meter refuses the sweep after
-# about 9 s of a run that would take about a minute to finish
+# 10-15 s of a run that would take about a minute to finish
 code=0
 err=$(timeout 60 sublin counterexample --which clt --K 40 --n 121 --exact 2>&1 >/dev/null) || code=$?
 test "$code" = 4 || { echo "exit code $code: $err"; exit 1; }

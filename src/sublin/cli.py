@@ -31,7 +31,7 @@ from .independence import (
     load_joint_model,
 )
 from .limits import ExperimentTable, _check_schedule, _fmt, moment_summary
-from .measures import NumericMode, load_ambiguity_set
+from .measures import NumericMode, load_ambiguity_set, parse_number
 from .phi import parse_phi
 from .recursion import StepSequence, sublinear_eval_sum
 
@@ -199,12 +199,16 @@ def _cmd_counterexample(args):
     if args.n < 1:
         raise UsageError(f"--n must be >= 1, got {args.n}")
     mode = _mode(args)
+    clamp = args.clamp
+    if clamp is None:
+        clamp = 2 if args.which == "lln" else 1
+    elif math.isfinite(clamp):
+        # a decimal clamp is read as the model loader reads a decimal float
+        clamp = parse_number(clamp, mode)
     if args.which == "lln":
-        clamp = 2.0 if args.clamp is None else args.clamp
         value, bound = limits.prop62_experiment(args.K, args.n, clamp, mode)
         classical = 0.0  # phi(1): the classical LLN prediction for E[X^2] = 1
     else:
-        clamp = 1.0 if args.clamp is None else args.clamp
         value, bound = limits.prop63_experiment(args.K, args.n, clamp, mode)
         classical = 1.0 - math.sqrt(2.0 / math.pi)
     value, bound = _fmt(value), _fmt(bound)

@@ -17,12 +17,15 @@ One dense numpy sweep serves both numeric modes: float64 arrays in float
 mode, arrays of integer numerators over a common denominator in
 exact-rational mode.  The exact numerators are reduced by their gcd with
 the denominator after every step, and held as int64 while a step cannot
-take them past 2**62, as Python ints above that.  A step with enough atoms
-sweeps only the states between the flat ends of v_{k+1}, where a clamped
-terminal holds one constant, and copies the value of the nearest swept
-state across each end.  Both modes are bounded by the window-state cap
-and by one work budget, ``MAX_STATE_ATOMS`` float state-atoms, against
-which exact steps are charged by the size of their numerators.
+take them past 2**62, as Python ints above that.  Every step sweeps only
+the states between the flat ends of v_{k+1}, where a clamped terminal holds
+one constant, and copies the value of the nearest swept state across each
+end; the ends are measured once, on the terminal, and each step's fill
+gives the next step its ends.  Both modes are bounded by the window-state
+cap and by one work budget, ``MAX_STATE_ATOMS`` float state-atoms, which
+charges each step a fixed cost besides its state-atoms, and against which
+exact steps are charged by the size of their numerators and the exact
+terminal by its states.
 """
 
 from __future__ import annotations
@@ -35,21 +38,25 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import ModelError, NoCommonLattice, NumericalFailure, StateExplosion
+from .linprog import _integer_row
 from .measures import AmbiguitySet, NumericMode, is_exact
 from .phi import evaluate_array
 
 MAX_LATTICE_DENOMINATOR = 10**4
 LATTICE_TOL = 1e-12
 DEFAULT_STATE_CAP = 50_000_000
-# the sweep's time budget in float state-atoms (window states x atoms, summed
-# over the steps); exact steps cost more per state-atom, see _sweep
+# the sweep's time budget in float state-atoms (window states x atoms, plus
+# _STEP_COST a step, summed over the steps); exact steps cost more per
+# state-atom, and the exact terminal is charged too, see _sweep
 MAX_STATE_ATOMS = 10**10
 # states per block of the backward sweep: a block's live arrays stay in L2
 _BLOCK = 32768
 # exact numerators stay int64 while a step keeps them below this
 _INT64_BOUND = 2**62
-# a step with this many atoms, summed over its measures, looks for flat ends
-_FLAT_MIN_ATOMS = 8
+# fitted costs in float state-atoms (see _sweep): one step's own, over and
+# above its state-atoms, and one state of the exact terminal
+_STEP_COST = 12_500
+_TERMINAL_COST = 10_000
 
 
 @dataclass(frozen=True)
@@ -78,10 +85,9 @@ class StepSequence:
 
 
 def _check_length(n: int):
-    """Refuse n steps before building them: n steps reach at least n + 1
-    lattice states, so the sweep would raise StateExplosion anyway."""
-    if n >= DEFAULT_STATE_CAP:
-        raise StateExplosion(f"{n} steps exceed the state cap ({DEFAULT_STATE_CAP})")
+    """Refuse n steps before building them if their step charges alone pass
+    MAX_STATE_ATOMS, as ``_windows`` would."""
+    _charge(0, n * _STEP_COST, f", {n} steps")
 
 
 class LatticeEmbedding(NamedTuple):
@@ -152,13 +158,15 @@ def _windows(emb: LatticeEmbedding):
     """Each step's window of partial sums as (lo, width), from its least and
     greatest atom, step 0 = (0, 1); raises StateExplosion past
     DEFAULT_STATE_CAP window states, or past MAX_STATE_ATOMS with every
-    window state-atom charged 1, a float state-atom's cost."""
+    window state-atom charged 1, a float state-atom's cost, and every step
+    ``_STEP_COST`` more."""
     lo, width = 0, 1
     out = [(lo, width)]
     total = 1
     state_atoms = 0
     for measures in emb.steps:
-        state_atoms = _charge(state_atoms, width * sum(len(ints) for ints, _ in measures))
+        state_atoms = _charge(state_atoms,
+                              width * sum(len(ints) for ints, _ in measures) + _STEP_COST)
         least = min(min(ints) for ints, _ in measures)
         greatest = max(max(ints) for ints, _ in measures)
         lo, width = lo + least, width + greatest - least
@@ -196,36 +204,45 @@ def _sweep(seq, emb, f, scale=1, sign=1):
 
     The blocks cover only the states between the window's flat ends.  State
     i of step k reads v_{k+1}[i .. i + span], span = max atom - min atom.
-    If the first P entries of v_{k+1} all equal v[0], every state at or
-    below head = P - span - 1 reads only entries equal to v[0], so it runs
-    head's operations on equal inputs; likewise every state at or above
-    len(v) - Q, for the last Q entries and v[-1].  The sweep copies the
-    values of those two states across the ends, bit for bit (an entry -0.0
-    adds +0.0 to an accumulator that starts at +0.0).  The clamped
-    counterexample terminals make nearly every state of
-    ``prop62_experiment`` flat.  Only a step whose atoms, summed over its
-    measures, reach ``_FLAT_MIN_ATOMS`` looks for the ends: below that, the
-    search costs more than the sweep it saves.
+    If v[:head] all equal v[head], every state at or below head - span
+    reads only entries equal to v[head], so it runs the same operations on
+    equal inputs; likewise every state at or above tail - 1 if v[tail:] all
+    equal v[tail - 1].  The step sweeps the states from max(head - span, 0)
+    up to min(tail, width) and copies the first and the last of them across
+    the ends, bit for bit (an entry -0.0 adds +0.0 to an accumulator that
+    starts at +0.0).  Its fill is the next step's (head, tail), so
+    ``_flat_ends`` measures the ends once, on the terminal, and every step
+    of either mode takes this one path, whatever its atom count.  The
+    finiteness check and ``_reduce`` read the swept states before the fill,
+    and the int64 test reads v[head:tail], which holds every distinct value
+    of v.  The clamped counterexample terminals make nearly every state of
+    ``prop62_experiment`` flat.
 
-    Work: ``_windows`` charges every window state-atom 1 before the sweep
-    starts, about what float mode costs (1.2 ns per state-atom on the wide
-    steps of ``prop63_experiment(400, 25)``, on a shared 2-vCPU x86 host).
-    Exact mode is metered as it runs: before each step it charges the
-    states it sweeps times the step's atoms, plus 3 per window state for
-    the passes over the whole window (the int64 test, the flat-end fill and
-    the gcd reduction), times a cost per state-atom, and raises
-    StateExplosion at the first step that would take the total past
-    MAX_STATE_ATOMS.  The cost is 3 on an int64 step and 10 * (w + 10) +
-    w**2 // 32 on a Python-int step, for w 64-bit words of the int64 test's
-    bound; the square stands for the gcd reduction, which grows faster
-    than w.  The constants are fitted, at 1.2 ns a unit, to every step of
-    exact ``prop63_experiment`` at (10, 400), (20, 225), (20, 100), (30, 81)
-    and (40, 121), ``prop62_experiment`` at (30, 100), (50, 50) and
-    (100, 50) and the Bernoulli band at n = 5,000, timed on that host: each
-    run took 0.42-0.89 times its charge.  So the budget stops an exact
+    Work: ``_windows`` charges every window state-atom 1, and every step
+    ``_STEP_COST``, before the sweep starts, about what float mode costs
+    (1.2 ns per state-atom on the wide steps of ``prop63_experiment(400,
+    25)``, and 11-13 us per step of a one-atom law, on a shared 2-vCPU x86
+    host); so ``StepSequence.iid`` refuses more than MAX_STATE_ATOMS //
+    _STEP_COST = 800,000 steps before it builds them.  Exact mode is
+    metered as it runs.  Before the first call of f it charges
+    ``_TERMINAL_COST`` per terminal state, for the call and the conversion
+    of its value to a numerator (6-10 us on the counterexample terminals,
+    16 us on the band's x*x).  Before each step it charges the states it
+    sweeps times the step's atoms plus 2 (the int64 test and the gcd
+    reduction), times a cost per state-atom; plus 4 per window state for
+    allocating and filling the window, which copies references whatever
+    the numerators' size; plus ``_STEP_COST``.  It raises StateExplosion at
+    the first charge that would take the total past MAX_STATE_ATOMS.  The
+    cost is 3 on an int64 step and 10 * (w + 10) + w**2 // 32 on a
+    Python-int step, for w 64-bit words of the int64 test's bound; the
+    square stands for the gcd reduction, which grows faster than w.  Timed
+    on that host at 1.2 ns a unit, exact ``prop63_experiment`` at (10, 400),
+    (20, 225), (20, 100), (30, 81) and (40, 121), ``prop62_experiment`` at
+    (30, 100), (50, 50) and (100, 50) and the Bernoulli band at n = 5,000
+    each took 0.57-1.01 times its charge.  So the budget stops an exact
     sweep within about as long as 10**10 float state-atoms take: exact
-    ``prop63_experiment(40, 121)``, which takes 41-56 s to finish, is
-    refused after about 8 s.
+    ``prop63_experiment(40, 121)``, which takes 41-58 s to finish, is
+    refused after 10-15 s.
 
     Float error: a step sums at most max_atoms products whose weights sum
     to 1, so rounding the weights to float64 and the products and sums
@@ -239,42 +256,42 @@ def _sweep(seq, emb, f, scale=1, sign=1):
     lo_n, width_n = windows[-1]
     states = np.arange(lo_n, lo_n + width_n)
     if exact:
+        spent = _charge(0, width_n * _TERMINAL_COST, ", the exact terminal charged per state")
         step = emb.h / scale
         terminal = [f(s * step) for s in states.tolist()]
         if any(isinstance(t, float) for t in terminal):
             raise NumericalFailure("terminal function returned a float in exact mode")
-        terminal = [Fraction(t) for t in terminal]
-        denom = math.lcm(*(t.denominator for t in terminal))
-        v = np.array([sign * int(t * denom) for t in terminal], dtype=object)
+        nums, denom = _integer_row([Fraction(t) for t in terminal])
+        v = np.array(nums, dtype=object)
     else:
         v = evaluate_array(f, states * float(emb.h) / float(scale))
-        v *= sign
+    v *= sign
+    # v[:head] all equal v[head] and v[tail:] all equal v[tail - 1]
+    head, tail = _flat_ends(v)
 
     weight_cache = {}
-    spent = 0
     for k in range(len(seq) - 1, -1, -1):
         lo_k, width = windows[k]
         lo_next = windows[k + 1][0]
         step_lcm, weights, weight_sum = _step_weights(emb.steps[k], exact, weight_cache)
+        atoms = sum(map(len, weights))
         if exact:
             denom *= step_lcm
-            bound = max(int(v.max()), -int(v.min()), 1) * weight_sum
+            core = v[head:tail]  # every distinct value of v
+            bound = max(int(core.max()), -int(core.min()), 1) * weight_sum
             fits = bound < _INT64_BOUND
             v = v.astype(np.int64 if fits else object, copy=False)
-        best = np.empty(width, dtype=v.dtype)
         # sweep states [head, tail), then copy best[head] and best[tail - 1]
         # across the flat ends that they border
-        head, tail = 0, width
-        if sum(map(len, weights)) >= _FLAT_MIN_ATOMS:
-            span = len(v) - width
-            head = max(_flat_run(v, v[0]) - span - 1, 0)
-            tail = min(len(v) - _flat_run(v[::-1], v[-1]) + 1, width)
-            tail = max(tail, head + 1)
+        span = len(v) - width
+        head = max(head - span, 0)
+        tail = max(min(tail, width), head + 1)
         if exact:
             words = bound.bit_length() // 64 + 1
             cost = 3 if fits else 10 * (words + 10) + words * words // 32
-            spent = _charge(spent, ((tail - head) * sum(map(len, weights)) + 3 * width) * cost,
+            spent = _charge(spent, (tail - head) * (atoms + 2) * cost + 4 * width + _STEP_COST,
                             ", exact steps charged by numerator size")
+        best = np.empty(width, dtype=v.dtype)
         for b0 in range(head, tail, _BLOCK):
             b1 = min(b0 + _BLOCK, tail)
             blk = best[b0:b1]
@@ -287,13 +304,13 @@ def _sweep(seq, emb, f, scale=1, sign=1):
                     blk[:] = acc
                 else:
                     np.maximum(blk, acc, out=blk)
+        if exact:
+            denom = _reduce(best[head:tail], denom)
+        elif not np.all(np.isfinite(best[head:tail])):
+            raise NumericalFailure("non-finite value during backward sweep")
         best[:head] = best[head]
         best[tail:] = best[tail - 1]
-        if not exact and not np.all(np.isfinite(best)):
-            raise NumericalFailure("non-finite value during backward sweep")
         v = best
-        if exact:
-            v, denom = _reduce(v, denom)
     return Fraction(int(v[0]), denom) if exact else float(v[0])
 
 
@@ -317,40 +334,25 @@ def _step_weights(measures, exact, cache):
     return cache[key]
 
 
-def _flat_run(v, c):
-    """Length of the longest prefix of ``v`` whose entries all equal ``c``.
-    Probes blocks of doubling size, so a short run costs little."""
-    start, size = 0, 8
-    while start < len(v):
-        end = min(start + size, len(v))
-        off = np.flatnonzero(v[start:end] != c)
-        if len(off):
-            return start + int(off[0])
-        start, size = end, 2 * size
-    return len(v)
+def _flat_ends(v):
+    """(head, tail) with v[:head] all equal to v[head] and v[tail:] all
+    equal to v[tail - 1], for the longest such runs: one comparison each."""
+    rise = np.flatnonzero(v != v[0])
+    fall = np.flatnonzero(v != v[-1])
+    head = int(rise[0]) - 1 if len(rise) else len(v) - 1
+    tail = int(fall[-1]) + 2 if len(fall) else 1
+    return head, max(tail, head + 1)
 
 
 def _reduce(v, denom):
-    """Divide the numerators ``v`` and ``denom`` by their gcd.  On Python
-    ints, the gcd of the first 8 numerators decides whether a full pass,
-    which stops at 1, is worth making."""
-    if v.dtype == object:
-        g = math.gcd(denom, *v[:8].tolist())
-        if g > 1:
-            nums = v.tolist()
-            for i in range(8, len(nums), 64):
-                g = math.gcd(g, *nums[i : i + 64])
-                if g == 1:
-                    break
-    else:
-        g = math.gcd(denom, int(np.gcd.reduce(v)))
-    if g == 1:
-        return v, denom
+    """Divide the numerators ``v``, a step's swept states, in place, and
+    ``denom``, by their gcd; return the reduced denominator."""
+    g = math.gcd(denom, *(v.tolist() if v.dtype == object else [int(np.gcd.reduce(v))]))
     # int64 numerators are below 2**62; if g is not, g divides them all
     # only because they are all 0, and g may not fit in an int64
-    if v.dtype == object or g < _INT64_BOUND:
+    if g > 1 and (v.dtype == object or g < _INT64_BOUND):
         v //= g
-    return v, denom // g
+    return denom // g
 
 
 def sublinear_eval_sum(seq: StepSequence, f: Callable, direction: str = "upper", scale=1):
@@ -363,9 +365,11 @@ def sublinear_eval_sum(seq: StepSequence, f: Callable, direction: str = "upper",
     ``f`` on each ``s * (h / scale)`` there.  The lower direction negates the
     terminal values and the result.  Raises StateExplosion past
     DEFAULT_STATE_CAP window states or MAX_STATE_ATOMS float state-atoms of
-    sweep work, against which exact mode charges each step by the size of
-    its numerators (see ``_sweep``).  ``f`` must be defined and finite at
-    every point of the window, reachable or not.
+    sweep work, which charges each step a fixed cost besides its
+    state-atoms, and against which exact mode charges each terminal state
+    and each step by the size of its numerators (see ``_sweep``).  ``f``
+    must be defined and finite at every point of the window, reachable or
+    not.
     """
     if direction not in ("upper", "lower"):
         raise ModelError(f"direction must be 'upper' or 'lower', got {direction!r}")

@@ -298,6 +298,20 @@ class TestCounterexample:
         assert 0.996 <= value <= 1.0
         assert "classical-reference=0" in out
 
+    @pytest.mark.parametrize("argv,want", [
+        (["--which", "clt", "--K", "2", "--n", "1", "--clamp", "0.3"], "37/40"),
+        (["--which", "lln", "--K", "3", "--n", "2", "--clamp", "1.1"], "623/810"),
+    ], ids=["clt", "lln"])
+    def test_exact_clamp_keeps_its_decimal(self, capsys, argv, want):
+        # --clamp 0.3 is 3/10, as a model file's 0.3 is under --exact
+        code, out, _ = run(capsys, "counterexample", *argv, "--exact")
+        assert code == 0 and out.startswith(f"value={want} lower-bound={want} ")
+
+    def test_float_clamp_is_unchanged(self, capsys):
+        code, out, _ = run(capsys, "counterexample", "--which", "clt", "--K", "2", "--n", "1",
+                           "--clamp", "0.3")
+        assert code == 0 and out.startswith("value=0.92500000000000004 ")
+
     def test_exact_clt_nonsquare_n(self, capsys):
         code, _, err = run(
             capsys, "counterexample", "--which", "clt", "--K", "4", "--n", "3",
@@ -478,7 +492,8 @@ class TestExitCodes:
 
     def test_exact_dp_past_the_exact_work_cap_is_refused(self, capsys, monkeypatch):
         # 6.8e5 window state-atoms pass the pre-sweep check; the exact meter
-        # charges the sweep's numerators of up to 600 bits 6.5e7
+        # charges the terminal 9.8e6 and the sweep's numerators of up to
+        # 600 bits 7.0e7 in all
         monkeypatch.setattr("sublin.recursion.MAX_STATE_ATOMS", 10**7)
         code, out, err = run(capsys, "counterexample", "--which", "clt", "--K", "10",
                              "--n", "49", "--exact")
@@ -487,7 +502,7 @@ class TestExitCodes:
         assert "numerator size" in err and err.count("\n") == 1
 
     def test_exact_band_past_n5000_is_admitted(self, capsys):
-        # 5.0e7 state-atoms, all int64: the meter charges 2.6e8 of the 1e10 budget
+        # 5.0e7 state-atoms, all int64: the meter charges 3.9e8 of the 1e10 budget
         code, out, _ = run(capsys, "eval", "--model", cfg("bernoulli-band.json"),
                            "--phi", "x", "--n", "5001", "--normalize", "n", "--exact")
         assert code == 0 and out == "value=3/5\n"

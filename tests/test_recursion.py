@@ -406,15 +406,15 @@ class TestBlockedSweep:
 @st.composite
 def gappy_steps(draw):
     """1-4 steps drawn from 1-2 step sets (a repeated set is one object, as
-    in ``StepSequence.iid``), each 4-5 laws on atoms {0, k**2} or {-k, 0, k}
-    with k in 1-4: at least ``recursion._FLAT_MIN_ATOMS`` atoms per step, on
-    a lattice with gaps."""
+    in ``StepSequence.iid``), each 1-5 laws on atoms {k}, {-k, k}, {0, k**2}
+    or {-k, 0, k} with k in 1-4: from 1 atom a step up, on a lattice with
+    gaps."""
     sets = []
     for _ in range(draw(st.integers(1, 2))):
         members = []
-        for _ in range(draw(st.integers(4, 5))):
+        for _ in range(draw(st.integers(1, 5))):
             k = draw(st.integers(1, 4))
-            points = draw(st.sampled_from([[0, k * k], [-k, 0, k]]))
+            points = draw(st.sampled_from([[k], [-k, k], [0, k * k], [-k, 0, k]]))
             raw = draw(st.lists(st.integers(1, 9), min_size=len(points), max_size=len(points)))
             members.append(DiscreteDistribution(points, [F(w, sum(raw)) for w in raw]))
         sets.append(AmbiguitySet(members))
@@ -432,11 +432,14 @@ _ODD_STEPS = AmbiguitySet([DiscreteDistribution([-3, -1, 1, 3], [F(1, 4)] * 4),
                            DiscreteDistribution([-3, -1, 1, 3], [F(k, 10) for k in (1, 2, 3, 4)])])
 
 
+_COIN = AmbiguitySet([rademacher()])
+
+
 class TestFlatEnds:
-    """Where a step has ``_FLAT_MIN_ATOMS`` atoms, the sweep gives the states
-    that read only a constant end of v_{k+1} the value of the swept state
-    nearest that end; ``_reference_sweep`` sweeps every state and zeroes
-    the unreachable ones."""
+    """The sweep gives the states that read only a constant end of v_{k+1}
+    the value of the swept state nearest that end, at every atom count;
+    ``_reference_sweep`` sweeps every state and zeroes the unreachable
+    ones."""
 
     @pytest.mark.parametrize("block", [1, 7])
     @settings(max_examples=60, deadline=None, derandomize=True)
@@ -453,6 +456,11 @@ class TestFlatEnds:
     # holes on every other state, inside both flat ends too
     @example(steps=[_ODD_STEPS] * 3, left=(1 / 3,), right=(2.5,),
              cuts=(-1, 1), middle=[0.5, -1.0, 1.5])
+    # a clamped Rademacher terminal, 2 atoms a step: clamped below, and at both ends
+    @example(steps=[_COIN] * 6, left=(-1.0,), right=(2.5,), cuts=(-3, 1000),
+             middle=[0.5, -1.0, 1 / 3])
+    @example(steps=[_COIN] * 5, left=(0.0, -0.0), right=(1 / 3,), cuts=(-2, 2),
+             middle=[0.5, 2.5])
     def test_matches_reference_sweep(self, block, steps, left, right, cuts, middle):
         def table(x):
             i = round(float(x))
@@ -479,21 +487,33 @@ class TestFlatEnds:
     @pytest.mark.parametrize(
         "mode", [NumericMode.FLOAT64, NumericMode.EXACT], ids=["float", "exact"]
     )
-    def test_gate_is_the_step_atom_count(self, mode, monkeypatch):
+    def test_ends_are_measured_once_per_sweep(self, mode, monkeypatch):
+        # on the terminal only: each step's fill gives the next step its ends
         calls = []
-        flat_run = recursion._flat_run
-        monkeypatch.setattr(recursion, "_flat_run",
-                            lambda v, c: calls.append(c) or flat_run(v, c))
-        # 2 atoms a step: below the gate, no end is probed and every state is swept
-        sublinear_eval_sum(StepSequence.iid(AmbiguitySet([rademacher()]), 9, mode),
-                           lambda s: max(s, -2))
-        assert calls == []
-        # 19 atoms a step over 10 laws: the ends are probed and the clamped one is filled
-        seq = StepSequence.iid(squared_counterexample_family(10), 5, mode)
+        flat_ends = recursion._flat_ends
+        monkeypatch.setattr(recursion, "_flat_ends",
+                            lambda v: calls.append(len(v)) or flat_ends(v))
         f = lambda s: max(1 - s / 5, -1)
+        for n in (1, 5, 40):
+            seq = StepSequence.iid(squared_counterexample_family(10), n, mode)
+            calls.clear()
+            got = sublinear_eval_sum(seq, f)
+            assert calls == [100 * n + 1]
+            assert repr(got) == repr(_reference_sweep(seq, lattice_embed(seq), f))
+
+    def test_reduce_sees_the_swept_states_only(self, monkeypatch):
+        # S_9 in [-9, 9] and max(s, -2) is -2 on its first 8 states: the
+        # step-k window has 2k + 1 states, of which the first 5, 3, 1 (k = 8,
+        # 7, 6) read only that end and are filled
+        swept = []
+        reduce = recursion._reduce
+        monkeypatch.setattr(recursion, "_reduce",
+                            lambda v, denom: swept.append(len(v)) or reduce(v, denom))
+        seq = StepSequence.iid(_COIN, 9, NumericMode.EXACT)
+        f = lambda s: max(s, -2)
         got = sublinear_eval_sum(seq, f)
-        assert calls
-        assert repr(got) == repr(_reference_sweep(seq, lattice_embed(seq), f))
+        assert swept == [12, 12, 12, 11, 9, 7, 5, 3, 1]
+        assert got == _reference_sweep(seq, lattice_embed(seq), f) == brute_force_upper(seq, f)
 
 
 @st.composite
@@ -557,13 +577,19 @@ class TestGuards:
             sublinear_eval_sum(seq, lambda s: s)
 
     @pytest.mark.parametrize(
-        "mode,charge", [(NumericMode.FLOAT64, 2), (NumericMode.EXACT, 15)], ids=["float", "exact"]
+        "mode", [NumericMode.FLOAT64, NumericMode.EXACT], ids=["float", "exact"]
     )
-    def test_work_cap(self, mode, charge, monkeypatch):
+    def test_work_cap(self, mode, monkeypatch):
         # windows of 1, 3, 5, ... states times 2 atoms: 2 * n**2 state-atoms,
-        # each charged 1 in float mode; an exact int64 step charges each
-        # state (2 atoms + 3) * 3, so 15 * n**2 in all
-        monkeypatch.setattr(recursion, "MAX_STATE_ATOMS", charge * 22**2)
+        # each charged 1 in float mode, plus _STEP_COST a step; an exact
+        # int64 step charges each state (2 atoms + 2) * 3 + 4, so 16 * n**2,
+        # plus _STEP_COST a step and _TERMINAL_COST a terminal state
+        def charge(n):
+            if mode is NumericMode.FLOAT64:
+                return 2 * n**2 + n * recursion._STEP_COST
+            return 16 * n**2 + n * recursion._STEP_COST + (2 * n + 1) * recursion._TERMINAL_COST
+
+        monkeypatch.setattr(recursion, "MAX_STATE_ATOMS", charge(22))
         aset = AmbiguitySet([rademacher()])
         assert sublinear_eval_sum(StepSequence.iid(aset, 22, mode), lambda s: s) == 0
         with pytest.raises(StateExplosion, match="work cap"):
@@ -572,8 +598,8 @@ class TestGuards:
     def test_exact_meter_refuses_large_numerators(self, monkeypatch):
         # exact prop63_experiment(10, 49): 6.8e5 window state-atoms pass the
         # pre-sweep check, but its numerators pass 600 bits, and the meter
-        # charges 6.5e7 over the whole sweep
-        monkeypatch.setattr(recursion, "MAX_STATE_ATOMS", 10**7)
+        # charges 7.0e7 over the whole sweep, 9.8e6 of it for the terminal
+        monkeypatch.setattr(recursion, "MAX_STATE_ATOMS", 3 * 10**7)
         steps = []
         reduce = recursion._reduce
         monkeypatch.setattr(recursion, "_reduce",
@@ -587,8 +613,35 @@ class TestGuards:
         seq = StepSequence.iid(counterexample_family(10), 49)
         assert 0 < sublinear_eval_sum(seq, phi, scale=7) < 1
 
+    def test_wide_exact_terminal_is_refused_before_phi(self, monkeypatch):
+        # 201 terminal states: the pre-sweep check passes, the exact
+        # terminal's charge does not, so phi is never called
+        n = 100
+        monkeypatch.setattr(recursion, "MAX_STATE_ATOMS",
+                            (2 * n + 1) * recursion._TERMINAL_COST - 1)
+        calls = []
+        f = lambda s: calls.append(s) or abs(s)
+        seq = StepSequence.iid(AmbiguitySet([rademacher()]), n, NumericMode.EXACT)
+        with pytest.raises(StateExplosion, match="work cap .*exact terminal charged per state"):
+            sublinear_eval_sum(seq, f)
+        assert calls == []
+        # the float terminal is charged with its window
+        assert sublinear_eval_sum(StepSequence.iid(AmbiguitySet([rademacher()]), n), f) > 0
+
+    def test_long_sequence_is_refused_before_its_steps_are_built(self):
+        # every step costs _STEP_COST, whatever its atoms: the length check
+        # passes 800,000 steps and refuses one more, and refuses 10**15,
+        # whose tuple of steps could not be built
+        bound = recursion.MAX_STATE_ATOMS // recursion._STEP_COST
+        assert bound == 800_000
+        aset = AmbiguitySet([DiscreteDistribution([1], [1])])
+        recursion._check_length(bound)
+        for n in (bound + 1, 10**15):
+            with pytest.raises(StateExplosion, match=f"work cap .*, {n} steps"):
+                StepSequence.iid(aset, n)
+
     def test_exact_meter_admits_the_band_at_n5000(self):
-        # 5.0e7 state-atoms, all int64: charged 2.6e8 of the 1e10 budget
+        # 5.0e7 state-atoms, all int64: charged 3.9e8 of the 1e10 budget
         band = AmbiguitySet([bernoulli(F(2, 5)), bernoulli(F(3, 5))])
         seq = StepSequence.iid(band, 5000, NumericMode.EXACT)
         assert sublinear_eval_sum(seq, parse_phi("x*x"), scale=5000) == F(22503, 62500)
