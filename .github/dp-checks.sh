@@ -13,6 +13,11 @@ echo "Exact DP on the Bernoulli band"
 out=$(timeout 60 sublin eval --model configs/bernoulli-band.json --phi "x*x" --n 2000 --normalize n --exact)
 test "$out" = "value=9003/25000" || { echo "got: $out"; exit 1; }
 
+echo "Exact DP on the Bernoulli band at n=10000"
+# windows of 1 to 10,001 states, 5.0e7 in all: only the widest is bounded
+out=$(timeout 60 sublin eval --model configs/bernoulli-band.json --phi x --n 10000 --normalize n --exact)
+test "$out" = "value=3/5" || { echo "got: $out"; exit 1; }
+
 echo "LLN counterexample at K=100, n=50"
 # v_k is one constant over nearly every state; the sweep copies a swept value across them
 out=$(timeout 60 sublin counterexample --which lln --K 100 --n 50)

@@ -10,19 +10,22 @@ and diagnose, its CSV text; ``main`` alone prints the lines and then writes
 ``--out`` and ``--json``.  So a command that fails prints nothing on stdout,
 and only a failed ``--out``/``--json`` write comes after the result.  Exit
 codes: 0 success, 1 usage or an output file that cannot be written, 2
-invalid or unreadable model, 3 numerical failure, 4 model-too-large.
+invalid or unreadable model, 3 numerical failure or float overflow, 4
+model-too-large.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import math
 import sys
 from fractions import Fraction
 
 from . import limits
-from .errors import SublinError, UsageError
+from .errors import NumericalFailure, SublinError, UsageError
 from .gheat import GParams, GridConfig, g_normal_expectation, gaussian_quadrature
 from .independence import (
     check_peng_independence,
@@ -259,15 +262,16 @@ def _cmd_diagnose(args):
     summary = moment_summary(StepSequence.iid(aset, 1, mode), args.n_max)
     mu = [_fmt(summary.mu_lo), _fmt(summary.mu_bar)]
     sigma2 = [_fmt(summary.sigma2_lo), _fmt(summary.sigma2_bar)]
-    rows = [f"{n},{_fmt(a)},{_fmt(s)},{_fmt(c)}" for (n, a), (_, s), (_, c)
+    rows = [(str(n), _fmt(a), _fmt(s), _fmt(c)) for (n, a), (_, s), (_, c)
             in zip(summary.tail_abs, summary.tail_sq, summary.cesaro)]
     lines = [f"mu=[{mu[0]}, {mu[1]}] sigma2=[{sigma2[0]}, {sigma2[1]}]",
-             "n,nV(|X|>=n),nV(X^2>=n),cesaro", *rows,
+             "n,nV(|X|>=n),nV(X^2>=n),cesaro", *map(",".join, rows),
              f"H1-decaying={summary.h1_decaying} H2-decaying={summary.h2_decaying}"]
     doc = {"mu": mu, "sigma2": sigma2,
            "h1_decaying": summary.h1_decaying, "h2_decaying": summary.h2_decaying}
-    # CRLF, as the csv module ends the lln and clt rows
-    return lines, doc, "".join(f"{row}\r\n" for row in ["n,tail_abs,tail_sq,cesaro", *rows])
+    buf = io.StringIO()
+    csv.writer(buf).writerows([("n", "tail_abs", "tail_sq", "cesaro"), *rows])
+    return lines, doc, buf.getvalue()
 
 
 def _cmd_enlarge(args):
@@ -310,6 +314,9 @@ def main(argv=None) -> int:
     except SublinError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.exit_code
+    except OverflowError as e:  # a finite input whose float conversion overflows
+        print(f"error: numeric overflow: {e}", file=sys.stderr)
+        return NumericalFailure.exit_code
     except OSError as e:  # an output file; model files raise ModelError
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -3,6 +3,11 @@
 Each error class carries the process exit code used by the CLI.
 """
 
+# the most states one solver array may hold: the DP's widest window of
+# partial sums, the G-heat grid's points; refused with ModelTooLarge before
+# the array is built (about 31 B a state in the one-step float DP)
+MAX_WINDOW_STATES = 10**7
+
 
 class SublinError(Exception):
     """Base class for all sublin errors."""
@@ -35,7 +40,8 @@ class ModelTooLarge(SublinError):
 
 
 class StateExplosion(ModelTooLarge):
-    """The DP's partial-sum windows exceeded a state or work cap."""
+    """The DP's widest partial-sum window exceeded MAX_WINDOW_STATES, or its
+    sweep exceeded the work budget."""
 
 
 class NoCommonLattice(NumericalFailure):

@@ -21,11 +21,11 @@ from typing import Callable, Optional
 import numpy as np
 from scipy import integrate
 
-from .errors import ModelError, ModelTooLarge, NumericalFailure
+from .errors import MAX_WINDOW_STATES, ModelError, ModelTooLarge, NumericalFailure
 from .phi import evaluate_array
 
-# grid points x time steps of one solve: 3x the largest shipped solve
-# (3,201 points x 100,000 steps at dx=0.005)
+# grid points x time steps of one solve, its time budget: 3x the largest
+# shipped solve (3,201 points x 100,000 steps at dx=0.005)
 MAX_POINT_STEPS = 10**9
 
 
@@ -37,9 +37,11 @@ class GParams:
     sigma_hi: float
 
     def __post_init__(self):
-        if not (0 <= self.sigma_lo <= self.sigma_hi < math.inf):
+        # sigma_hi**2 sets the time step, so it must be a finite float
+        if not (0 <= self.sigma_lo <= self.sigma_hi
+                and math.isfinite(self.sigma_hi * self.sigma_hi)):
             raise ModelError(
-                f"need 0 <= sigma_lo <= sigma_hi < inf, got "
+                f"need 0 <= sigma_lo <= sigma_hi with a finite sigma_hi**2, got "
                 f"({self.sigma_lo}, {self.sigma_hi})"
             )
 
@@ -93,8 +95,10 @@ def solve_g_heat(
     difference by sigma^2 instead of splitting it at 0, with the same bits.
     Raises ModelError unless T >= 0 or when the solve would step (T > 0
     and sigma_hi > 0) on a grid with no interior point (round(L/dx) < 1),
-    and ModelTooLarge, before any grid is built, when points x max(steps, 1)
-    exceeds MAX_POINT_STEPS.
+    and ModelTooLarge, before phi is called or any grid is built, when
+    points x max(steps, 1) exceeds MAX_POINT_STEPS, the time budget, or the
+    points alone exceed MAX_WINDOW_STATES, which bounds the grid's arrays
+    (a grid that never steps, when T == 0 or sigma_hi == 0, included).
 
     Rounding: with p_s = dt / (2 dx^2) * s^2 <= cfl / 2, a step sets u_j to
     the max over s in {sigma_lo, sigma_hi} of p_s u_{j-1} + (1 - 2 p_s) u_j
@@ -132,6 +136,11 @@ def solve_g_heat(
         raise ModelTooLarge(
             f"G-heat solve of {points:.3g} points x {max(steps, 1.0):.3g} steps exceeds "
             f"the cap of {MAX_POINT_STEPS:.0e} point-steps; use a larger dx or a smaller domain"
+        )
+    if points > MAX_WINDOW_STATES:
+        raise ModelTooLarge(
+            f"G-heat grid of {points:.0f} points exceeds the bound of {MAX_WINDOW_STATES} "
+            "points; use a larger dx or a smaller domain"
         )
     n_half = int(round(half))
     if not degenerate and n_half < 1:

@@ -21,11 +21,12 @@ take them past 2**62, as Python ints above that.  Every step sweeps only
 the states between the flat ends of v_{k+1}, where a clamped terminal holds
 one constant, and copies the value of the nearest swept state across each
 end; the ends are measured once, on the terminal, and each step's fill
-gives the next step its ends.  Both modes are bounded by the window-state
-cap and by one work budget, ``MAX_STATE_ATOMS`` float state-atoms, which
-charges each step a fixed cost besides its state-atoms, and against which
-exact steps are charged by the size of their numerators and the exact
-terminal by its states.
+gives the next step its ends.  Both modes bound what the sweep stores by
+``MAX_WINDOW_STATES`` states in the final window, the widest, and its time
+by one work budget, ``MAX_STATE_ATOMS`` float state-atoms, which charges
+each step a fixed cost besides its state-atoms, and against which exact
+steps are charged by the size of their numerators and the exact terminal
+by its states.
 """
 
 from __future__ import annotations
@@ -37,14 +38,14 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ModelError, NoCommonLattice, NumericalFailure, StateExplosion
+from .errors import (MAX_WINDOW_STATES, ModelError, NoCommonLattice, NumericalFailure,
+                     StateExplosion)
 from .linprog import _integer_row
 from .measures import AmbiguitySet, NumericMode, is_exact
 from .phi import evaluate_array
 
 MAX_LATTICE_DENOMINATOR = 10**4
 LATTICE_TOL = 1e-12
-DEFAULT_STATE_CAP = 50_000_000
 # the sweep's time budget in float state-atoms (window states x atoms, plus
 # _STEP_COST a step, summed over the steps); exact steps cost more per
 # state-atom, and the exact terminal is charged too, see _sweep
@@ -156,13 +157,13 @@ def _charge(spent, work, note=""):
 
 def _windows(emb: LatticeEmbedding):
     """Each step's window of partial sums as (lo, width), from its least and
-    greatest atom, step 0 = (0, 1); raises StateExplosion past
-    DEFAULT_STATE_CAP window states, or past MAX_STATE_ATOMS with every
+    greatest atom, step 0 = (0, 1); raises StateExplosion at the first
+    window wider than MAX_WINDOW_STATES, or past MAX_STATE_ATOMS with every
     window state-atom charged 1, a float state-atom's cost, and every step
-    ``_STEP_COST`` more."""
+    ``_STEP_COST`` more.  Windows never shrink, so the width check bounds
+    the final window, and with it every array of the sweep."""
     lo, width = 0, 1
     out = [(lo, width)]
-    total = 1
     state_atoms = 0
     for measures in emb.steps:
         state_atoms = _charge(state_atoms,
@@ -170,11 +171,9 @@ def _windows(emb: LatticeEmbedding):
         least = min(min(ints) for ints, _ in measures)
         greatest = max(max(ints) for ints, _ in measures)
         lo, width = lo + least, width + greatest - least
-        total += width
-        if total > DEFAULT_STATE_CAP:
-            raise StateExplosion(
-                f"the backward sweep exceeds the state cap ({DEFAULT_STATE_CAP} window states)"
-            )
+        if width > MAX_WINDOW_STATES:
+            raise StateExplosion(f"the backward sweep exceeds the window bound "
+                                 f"({MAX_WINDOW_STATES} states, {width} in step {len(out)})")
         out.append((lo, width))
     return out
 
@@ -363,13 +362,14 @@ def sublinear_eval_sum(seq: StepSequence, f: Callable, direction: str = "upper",
     ``s * h / scale`` of the final window, the lattice points between the
     least and greatest S_n, rounded after each operation; exact mode calls
     ``f`` on each ``s * (h / scale)`` there.  The lower direction negates the
-    terminal values and the result.  Raises StateExplosion past
-    DEFAULT_STATE_CAP window states or MAX_STATE_ATOMS float state-atoms of
-    sweep work, which charges each step a fixed cost besides its
-    state-atoms, and against which exact mode charges each terminal state
-    and each step by the size of its numerators (see ``_sweep``).  ``f``
-    must be defined and finite at every point of the window, reachable or
-    not.
+    terminal values and the result.  Raises StateExplosion before ``f`` is
+    called when the final window holds more than MAX_WINDOW_STATES states,
+    which bounds the sweep's arrays.  It raises StateExplosion too past
+    MAX_STATE_ATOMS float state-atoms of sweep work, which charges each step
+    a fixed cost besides its state-atoms, and against which exact mode
+    charges each terminal state and each step by the size of its numerators
+    (see ``_sweep``).  ``f`` must be defined and finite at every point of
+    the window, reachable or not.
     """
     if direction not in ("upper", "lower"):
         raise ModelError(f"direction must be 'upper' or 'lower', got {direction!r}")

@@ -208,6 +208,15 @@ class TestGNormal:
         assert code == 4 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_sigma_without_a_finite_square(self, capsys):
+        # sigma_hi**2 sets the time step: 1e200 overflows it
+        code, out, err = run(
+            capsys, "gnormal", "--sigma-lo", "0.5", "--sigma-hi", "1e200", "--phi", "x",
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: need 0 <= sigma_lo <= sigma_hi with a finite sigma_hi**2")
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("dx", ["1e300", "inf"])
     def test_dx_without_a_finite_square(self, capsys, dx):
         # dx**2 sets the time step: 1e300 overflows it, inf makes the grid 0*inf
@@ -506,6 +515,36 @@ class TestExitCodes:
         code, out, _ = run(capsys, "eval", "--model", cfg("bernoulli-band.json"),
                            "--phi", "x", "--n", "5001", "--normalize", "n", "--exact")
         assert code == 0 and out == "value=3/5\n"
+
+    @pytest.mark.parametrize("argv", [["--exact"], []], ids=["exact", "float"])
+    def test_band_at_n9999_is_admitted(self, capsys, argv):
+        # windows of 1, 2, ..., 10,000 states: 5.0e7 in all, but none
+        # near the bound on one window
+        code, out, _ = run(capsys, "eval", "--model", cfg("bernoulli-band.json"),
+                           "--phi", "x", "--n", "9999", "--normalize", "n", *argv)
+        assert code == 0 and out.startswith("value=")
+        value = out[len("value="):-1]
+        if argv:
+            assert value == "3/5"
+        else:
+            assert abs(float(value) - 0.6) < 1e-12
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--model", "BIG", "--phi", "x", "--n", "1"],
+        ["lln", "--model", "BIG", "--phi", "x"],
+        ["lln", "--model", "BIG", "--phi", "x", "--exact"],
+        ["clt", "--model", "BIG-CENTRED", "--phi", "x"],
+    ], ids=["eval", "lln", "lln-exact", "clt"])
+    def test_float_conversion_overflow_is_a_numerical_failure(self, capsys, tmp_path, argv):
+        # an atom of 1e400 is a finite rational, but no float: the lattice
+        # spacing, the LLN's mean range or the CLT's variances overflow
+        models = {"BIG": [0, "1e400"], "BIG-CENTRED": ["-1e400", "1e400"]}
+        for name, atoms in models.items():
+            (tmp_path / name).write_text(json.dumps(
+                {"measures": [{"atoms": atoms, "probs": ["1/2", "1/2"]}]}))
+        code, out, err = run(capsys, *[str(tmp_path / a) if a in models else a for a in argv])
+        assert code == 3 and out == ""
+        assert err.startswith("error: numeric overflow: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("clamp", ["nan", "inf", "1e400"])
     @pytest.mark.parametrize("which", ["lln", "clt"])

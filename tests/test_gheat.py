@@ -40,6 +40,8 @@ class TestGFunction:
             GParams(-0.1, 1.0)
         with pytest.raises(ModelError):
             GParams(0.0, math.inf)
+        with pytest.raises(ModelError, match="finite sigma_hi"):
+            GParams(0.5, 1e200)  # sigma_hi**2 overflows
 
 
 class TestQuadratureOracle:
@@ -288,6 +290,24 @@ class TestWorkCap:
 
         with pytest.raises(ModelTooLarge, match="point-steps"):
             solve_g_heat(phi, params, T=T, config=config)
+
+    @pytest.mark.parametrize("params,T", [
+        (GParams(0.0, 0.0), 1.0),
+        (GParams(0.5, 1.0), 0.0),
+        (GParams(0.5, 1.0), 1e-9),  # one step
+    ], ids=["degenerate-band", "T0", "one-step"])
+    def test_points_past_the_array_bound_are_refused_before_phi(self, params, T, monkeypatch):
+        # each grid is far below MAX_POINT_STEPS; at dx=0.01 a half-width
+        # of 5 has 1,001 points, one of 4.99 has 999
+        monkeypatch.setattr("sublin.gheat.MAX_WINDOW_STATES", 1000)
+
+        def phi(x):
+            raise AssertionError("phi evaluated on a grid past the bound")
+
+        with pytest.raises(ModelTooLarge, match="1001 points exceeds the bound of 1000"):
+            solve_g_heat(phi, params, T=T, config=GridConfig(domain=5.0))
+        grid = solve_g_heat(lambda x: 0 * x, params, T=T, config=GridConfig(domain=4.99))
+        assert len(grid.xs) == 999
 
 
 class TestOverflow:

@@ -570,11 +570,29 @@ class TestGuards:
         "mode", [NumericMode.FLOAT64, NumericMode.EXACT], ids=["float", "exact"]
     )
     def test_state_cap(self, mode, monkeypatch):
-        monkeypatch.setattr(recursion, "DEFAULT_STATE_CAP", 1000)
-        aset = AmbiguitySet([DiscreteDistribution([0, 10**6], [F(1, 2), F(1, 2)])])
-        seq = StepSequence.iid(aset, 50, mode)
-        with pytest.raises(StateExplosion, match=r"state cap \(1000 window states\)"):
-            sublinear_eval_sum(seq, lambda s: s)
+        # the bound is on the widest window, not on the windows' sum: coin
+        # windows of 1, 3, ..., 2n + 1 states admit n = 500 under a bound
+        # of 1,001 states, though they hold 251,001 states in all
+        monkeypatch.setattr(recursion, "MAX_WINDOW_STATES", 1001)
+        aset = AmbiguitySet([rademacher()])
+        assert sublinear_eval_sum(StepSequence.iid(aset, 500, mode), lambda s: s) == 0
+        with pytest.raises(StateExplosion,
+                           match=r"window bound \(1001 states, 1003 in step 501\)"):
+            sublinear_eval_sum(StepSequence.iid(aset, 501, mode), lambda s: s)
+
+    @pytest.mark.parametrize(
+        "mode", [NumericMode.FLOAT64, NumericMode.EXACT], ids=["float", "exact"]
+    )
+    def test_wide_one_step_window_is_refused_before_phi(self, mode):
+        # one step of 3 atoms: a 4e7-state window, which would take about
+        # 1.3 GB in float mode, though its pre-sweep charge of 12,503
+        # state-atoms passes
+        calls = []
+        f = lambda s: calls.append(s) or s
+        aset = AmbiguitySet([DiscreteDistribution([0, 1, 4 * 10**7], [F(1, 3)] * 3)])
+        with pytest.raises(StateExplosion, match="window bound") as refused:
+            sublinear_eval_sum(StepSequence.iid(aset, 1, mode), f)
+        assert refused.value.exit_code == 4 and calls == []
 
     @pytest.mark.parametrize(
         "mode", [NumericMode.FLOAT64, NumericMode.EXACT], ids=["float", "exact"]
