@@ -24,6 +24,13 @@ out=$(timeout 60 sublin counterexample --which lln --K 100 --n 50)
 want="value=0.99002446084601858 lower-bound=0.9900244608460177 classical-reference=0 robust-limit=1"
 test "$out" = "$want" || { echo "got: $out"; exit 1; }
 
+echo "LLN counterexample at K=100, n=200"
+# its windows' states times 2K atoms come to 4.0e10, past the work cap; but a
+# step computes at most 401 states and copies the rest, and is charged for that
+out=$(timeout 60 sublin counterexample --which lln --K 100 --n 200)
+want="value=0.96039538608644459 lower-bound=0.96039538608644137 classical-reference=0 robust-limit=1"
+test "$out" = "$want" || { echo "got: $out"; exit 1; }
+
 echo "CLT counterexample at K=400, n=25"
 # the DP reads prop63's clamped phi through its compiled array closure
 out=$(timeout 60 sublin counterexample --which clt --K 400 --n 25)

@@ -38,8 +38,11 @@ class GParams:
 
     def __post_init__(self):
         # sigma_hi**2 sets the time step, so it must be a finite float
-        if not (0 <= self.sigma_lo <= self.sigma_hi
-                and math.isfinite(self.sigma_hi * self.sigma_hi)):
+        try:
+            finite_square = math.isfinite(self.sigma_hi * self.sigma_hi)
+        except OverflowError:  # an int square past the float range
+            finite_square = False
+        if not (0 <= self.sigma_lo <= self.sigma_hi and finite_square):
             raise ModelError(
                 f"need 0 <= sigma_lo <= sigma_hi with a finite sigma_hi**2, got "
                 f"({self.sigma_lo}, {self.sigma_hi})"

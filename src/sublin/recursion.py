@@ -23,10 +23,12 @@ one constant, and copies the value of the nearest swept state across each
 end; the ends are measured once, on the terminal, and each step's fill
 gives the next step its ends.  Both modes bound what the sweep stores by
 ``MAX_WINDOW_STATES`` states in the final window, the widest, and its time
-by one work budget, ``MAX_STATE_ATOMS`` float state-atoms, which charges
-each step a fixed cost besides its state-atoms, and against which exact
-steps are charged by the size of their numerators and the exact terminal
-by its states.
+by one work budget, ``MAX_STATE_ATOMS`` float state-atoms, against which
+each sweep keeps one tally.  Float mode is charged its whole sweep once
+its terminal's flat ends are known, before the first step: the states each
+step sweeps times its atoms, 1 a copied state and a fixed cost a step.
+Exact mode is charged its terminal per state before any array is built,
+and each step by the size of its numerators before the step runs.
 """
 
 from __future__ import annotations
@@ -46,9 +48,10 @@ from .phi import evaluate_array
 
 MAX_LATTICE_DENOMINATOR = 10**4
 LATTICE_TOL = 1e-12
-# the sweep's time budget in float state-atoms (window states x atoms, plus
-# _STEP_COST a step, summed over the steps); exact steps cost more per
-# state-atom, and the exact terminal is charged too, see _sweep
+# the sweep's time budget in float state-atoms (swept states x atoms, plus
+# 1 a copied state and _STEP_COST a step, summed over the steps); exact
+# steps cost more per state-atom, and the exact terminal is charged too,
+# see _sweep
 MAX_STATE_ATOMS = 10**10
 # states per block of the backward sweep: a block's live arrays stay in L2
 _BLOCK = 32768
@@ -87,7 +90,7 @@ class StepSequence:
 
 def _check_length(n: int):
     """Refuse n steps before building them if their step charges alone pass
-    MAX_STATE_ATOMS, as ``_windows`` would."""
+    MAX_STATE_ATOMS, as ``_sweep`` would."""
     _charge(0, n * _STEP_COST, f", {n} steps")
 
 
@@ -158,16 +161,13 @@ def _charge(spent, work, note=""):
 def _windows(emb: LatticeEmbedding):
     """Each step's window of partial sums as (lo, width), from its least and
     greatest atom, step 0 = (0, 1); raises StateExplosion at the first
-    window wider than MAX_WINDOW_STATES, or past MAX_STATE_ATOMS with every
-    window state-atom charged 1, a float state-atom's cost, and every step
-    ``_STEP_COST`` more.  Windows never shrink, so the width check bounds
-    the final window, and with it every array of the sweep."""
+    window wider than MAX_WINDOW_STATES.  Windows never shrink, so the width
+    check bounds the final window, and with it every array of the sweep.
+    The sweep's time is metered by ``_sweep``, which knows the states that
+    each step computes."""
     lo, width = 0, 1
     out = [(lo, width)]
-    state_atoms = 0
     for measures in emb.steps:
-        state_atoms = _charge(state_atoms,
-                              width * sum(len(ints) for ints, _ in measures) + _STEP_COST)
         least = min(min(ints) for ints, _ in measures)
         greatest = max(max(ints) for ints, _ in measures)
         lo, width = lo + least, width + greatest - least
@@ -196,10 +196,12 @@ def _sweep(seq, emb, f, scale=1, sign=1):
     Each step walks its window in blocks of ``_BLOCK`` states and runs the
     whole per-measure loop on one block before the next, so the block's
     accumulator, running max and slices of ``v`` stay in L2 instead of
-    streaming the full window (up to 200,001 states for
-    ``prop62_experiment(100, 20)``) from L3 once per atom.  Every element
+    streaming all the swept states from L3 once per atom.  Every element
     sees the same operations in the same order as in one unblocked pass,
-    so values are bit-identical for any block size.
+    so values are bit-identical for any block size.  A sweep between flat
+    ends is often one block: ``prop62_experiment(100, 20)`` computes 41 of
+    up to 190,001 window states a step, ``prop63_experiment(400, 25)`` at
+    most 9,611.
 
     The blocks cover only the states between the window's flat ends.  State
     i of step k reads v_{k+1}[i .. i + span], span = max atom - min atom.
@@ -217,31 +219,36 @@ def _sweep(seq, emb, f, scale=1, sign=1):
     of v.  The clamped counterexample terminals make nearly every state of
     ``prop62_experiment`` flat.
 
-    Work: ``_windows`` charges every window state-atom 1, and every step
-    ``_STEP_COST``, before the sweep starts, about what float mode costs
-    (1.2 ns per state-atom on the wide steps of ``prop63_experiment(400,
-    25)``, and 11-13 us per step of a one-atom law, on a shared 2-vCPU x86
-    host); so ``StepSequence.iid`` refuses more than MAX_STATE_ATOMS //
-    _STEP_COST = 800,000 steps before it builds them.  Exact mode is
-    metered as it runs.  Before the first call of f it charges
-    ``_TERMINAL_COST`` per terminal state, for the call and the conversion
-    of its value to a numerator (6-10 us on the counterexample terminals,
-    16 us on the band's x*x).  Before each step it charges the states it
-    sweeps times the step's atoms plus 2 (the int64 test and the gcd
-    reduction), times a cost per state-atom; plus 4 per window state for
-    allocating and filling the window, which copies references whatever
-    the numerators' size; plus ``_STEP_COST``.  It raises StateExplosion at
-    the first charge that would take the total past MAX_STATE_ATOMS.  The
-    cost is 3 on an int64 step and 10 * (w + 10) + w**2 // 32 on a
-    Python-int step, for w 64-bit words of the int64 test's bound; the
-    square stands for the gcd reduction, which grows faster than w.  Timed
-    on that host at 1.2 ns a unit, exact ``prop63_experiment`` at (10, 400),
-    (20, 225), (20, 100), (30, 81) and (40, 121), ``prop62_experiment`` at
-    (30, 100), (50, 50) and (100, 50) and the Bernoulli band at n = 5,000
-    each took 0.57-1.01 times its charge.  So the budget stops an exact
-    sweep within about as long as 10**10 float state-atoms take: exact
-    ``prop63_experiment(40, 121)``, which takes 41-58 s to finish, is
-    refused after 10-15 s.
+    Work: one tally per sweep against MAX_STATE_ATOMS; the first charge
+    that would pass it raises StateExplosion.  Float mode evaluates its
+    terminal, at most MAX_WINDOW_STATES points, takes every step's
+    [head, tail) from the terminal's flat ends by the recurrence above, and
+    charges the whole sweep before its first step: each swept state its
+    atoms, each copied state 1, each step ``_STEP_COST``.  That is about
+    what float mode costs (1.2 ns per state-atom on the wide steps of
+    ``prop63_experiment(400, 25)``, 11-13 us per step of a one-atom law, on
+    a shared 2-vCPU x86 host), though sweeps that mostly copy, such as
+    ``prop62_experiment`` at (100, 101) to (300, 100), took 1.4-3.4 ns a
+    unit.  Every step costs at least ``_STEP_COST``, so ``StepSequence.iid``
+    refuses more than MAX_STATE_ATOMS // _STEP_COST = 800,000 steps before
+    it builds them.  Exact mode is metered as it runs.
+    Before its states are listed it charges ``_TERMINAL_COST`` per terminal
+    state, for the call of f and the conversion of its value to a numerator
+    (6-10 us on the counterexample terminals, 16 us on the band's x*x).
+    Before each step it charges the states it sweeps times the step's atoms
+    plus 2 (the int64 test and the gcd reduction), times a cost per
+    state-atom; plus 4 per window state for allocating and filling the
+    window, which copies references whatever the numerators' size; plus
+    ``_STEP_COST``.  The cost is 3 on an int64 step and
+    10 * (w + 10) + w**2 // 32 on a Python-int step, for w 64-bit words of
+    the int64 test's bound; the square stands for the gcd reduction, which
+    grows faster than w.  Timed on that host at 1.2 ns a unit, exact
+    ``prop63_experiment`` at (10, 400), (20, 225), (20, 100), (30, 81) and
+    (40, 121), ``prop62_experiment`` at (30, 100), (50, 50) and (100, 50)
+    and the Bernoulli band at n = 5,000 each took 0.57-1.01 times its
+    charge.  So the budget stops an exact sweep within about as long as
+    10**10 float state-atoms take: exact ``prop63_experiment(40, 121)``,
+    which takes 41-58 s to finish, is refused after 10-15 s.
 
     Float error: a step sums at most max_atoms products whose weights sum
     to 1, so rounding the weights to float64 and the products and sums
@@ -253,9 +260,11 @@ def _sweep(seq, emb, f, scale=1, sign=1):
     exact = seq.mode is NumericMode.EXACT
     windows = _windows(emb)
     lo_n, width_n = windows[-1]
+    # the sweep's one tally; the exact terminal is charged before any array is built
+    spent = _charge(0, width_n * _TERMINAL_COST if exact else 0,
+                    ", the exact terminal charged per state")
     states = np.arange(lo_n, lo_n + width_n)
     if exact:
-        spent = _charge(0, width_n * _TERMINAL_COST, ", the exact terminal charged per state")
         step = emb.h / scale
         terminal = [f(s * step) for s in states.tolist()]
         if any(isinstance(t, float) for t in terminal):
@@ -265,31 +274,35 @@ def _sweep(seq, emb, f, scale=1, sign=1):
     else:
         v = evaluate_array(f, states * float(emb.h) / float(scale))
     v *= sign
-    # v[:head] all equal v[head] and v[tail:] all equal v[tail - 1]
-    head, tail = _flat_ends(v)
+    # ends[n] = (head, tail) with v_n[:head] all equal v_n[head] and v_n[tail:]
+    # all equal v_n[tail - 1]; step k sweeps states ends[k] = [head, tail) and
+    # copies best[head] and best[tail - 1] across the flat ends they border
+    ends = [None] * len(seq) + [_flat_ends(v)]
+    work = len(seq) * _STEP_COST
+    for k in range(len(seq) - 1, -1, -1):
+        (head, tail), width = ends[k + 1], windows[k][1]
+        head = max(head - windows[k + 1][1] + width, 0)
+        ends[k] = head, max(min(tail, width), head + 1)
+        # float mode: a swept state costs its atoms, a copied state 1
+        work += (ends[k][1] - head) * (sum(len(ints) for ints, _ in emb.steps[k]) - 1) + width
+    # float mode is charged its whole sweep here, exact mode each step as it runs
+    spent = _charge(spent, 0 if exact else work)
 
     weight_cache = {}
     for k in range(len(seq) - 1, -1, -1):
-        lo_k, width = windows[k]
-        lo_next = windows[k + 1][0]
+        (lo_k, width), (lo_next, _) = windows[k : k + 2]
         step_lcm, weights, weight_sum = _step_weights(emb.steps[k], exact, weight_cache)
-        atoms = sum(map(len, weights))
+        head, tail = ends[k]
         if exact:
             denom *= step_lcm
-            core = v[head:tail]  # every distinct value of v
+            core = v[slice(*ends[k + 1])]  # every distinct value of v
             bound = max(int(core.max()), -int(core.min()), 1) * weight_sum
             fits = bound < _INT64_BOUND
             v = v.astype(np.int64 if fits else object, copy=False)
-        # sweep states [head, tail), then copy best[head] and best[tail - 1]
-        # across the flat ends that they border
-        span = len(v) - width
-        head = max(head - span, 0)
-        tail = max(min(tail, width), head + 1)
-        if exact:
             words = bound.bit_length() // 64 + 1
             cost = 3 if fits else 10 * (words + 10) + words * words // 32
-            spent = _charge(spent, (tail - head) * (atoms + 2) * cost + 4 * width + _STEP_COST,
-                            ", exact steps charged by numerator size")
+            spent = _charge(spent, (tail - head) * (sum(map(len, weights)) + 2) * cost
+                            + 4 * width + _STEP_COST, ", exact steps charged by numerator size")
         best = np.empty(width, dtype=v.dtype)
         for b0 in range(head, tail, _BLOCK):
             b1 = min(b0 + _BLOCK, tail)
@@ -365,11 +378,13 @@ def sublinear_eval_sum(seq: StepSequence, f: Callable, direction: str = "upper",
     terminal values and the result.  Raises StateExplosion before ``f`` is
     called when the final window holds more than MAX_WINDOW_STATES states,
     which bounds the sweep's arrays.  It raises StateExplosion too past
-    MAX_STATE_ATOMS float state-atoms of sweep work, which charges each step
-    a fixed cost besides its state-atoms, and against which exact mode
-    charges each terminal state and each step by the size of its numerators
-    (see ``_sweep``).  ``f`` must be defined and finite at every point of
-    the window, reachable or not.
+    MAX_STATE_ATOMS float state-atoms of sweep work, kept in one tally (see
+    ``_sweep``): float mode charges the states each step sweeps times its
+    atoms, 1 a copied state and a fixed cost a step, after ``f`` and before
+    the first step; exact mode charges each terminal state before ``f`` is
+    called, and each step by the size of its numerators before it runs.
+    ``f`` must be defined and finite at every point of the window,
+    reachable or not.
     """
     if direction not in ("upper", "lower"):
         raise ModelError(f"direction must be 'upper' or 'lower', got {direction!r}")

@@ -492,7 +492,8 @@ class TestExitCodes:
         assert err == f"error: --n must be >= 1, got {n}\n"
 
     def test_sweep_past_the_work_cap_is_refused(self, capsys):
-        # windows of 2Kk + 1 states times 3K atoms for k < 20: 2.9e10 state-atoms
+        # windows of 2Kk + 1 states times 3K atoms for k < 20: 2.9e10
+        # state-atoms, of which the sweep would compute 1.5e10, its charge
         code, out, err = run(capsys, "counterexample", "--which", "clt", "--K", "5000",
                              "--n", "20")
         assert code == 4 and out == ""
@@ -500,9 +501,8 @@ class TestExitCodes:
         assert err.count("\n") == 1
 
     def test_exact_dp_past_the_exact_work_cap_is_refused(self, capsys, monkeypatch):
-        # 6.8e5 window state-atoms pass the pre-sweep check; the exact meter
-        # charges the terminal 9.8e6 and the sweep's numerators of up to
-        # 600 bits 7.0e7 in all
+        # the exact meter charges the terminal 9.8e6, which passes, and the
+        # sweep's numerators of up to 600 bits 7.0e7 in all
         monkeypatch.setattr("sublin.recursion.MAX_STATE_ATOMS", 10**7)
         code, out, err = run(capsys, "counterexample", "--which", "clt", "--K", "10",
                              "--n", "49", "--exact")

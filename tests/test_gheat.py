@@ -42,6 +42,8 @@ class TestGFunction:
             GParams(0.0, math.inf)
         with pytest.raises(ModelError, match="finite sigma_hi"):
             GParams(0.5, 1e200)  # sigma_hi**2 overflows
+        with pytest.raises(ModelError, match="finite sigma_hi"):
+            GParams(0, 10**200)  # an int square that no float holds
 
 
 class TestQuadratureOracle:

@@ -1,6 +1,8 @@
 import itertools
 import math
+import os
 import random
+import subprocess
 import sys
 from fractions import Fraction
 
@@ -585,8 +587,8 @@ class TestGuards:
     )
     def test_wide_one_step_window_is_refused_before_phi(self, mode):
         # one step of 3 atoms: a 4e7-state window, which would take about
-        # 1.3 GB in float mode, though its pre-sweep charge of 12,503
-        # state-atoms passes
+        # 1.3 GB in float mode, though the sweep would be charged no more
+        # than 12,503 state-atoms
         calls = []
         f = lambda s: calls.append(s) or s
         aset = AmbiguitySet([DiscreteDistribution([0, 1, 4 * 10**7], [F(1, 3)] * 3)])
@@ -598,10 +600,11 @@ class TestGuards:
         "mode", [NumericMode.FLOAT64, NumericMode.EXACT], ids=["float", "exact"]
     )
     def test_work_cap(self, mode, monkeypatch):
-        # windows of 1, 3, 5, ... states times 2 atoms: 2 * n**2 state-atoms,
-        # each charged 1 in float mode, plus _STEP_COST a step; an exact
-        # int64 step charges each state (2 atoms + 2) * 3 + 4, so 16 * n**2,
-        # plus _STEP_COST a step and _TERMINAL_COST a terminal state
+        # windows of 1, 3, 5, ... states times 2 atoms: 2 * n**2 state-atoms.
+        # No state of v_n = s is flat, so every state is swept: float mode
+        # charges each state-atom 1, plus _STEP_COST a step; an exact int64
+        # step charges each state (2 atoms + 2) * 3 + 4, so 16 * n**2, plus
+        # _STEP_COST a step and _TERMINAL_COST a terminal state
         def charge(n):
             if mode is NumericMode.FLOAT64:
                 return 2 * n**2 + n * recursion._STEP_COST
@@ -614,9 +617,9 @@ class TestGuards:
             sublinear_eval_sum(StepSequence.iid(aset, 23, mode), lambda s: s)
 
     def test_exact_meter_refuses_large_numerators(self, monkeypatch):
-        # exact prop63_experiment(10, 49): 6.8e5 window state-atoms pass the
-        # pre-sweep check, but its numerators pass 600 bits, and the meter
-        # charges 7.0e7 over the whole sweep, 9.8e6 of it for the terminal
+        # exact prop63_experiment(10, 49): its terminal's charge of 9.8e6
+        # passes, but its numerators pass 600 bits, and the meter charges
+        # 7.0e7 over the whole sweep, terminal included
         monkeypatch.setattr(recursion, "MAX_STATE_ATOMS", 3 * 10**7)
         steps = []
         reduce = recursion._reduce
@@ -627,13 +630,14 @@ class TestGuards:
         with pytest.raises(StateExplosion, match="work cap .*charged by numerator size"):
             sublinear_eval_sum(seq, phi, scale=7)
         assert 0 < len(steps) < 49 and steps[-1] == np.dtype(object)
-        # the float sweep of the same shape is charged its window state-atoms only
+        # the float sweep of the same shape is charged the states it sweeps
+        # and copies, once, before its first step
         seq = StepSequence.iid(counterexample_family(10), 49)
         assert 0 < sublinear_eval_sum(seq, phi, scale=7) < 1
 
     def test_wide_exact_terminal_is_refused_before_phi(self, monkeypatch):
-        # 201 terminal states: the pre-sweep check passes, the exact
-        # terminal's charge does not, so phi is never called
+        # 201 terminal states: the exact terminal's charge comes first and
+        # fails, so phi is never called and no array is built
         n = 100
         monkeypatch.setattr(recursion, "MAX_STATE_ATOMS",
                             (2 * n + 1) * recursion._TERMINAL_COST - 1)
@@ -643,8 +647,66 @@ class TestGuards:
         with pytest.raises(StateExplosion, match="work cap .*exact terminal charged per state"):
             sublinear_eval_sum(seq, f)
         assert calls == []
-        # the float terminal is charged with its window
+        # the float terminal is not charged: the float sweep's charge of
+        # 1.3e6 state-atoms comes after it
         assert sublinear_eval_sum(StepSequence.iid(AmbiguitySet([rademacher()]), n), f) > 0
+
+    @pytest.mark.parametrize("K, n", [(100, 101), (150, 100), (100, 200)])
+    def test_flat_float_sweep_is_charged_the_states_it_sweeps(self, K, n):
+        # the clamped terminal is flat on nearly every state: a step sweeps
+        # at most 401 of up to 2,250,001 window states and copies the rest,
+        # so the sweep is charged 5.6e7-2.2e8 state-atoms, where window
+        # states times 2K atoms come to 1.0e10-4.0e10
+        value, bound = prop62_experiment(K, n)
+        assert bound <= value <= 1
+
+    def test_float_sweep_past_the_work_cap_is_refused_before_its_first_step(
+            self, monkeypatch):
+        # the terminal is evaluated once, for its flat ends; then the whole
+        # sweep is charged, and refused before any step's weights are built.
+        # 100 coin steps, none flat: the length check passes, the charge of
+        # 2 * 100**2 state-atoms plus _STEP_COST a step does not
+        monkeypatch.setattr(recursion, "MAX_STATE_ATOMS", 100 * recursion._STEP_COST)
+        terminals = []
+        evaluate = recursion.evaluate_array
+        monkeypatch.setattr(recursion, "evaluate_array",
+                            lambda f, xs: terminals.append(len(xs)) or evaluate(f, xs))
+        monkeypatch.setattr(recursion, "_step_weights", lambda *args: pytest.fail("a step ran"))
+        seq = StepSequence.iid(AmbiguitySet([rademacher()]), 100)
+        with pytest.raises(StateExplosion, match="work cap"):
+            sublinear_eval_sum(seq, lambda s: s)
+        assert terminals == [201]
+
+    def test_wide_exact_window_is_refused_at_import_size(self):
+        # one exact step over a window of 10**7 states, within the window
+        # bound: its terminal is charged before its states are listed, which
+        # as int64 alone would take 80 MB. A fresh interpreter, so that the
+        # peak RSS is this refusal's
+        pytest.importorskip("resource")
+        script = (
+            "import resource\n"
+            "from fractions import Fraction as F\n"
+            "from sublin import (AmbiguitySet, DiscreteDistribution, NumericMode,\n"
+            "                    StateExplosion, StepSequence, sublinear_eval_sum)\n"
+            "aset = AmbiguitySet([DiscreteDistribution([0, 1, 10**7 - 1], [F(1, 3)] * 3)])\n"
+            "seq = StepSequence.iid(aset, 1, NumericMode.EXACT)\n"
+            "peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "try:\n"
+            "    sublinear_eval_sum(seq, lambda s: s)\n"
+            "except StateExplosion as refused:\n"
+            "    assert 'exact terminal' in str(refused)\n"
+            "    print(peak, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+        )
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        before, after = map(int, done.stdout.split())
+        # ru_maxrss is in KiB on Linux, in bytes on macOS
+        unit = 1 if sys.platform == "darwin" else 1024
+        assert (after - before) * unit <= 10 * 2**20
 
     def test_long_sequence_is_refused_before_its_steps_are_built(self):
         # every step costs _STEP_COST, whatever its atoms: the length check
