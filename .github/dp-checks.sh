@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
-# The pinned DP checks of both CI jobs: each command's stdout must equal its
-# expected line byte for byte, within 60 s, and the last command must be
-# refused with exit code 4 within 60 s.  Run from the repository root
-# with `sublin` on PATH, under the warning filter CI sets, so that a numpy
-# overflow or invalid-value warning fails the check:
+# The pinned DP and G-heat checks of both CI jobs: each command's stdout
+# must equal its expected line byte for byte, within 60 s, and the last
+# command must be refused with exit code 4 within 60 s.  Run from the
+# repository root with `sublin` on PATH, under the warning filter CI sets,
+# so that a numpy overflow or invalid-value warning fails the check:
 #
 #   PYTHONWARNINGS=error::RuntimeWarning bash .github/dp-checks.sh
 set -eo pipefail
@@ -49,6 +49,12 @@ echo "Exact CLT counterexample at K=2, n=1 with --clamp 0.3"
 out=$(timeout 60 sublin counterexample --which clt --K 2 --n 1 --clamp 0.3 --exact)
 want="value=37/40 lower-bound=37/40 classical-reference=0.20211543919713459 robust-limit=1"
 test "$out" = "$want" || { echo "got: $out"; exit 1; }
+
+echo "G-normal band at dx=0.005"
+# 100,000 steps of the split step max(sigma_hi^2 d2, sigma_lo^2 d2) on 3,201
+# points; the property tests stop at T = 0.3
+out=$(timeout 60 sublin gnormal --sigma-lo 0.5 --sigma-hi 1 --phi "1-abs(x)" --dx 0.005)
+test "$out" = "value=0.60106220777371466" || { echo "got: $out"; exit 1; }
 
 echo "Exact CLT counterexample at K=40, n=121 is refused"
 # its numerators pass 10,000 bits: the exact meter refuses the sweep after

@@ -93,9 +93,13 @@ def solve_g_heat(
     """Evolve the G-heat equation from initial data phi up to time T.
 
     The end points +-L stay fixed, since their second difference is zero;
-    the interior is stepped in place.  In the linear case sigma_lo ==
-    sigma_hi (the classical heat equation) a step multiplies the second
-    difference by sigma^2 instead of splitting it at 0, with the same bits.
+    the interior is stepped in place by dt / (2 dx^2) * 2 G(d2), with
+    2 G(d2) = max(sigma_hi^2 d2, sigma_lo^2 d2), since sigma_hi^2 >=
+    sigma_lo^2 >= 0 and rounding is monotone.  Every zero of the grid is
+    made +0.0 once, before the first step, so the bits are those of
+    sigma_hi^2 d2+ - sigma_lo^2 d2-.  In the linear case sigma_lo ==
+    sigma_hi (the classical heat equation) 2 G(d2) is the one product
+    sigma^2 d2, with the same bits.
     Raises ModelError unless T >= 0 or when the solve would step (T > 0
     and sigma_hi > 0) on a grid with no interior point (round(L/dx) < 1),
     and ModelTooLarge, before phi is called or any grid is built, when
@@ -158,29 +162,24 @@ def solve_g_heat(
     dt = T / n_steps
     lam = dt / config.dx**2
     half_lam = lam * 0.5
-    # u at the ends moves by G(0) * dt == +0.0, which only turns -0.0 into +0.0
-    u[[0, -1]] += 0.0
+    # max(sig2_hi*d2, sig2_lo*d2) (sig2_hi*d2 when linear) is the value of
+    # sig2_hi*max(d2,0) + sig2_lo*min(d2,0), whose steps leave no -0.0 in u
+    # (x + y is -0.0 only when x and y are); a zero's sign then changes no
+    # mid + addend, so one add of 0.0 here gives the split form's bits
+    u += 0.0
     left, mid, right = u[:-2], u[1:-1], u[2:]
-    # with sig2_lo == sig2_hi, sig2*max(d2,0) + sig2*min(d2,0) is
-    # sig2*d2 + 0.0 (one term is +0.0, and adding it turns only -0.0 into
-    # +0.0), except at d2 == -0.0; that needs mid == +0.0, which stays +0.0
     linear = sig2_lo == sig2_hi
-    d2, up, down = np.empty_like(mid), np.empty_like(mid), np.empty_like(mid)
-    # overflow to inf and inf - inf are left to the finiteness check below
+    d2, up = np.empty_like(mid), np.empty_like(mid)
+    # overflow to inf, inf - inf and 0 * inf are left to the finiteness check below
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(n_steps):
             np.multiply(2.0, mid, out=d2)
             np.subtract(right, d2, out=d2)
             np.add(d2, left, out=d2)
-            if linear:
-                np.multiply(sig2_hi, d2, out=up)
-                np.add(up, 0.0, out=up)
-            else:
-                np.maximum(d2, 0.0, out=up)
-                np.multiply(sig2_hi, up, out=up)
-                np.minimum(d2, 0.0, out=down)
-                np.multiply(sig2_lo, down, out=down)
-                np.add(up, down, out=up)
+            np.multiply(sig2_hi, d2, out=up)
+            if not linear:
+                np.multiply(sig2_lo, d2, out=d2)
+                np.maximum(up, d2, out=up)
             np.multiply(half_lam, up, out=up)
             np.add(mid, up, out=mid)
     if not np.all(np.isfinite(u)):

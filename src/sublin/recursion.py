@@ -159,23 +159,28 @@ def _charge(spent, work, note=""):
 
 
 def _windows(emb: LatticeEmbedding):
-    """Each step's window of partial sums as (lo, width), from its least and
-    greatest atom, step 0 = (0, 1); raises StateExplosion at the first
-    window wider than MAX_WINDOW_STATES.  Windows never shrink, so the width
-    check bounds the final window, and with it every array of the sweep.
-    The sweep's time is metered by ``_sweep``, which knows the states that
-    each step computes."""
+    """Each step's window of partial sums as (lo, width), step 0 = (0, 1),
+    and each step's atom count over its measures.  A distinct step's least
+    and greatest atom and count are found once, keyed by ``id`` as in
+    ``lattice_embed``.  Raises StateExplosion at the first window wider than
+    MAX_WINDOW_STATES.  Windows never shrink, so the width check bounds the
+    final window, and with it every array of the sweep.  ``_sweep`` meters
+    the sweep's time."""
+    shapes = {}
     lo, width = 0, 1
-    out = [(lo, width)]
+    out, atoms = [(lo, width)], []
     for measures in emb.steps:
-        least = min(min(ints) for ints, _ in measures)
-        greatest = max(max(ints) for ints, _ in measures)
+        if id(measures) not in shapes:
+            ints = [a for pts, _ in measures for a in pts]
+            shapes[id(measures)] = min(ints), max(ints), len(ints)
+        least, greatest, count = shapes[id(measures)]
         lo, width = lo + least, width + greatest - least
         if width > MAX_WINDOW_STATES:
             raise StateExplosion(f"the backward sweep exceeds the window bound "
                                  f"({MAX_WINDOW_STATES} states, {width} in step {len(out)})")
         out.append((lo, width))
-    return out
+        atoms.append(count)
+    return out, atoms
 
 
 def _sweep(seq, emb, f, scale=1, sign=1):
@@ -258,7 +263,7 @@ def _sweep(seq, emb, f, scale=1, sign=1):
     is within n * (max_atoms + 1) * 2**-53 * max|f| of the exact one.
     """
     exact = seq.mode is NumericMode.EXACT
-    windows = _windows(emb)
+    windows, atoms = _windows(emb)
     lo_n, width_n = windows[-1]
     # the sweep's one tally; the exact terminal is charged before any array is built
     spent = _charge(0, width_n * _TERMINAL_COST if exact else 0,
@@ -284,7 +289,7 @@ def _sweep(seq, emb, f, scale=1, sign=1):
         head = max(head - windows[k + 1][1] + width, 0)
         ends[k] = head, max(min(tail, width), head + 1)
         # float mode: a swept state costs its atoms, a copied state 1
-        work += (ends[k][1] - head) * (sum(len(ints) for ints, _ in emb.steps[k]) - 1) + width
+        work += (ends[k][1] - head) * (atoms[k] - 1) + width
     # float mode is charged its whole sweep here, exact mode each step as it runs
     spent = _charge(spent, 0 if exact else work)
 
@@ -301,7 +306,7 @@ def _sweep(seq, emb, f, scale=1, sign=1):
             v = v.astype(np.int64 if fits else object, copy=False)
             words = bound.bit_length() // 64 + 1
             cost = 3 if fits else 10 * (words + 10) + words * words // 32
-            spent = _charge(spent, (tail - head) * (sum(map(len, weights)) + 2) * cost
+            spent = _charge(spent, (tail - head) * (atoms[k] + 2) * cost
                             + 4 * width + _STEP_COST, ", exact steps charged by numerator size")
         best = np.empty(width, dtype=v.dtype)
         for b0 in range(head, tail, _BLOCK):

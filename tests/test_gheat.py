@@ -202,10 +202,17 @@ class TestInPlaceStepping:
     # the linear step: the README gnormal grid, where sigma^2 is exactly 1.0,
     # an all-zero start with -0.0 at every x < 0, and a start of -0.0 between
     # a 0.0 and the least subnormal, where sigma^2 * d2 underflows to -0.0 and
-    # only the added 0.0 makes the point +0.0, as the max/min split does
+    # only the 0.0 added once before the steps makes the point +0.0, as the
+    # max/min split does
     @example(phi="1-abs(x)", sigma_hi=1.0, band="equal", dx=0.01, cfl=0.4, T=1.0, domain=None)
     @example(phi="0*x", sigma_hi=0.3, band="equal", dx=0.05, cfl=0.4, T=0.3, domain=None)
     @example(phi=f"min(x, 0)*0.{'0' * 323}5", sigma_hi=0.3, band="equal", dx=0.5, cfl=0.4, T=0.05,
+             domain=None)
+    # the split step: one step from a -0.0 at x = 0 between two negatives,
+    # where sigma_lo = 0 makes max(sigma_hi^2 d2, 0 * d2) the -0.0 that would
+    # keep the point -0.0 but for that add; and 25,000 steps of the band
+    @example(phi="-x*x", sigma_hi=0.8, band="zero", dx=0.2, cfl=1.0, T=0.05, domain=None)
+    @example(phi="max(1 - abs(x), 0)", sigma_hi=1.0, band="inside", dx=0.01, cfl=0.4, T=1.0,
              domain=None)
     def test_matches_reference_loop_byte_for_byte(self, phi, sigma_hi, band, dx, cfl, T, domain):
         sigma_lo = {"zero": 0.0, "inside": 0.4 * sigma_hi, "equal": sigma_hi}[band]
@@ -314,9 +321,10 @@ class TestWorkCap:
 
 class TestOverflow:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("sigma_lo", [0.5, 1.0], ids=["split", "linear"])
+    @pytest.mark.parametrize("sigma_lo", [0.0, 0.5, 1.0], ids=["zero", "split", "linear"])
     def test_overflow_is_a_numerical_failure(self, sigma_lo):
         # 1.7e308 next to 0: the first second difference overflows to inf, then inf - inf
+        # (and 0 * inf when sigma_lo = 0)
         phi = parse_phi(f"{17 * 10**307}*min(abs(x),1)")
         with pytest.raises(NumericalFailure, match="non-finite values during time stepping"):
             solve_g_heat(phi, GParams(sigma_lo, 1.0), T=1.0, config=GridConfig(dx=0.5))
