@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # The pinned DP and G-heat checks of both CI jobs: each command's stdout
-# must equal its expected line byte for byte, within 60 s, and the last
-# command must be refused with exit code 4 within 60 s.  Run from the
+# must equal its expected line byte for byte, within 60 s, and the last two
+# commands must be refused with exit code 4 within 60 s.  Run from the
 # repository root with `sublin` on PATH, under the warning filter CI sets,
 # so that a numpy overflow or invalid-value warning fails the check:
 #
@@ -55,6 +55,17 @@ echo "G-normal band at dx=0.005"
 # points; the property tests stop at T = 0.3
 out=$(timeout 60 sublin gnormal --sigma-lo 0.5 --sigma-hi 1 --phi "1-abs(x)" --dx 0.005)
 test "$out" = "value=0.60106220777371466" || { echo "got: $out"; exit 1; }
+
+echo "G-heat grid of 10,000,001 points is refused"
+# L/dx = 4,999,999.5 rounds up to 5,000,000 cells a side: one point past the
+# array bound, refused before the grid is built
+code=0
+err=$(timeout 60 sublin gnormal --sigma-lo 0 --sigma-hi 0 --phi x --dx 1.600000160000016e-06 2>&1 >/dev/null) || code=$?
+test "$code" = 4 || { echo "exit code $code: $err"; exit 1; }
+case "$err" in
+  "error: G-heat grid of 10000001 points exceeds the bound"*) ;;
+  *) echo "got: $err"; exit 1 ;;
+esac
 
 echo "Exact CLT counterexample at K=40, n=121 is refused"
 # its numerators pass 10,000 bits: the exact meter refuses the sweep after

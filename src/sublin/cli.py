@@ -59,10 +59,6 @@ def _phi(args):
     return phi
 
 
-def _grid(args) -> GridConfig:
-    return GridConfig(dx=args.dx, cfl=args.cfl, domain=args.domain)
-
-
 def _schedule(text: str):
     try:
         ns = [int(v) for v in text.split(",") if v.strip()]
@@ -85,8 +81,6 @@ def _add_common(p, exact=True, out=False, grid=False):
     p.add_argument("--json", metavar="PATH", help="write a JSON report")
     if grid:
         p.add_argument("--dx", type=float, default=0.01)
-        p.add_argument("--cfl", type=float, default=0.4)
-        p.add_argument("--domain", type=float, default=None, metavar="L")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -182,7 +176,7 @@ def _cmd_clt(args):
         aset,
         phi,
         _schedule(args.n_schedule),
-        grid=_grid(args),
+        grid=GridConfig(args.dx),
         truncate_sqrt_n=args.truncate_sqrt_n,
         mode=_mode(args),
     ))
@@ -191,7 +185,7 @@ def _cmd_clt(args):
 def _cmd_gnormal(args):
     phi = parse_phi(args.phi)
     params = GParams(args.sigma_lo, args.sigma_hi)
-    value = g_normal_expectation(phi, params, _grid(args))
+    value = g_normal_expectation(phi, params, GridConfig(args.dx))
     lines = [f"value={value:.17g}"]
     if params.sigma_lo == params.sigma_hi:
         lines.append(f"quadrature={gaussian_quadrature(phi, params.sigma_hi):.17g}")

@@ -6,17 +6,20 @@ The scheme
 
     u_{m+1,j} = u_{m,j} + dt * G((u_{m,j+1} - 2 u_{m,j} + u_{m,j-1}) / dx^2)
 
-is monotone when ``dt <= cfl * dx^2 / sigma_hi^2`` with ``cfl <= 1`` and
-therefore converges to the viscosity solution.  The boundary forces the
-second difference to zero at +-L (linear extrapolation), which is the
-right condition for Lipschitz, asymptotically affine initial data.
+is monotone when ``dt <= CFL * dx^2 / sigma_hi^2`` with ``CFL <= 1`` and
+therefore converges to the viscosity solution.  The solver steps at the fixed
+CFL number 0.4 on the grid from -L to L, L = ``default_domain(params)``, so
+dx is its one setting.  The equation is translation-invariant: u(T, x) for x
+past L is u(T, 0) from the initial data phi(. + x).  The boundary
+forces the second difference to zero at +-L (linear extrapolation), which
+is the right condition for Lipschitz, asymptotically affine initial data.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 from scipy import integrate
@@ -27,6 +30,10 @@ from .phi import evaluate_array
 # grid points x time steps of one solve, its time budget: 3x the largest
 # shipped solve (3,201 points x 100,000 steps at dx=0.005)
 MAX_POINT_STEPS = 10**9
+
+# the CFL number of every time step, dt = CFL * dx^2 / sigma_hi^2; the
+# scheme is monotone for CFL <= 1
+CFL = 0.4
 
 
 @dataclass(frozen=True)
@@ -51,18 +58,14 @@ class GParams:
 
 @dataclass(frozen=True)
 class GridConfig:
+    """The G-heat grid's spacing dx, its one accuracy setting."""
+
     dx: float = 0.01
-    cfl: float = 0.4
-    domain: Optional[float] = None  # half-width L; default set from params
 
     def __post_init__(self):
         # dx*dx sets the time step, so its square must be a finite float too
         if not (self.dx > 0 and math.isfinite(self.dx * self.dx)):
             raise ModelError(f"need dx > 0 with a finite square, got {self.dx}")
-        if self.domain is not None and not self.domain >= 0:
-            raise ModelError(f"domain must be >= 0, got {self.domain}")
-        if not 0 < self.cfl <= 1:
-            raise ModelError(f"cfl must be in (0, 1], got {self.cfl}")
 
 
 @dataclass(frozen=True)
@@ -81,6 +84,7 @@ class GridFunction:
 
 
 def default_domain(params: GParams) -> float:
+    """The G-heat grid's half-width L."""
     return 8.0 * max(params.sigma_hi, 1.0)
 
 
@@ -100,6 +104,8 @@ def solve_g_heat(
     sigma_hi^2 d2+ - sigma_lo^2 d2-.  In the linear case sigma_lo ==
     sigma_hi (the classical heat equation) 2 G(d2) is the one product
     sigma^2 d2, with the same bits.
+    The grid has 2 round(L/dx) + 1 points, L = default_domain(params), and
+    the time step is dt <= CFL dx^2 / sigma_hi^2.
     Raises ModelError unless T >= 0 or when the solve would step (T > 0
     and sigma_hi > 0) on a grid with no interior point (round(L/dx) < 1),
     and ModelTooLarge, before phi is called or any grid is built, when
@@ -107,7 +113,7 @@ def solve_g_heat(
     points alone exceed MAX_WINDOW_STATES, which bounds the grid's arrays
     (a grid that never steps, when T == 0 or sigma_hi == 0, included).
 
-    Rounding: with p_s = dt / (2 dx^2) * s^2 <= cfl / 2, a step sets u_j to
+    Rounding: with p_s = dt / (2 dx^2) * s^2 <= CFL / 2 = 0.2, a step sets u_j to
     the max over s in {sigma_lo, sigma_hi} of p_s u_{j-1} + (1 - 2 p_s) u_j
     + p_s u_{j+1}: one step of the robust DP over the laws (p_s, 1 - 2 p_s,
     p_s) on {-dx, 0, dx}.  While the n steps are fewer than round(L/dx),
@@ -127,7 +133,7 @@ def solve_g_heat(
     """
     if not T >= 0:  # also catches nan
         raise ModelError(f"need T >= 0, got {T}")
-    L = config.domain if config.domain is not None else default_domain(params)
+    L = default_domain(params)
     sig2_hi = params.sigma_hi**2
     sig2_lo = params.sigma_lo**2
 
@@ -136,23 +142,23 @@ def solve_g_heat(
     points = 2 * half + 1
     steps = 0.0
     if not degenerate:
-        dt = config.cfl * config.dx**2 / sig2_hi
+        dt = CFL * config.dx**2 / sig2_hi
         steps = T / dt if dt else math.inf
     # "not <=" also catches inf and nan
     if not points * max(steps, 1.0) <= MAX_POINT_STEPS:
         raise ModelTooLarge(
             f"G-heat solve of {points:.3g} points x {max(steps, 1.0):.3g} steps exceeds "
-            f"the cap of {MAX_POINT_STEPS:.0e} point-steps; use a larger dx or a smaller domain"
-        )
-    if points > MAX_WINDOW_STATES:
-        raise ModelTooLarge(
-            f"G-heat grid of {points:.0f} points exceeds the bound of {MAX_WINDOW_STATES} "
-            "points; use a larger dx or a smaller domain"
+            f"the cap of {MAX_POINT_STEPS:.0e} point-steps; use a larger dx"
         )
     n_half = int(round(half))
+    if 2 * n_half + 1 > MAX_WINDOW_STATES:
+        raise ModelTooLarge(
+            f"G-heat grid of {2 * n_half + 1} points exceeds the bound of {MAX_WINDOW_STATES} "
+            "points; use a larger dx"
+        )
     if not degenerate and n_half < 1:
         raise ModelError(f"a G-heat grid of half-width {L} at dx={config.dx} has no interior "
-                         "point to step; use a smaller dx or a larger domain")
+                         "point to step; use a smaller dx")
     xs = np.arange(-n_half, n_half + 1) * config.dx
     u = evaluate_array(phi, xs)
     if degenerate:

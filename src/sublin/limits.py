@@ -410,11 +410,8 @@ def prop62_experiment(
         raise UsageError("clamp M must be > 1 and finite")
     aset = squared_counterexample_family(K)
     seq = StepSequence.iid(aset, n, mode)
-    exact = mode is NumericMode.EXACT
     value = sublinear_eval_sum(seq, parse_phi(f"max(1-x,{1 - Fraction(clamp)})"), scale=n)
-    no_jump = (1 - Fraction(1, K * K)) ** n
-    bound = 1 - (1 - no_jump) * Fraction(clamp)
-    return value, (bound if exact else float(bound))
+    return value, _always_pk_bound(K, n, Fraction(clamp), mode)
 
 
 def prop63_experiment(
@@ -432,14 +429,19 @@ def prop63_experiment(
         raise UsageError("clamp M must be positive and finite")
     aset = counterexample_family(K)
     seq = StepSequence.iid(aset, n, mode)
-    exact = mode is NumericMode.EXACT
     root = _sqrt(n, mode)
     phi = parse_phi("1-abs(x)" if clamp is None else f"max(1-abs(x),{1 - Fraction(clamp)})")
     value = sublinear_eval_sum(seq, phi, scale=root)
-    no_jump = (1 - Fraction(1, K * K)) ** n
     per_jump_cost = Fraction(clamp) if clamp is not None else Fraction(K * n)  # crude
-    bound = 1 - (1 - no_jump) * per_jump_cost
-    return value, (bound if exact else float(bound))
+    return value, _always_pk_bound(K, n, per_jump_cost, mode)
+
+
+def _always_pk_bound(K: int, n: int, cost: Fraction, mode: NumericMode):
+    """The "always P_K" estimate 1 - (1 - (1 - 1/K^2)^n) * cost: a Fraction,
+    rounded to a float outside exact mode."""
+    no_jump = (1 - Fraction(1, K * K)) ** n
+    bound = 1 - (1 - no_jump) * cost
+    return bound if mode is NumericMode.EXACT else float(bound)
 
 
 def _sqrt(n: int, mode: NumericMode):

@@ -214,12 +214,10 @@ def lower_probability(aset: AmbiguitySet, event: Callable) -> EnvelopeValue:
     return EnvelopeValue(1 - value, arg)
 
 
-def _tolerance(exact: bool, tol=None):
-    """The one tolerance policy: ``None`` means 0 (exact) when the inputs are
-    exact and HULL_TOL otherwise; an explicit ``tol`` is honoured."""
-    if tol is None:
-        return 0 if exact else HULL_TOL
-    return tol
+def _tolerance(exact: bool):
+    """The one tolerance policy: 0 (exact) when the inputs are exact and
+    HULL_TOL otherwise."""
+    return 0 if exact else HULL_TOL
 
 
 def same_distribution(a: AmbiguitySet, b: AmbiguitySet, tol=None) -> bool:
@@ -234,7 +232,7 @@ def same_distribution(a: AmbiguitySet, b: AmbiguitySet, tol=None) -> bool:
     support = tuple(sorted(set(a.union_support()) | set(b.union_support())))
     va = [m.law_vector(support) for m in a.members]
     vb = [m.law_vector(support) for m in b.members]
-    effective = _tolerance(a.exact() and b.exact(), tol)
+    effective = _tolerance(a.exact() and b.exact()) if tol is None else tol
     return all(in_hull(v, vb, effective) for v in va) and all(
         in_hull(v, va, effective) for v in vb
     )

@@ -222,7 +222,7 @@ def test_criterion_8_property_suites():
             assert abs(got - want) <= 1e-12
 
         # PDE comparison principle on coarse grids
-        grid = GridConfig(dx=0.2, cfl=0.4)
+        grid = GridConfig(dx=0.2)
         for _ in range(200):
             lo = rng.uniform(0.2, 0.8)
             params = GParams(lo, lo + rng.uniform(0.0, 0.6))

@@ -47,4 +47,4 @@ def test_exported_function_parameters():
 
 
 def test_grid_config_fields():
-    assert [f.name for f in dataclasses.fields(sublin.GridConfig)] == ["dx", "cfl", "domain"]
+    assert [f.name for f in dataclasses.fields(sublin.GridConfig)] == ["dx"]

@@ -199,14 +199,23 @@ class TestGNormal:
         )
         assert code == 2
 
-    @pytest.mark.parametrize("grid", [["--dx", "1e-5"], ["--domain", "1e12"]],
-                             ids=["small-dx", "huge-domain"])
+    @pytest.mark.parametrize("grid", [["--dx", "1e-5"]], ids=["small-dx"])
     def test_grid_past_the_work_cap(self, capsys, grid):
         code, out, err = run(
             capsys, "gnormal", "--sigma-lo", "1", "--sigma-hi", "1", "--phi", "1-abs(x)", *grid,
         )
         assert code == 4 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_grid_past_the_array_bound(self, capsys):
+        # 2 L/dx + 1 is 10,000,000 points, but L/dx = 4,999,999.5 rounds up
+        code, out, err = run(
+            capsys, "gnormal", "--sigma-lo", "0", "--sigma-hi", "0", "--phi", "x",
+            "--dx", "1.600000160000016e-06",
+        )
+        assert code == 4 and out == ""
+        assert err == ("error: G-heat grid of 10000001 points exceeds the bound of 10000000 "
+                       "points; use a larger dx\n")
 
     def test_sigma_without_a_finite_square(self, capsys):
         # sigma_hi**2 sets the time step: 1e200 overflows it
@@ -229,10 +238,11 @@ class TestGNormal:
 
     @pytest.mark.parametrize("argv", [
         ["gnormal", "--sigma-lo", "0.5", "--sigma-hi", "1", "--phi", "1-abs(x)", "--dx", "100"],
-        ["gnormal", "--sigma-lo", "0.5", "--sigma-hi", "1", "--phi", "1-abs(x)", "--domain", "0"],
+        # the half-width 8 is 0.47 cells, which rounds to 0
+        ["gnormal", "--sigma-lo", "0.5", "--sigma-hi", "1", "--phi", "1-abs(x)", "--dx", "17"],
         ["clt", "--model", cfg("rademacher.json"), "--phi", "max(1-abs(x),0)",
-         "--n-schedule", "4", "--domain", "0.001"],
-    ], ids=["gnormal-dx", "gnormal-domain", "clt-domain"])
+         "--n-schedule", "4", "--dx", "100"],
+    ], ids=["gnormal-dx", "gnormal-dx-rounded", "clt-dx"])
     def test_grid_without_an_interior_point(self, capsys, argv):
         # one grid point, phi(0), is no solve: the value would be phi(0)
         code, out, err = run(capsys, *argv)
@@ -268,10 +278,8 @@ _GRID_COMMANDS = {
 
 
 class TestGridOptions:
-    # each grid option moves the G-heat prediction: a coarser grid, a longer
-    # time step, or a domain so narrow that the hat's zero ends stay fixed
-    @pytest.mark.parametrize("option", [["--dx", "0.1"], ["--cfl", "0.2"], ["--domain", "1"]],
-                             ids=["dx", "cfl", "domain"])
+    # dx, the one grid option, moves the G-heat prediction
+    @pytest.mark.parametrize("option", [["--dx", "0.1"]], ids=["dx"])
     @pytest.mark.parametrize("command", list(_GRID_COMMANDS))
     def test_option_changes_the_output(self, capsys, command, option):
         argv = _GRID_COMMANDS[command] + ["--dx", "0.05"]
@@ -286,6 +294,14 @@ class TestGridOptions:
         code, out, err = run(capsys, *_GRID_COMMANDS[command], "--T", "2")
         assert code == 1 and out == ""
         assert err.startswith("error: ")
+
+    # the time step's CFL number and the half-width are fixed by the solver
+    @pytest.mark.parametrize("option", [["--cfl", "0.4"], ["--domain", "8"]], ids=["cfl", "domain"])
+    @pytest.mark.parametrize("command", list(_GRID_COMMANDS))
+    def test_no_scheme_option(self, capsys, command, option):
+        code, out, err = run(capsys, *_GRID_COMMANDS[command], *option)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestCounterexample:

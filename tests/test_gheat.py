@@ -22,14 +22,14 @@ from sublin import (
     solve_g_heat,
     sublinear_eval_sum,
 )
-from sublin.gheat import default_domain
+from sublin.gheat import CFL, default_domain
 from sublin.phi import evaluate_array
 
 from test_phi import _EXACT_OPS, _NUMBERS, _phi_texts
 
 F = Fraction
 
-COARSE = GridConfig(dx=0.05, cfl=0.4)
+COARSE = GridConfig(dx=0.05)
 
 
 class TestGFunction:
@@ -121,15 +121,15 @@ class TestSolver:
 
     def test_grid_without_an_interior_point(self):
         # round(L/dx) < 1 leaves the one point x = 0: a solve that would step
-        # is refused, a degenerate one still returns phi
+        # is refused, a degenerate one still returns phi (L = 8 here)
         phi = lambda x: 1 - abs(x)
-        for config in (GridConfig(dx=100.0), GridConfig(domain=0.0), GridConfig(domain=0.005)):
+        for config in (GridConfig(dx=100.0), GridConfig(dx=17.0)):
             with pytest.raises(ModelError, match="no interior point"):
                 solve_g_heat(phi, GParams(0.5, 1.0), config=config)
             assert solve_g_heat(phi, GParams(0.0, 0.0), config=config).values.tolist() == [1]
             assert solve_g_heat(phi, GParams(0.5, 1.0), T=0.0, config=config).values.tolist() == [1]
         # round(L/dx) = 1: one interior point, stepped
-        grid = solve_g_heat(phi, GParams(0.5, 1.0), config=GridConfig(domain=0.01))
+        grid = solve_g_heat(phi, GParams(0.5, 1.0), config=GridConfig(dx=8.0))
         assert len(grid.xs) == 3 and grid.values[1] < 1
 
     def test_grid_function_interface(self):
@@ -147,9 +147,7 @@ class TestSolver:
         # larger ambiguity band: sublinear expectation can only increase
         assert v2 >= v1 - 1e-12
 
-    def test_cfl_validation(self):
-        with pytest.raises(ModelError):
-            GridConfig(dx=0.05, cfl=1.5)
+    def test_dx_validation(self):
         with pytest.raises(ModelError):
             GridConfig(dx=0.0)
         with pytest.raises(ModelError):
@@ -157,23 +155,20 @@ class TestSolver:
         for dx in (math.inf, 1e300):
             with pytest.raises(ModelError):
                 GridConfig(dx=dx)
-        with pytest.raises(ModelError):
-            GridConfig(domain=-1.0)
 
 
 def _reference_heat(phi, params, T, config):
     """The scheme as one allocating full-array update per step: the
     reference that solve_g_heat's in-place stepping must match byte for
     byte (same operations in the same order)."""
-    L = config.domain if config.domain is not None else default_domain(params)
-    n_half = int(round(L / config.dx))
+    n_half = int(round(default_domain(params) / config.dx))
     xs = np.arange(-n_half, n_half + 1) * config.dx
     u = evaluate_array(phi, xs)
     sig2_hi = params.sigma_hi**2
     sig2_lo = params.sigma_lo**2
     if T == 0 or sig2_hi == 0:
         return u
-    dt = config.cfl * config.dx**2 / sig2_hi
+    dt = CFL * config.dx**2 / sig2_hi
     n_steps = max(1, int(math.ceil(T / dt)))
     dt = T / n_steps
     lam = dt / config.dx**2
@@ -197,28 +192,26 @@ _HEAT_PHIS = st.one_of(
 class TestInPlaceStepping:
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(phi=_HEAT_PHIS, sigma_hi=st.floats(0.1, 1.0), band=st.sampled_from(["zero", "inside", "equal"]),
-           dx=st.floats(0.02, 0.2), cfl=st.floats(0.05, 1.0), T=st.sampled_from([0.0, 0.05, 0.3]),
-           domain=st.sampled_from([None, 0.0, 1.0, 3.0]))
+           dx=st.one_of(st.floats(0.02, 0.2), st.sampled_from([8.0, 17.0])),
+           T=st.sampled_from([0.0, 0.05, 0.3]))
     # the linear step: the README gnormal grid, where sigma^2 is exactly 1.0,
     # an all-zero start with -0.0 at every x < 0, and a start of -0.0 between
     # a 0.0 and the least subnormal, where sigma^2 * d2 underflows to -0.0 and
     # only the 0.0 added once before the steps makes the point +0.0, as the
     # max/min split does
-    @example(phi="1-abs(x)", sigma_hi=1.0, band="equal", dx=0.01, cfl=0.4, T=1.0, domain=None)
-    @example(phi="0*x", sigma_hi=0.3, band="equal", dx=0.05, cfl=0.4, T=0.3, domain=None)
-    @example(phi=f"min(x, 0)*0.{'0' * 323}5", sigma_hi=0.3, band="equal", dx=0.5, cfl=0.4, T=0.05,
-             domain=None)
+    @example(phi="1-abs(x)", sigma_hi=1.0, band="equal", dx=0.01, T=1.0)
+    @example(phi="0*x", sigma_hi=0.3, band="equal", dx=0.05, T=0.3)
+    @example(phi=f"min(x, 0)*0.{'0' * 323}5", sigma_hi=0.3, band="equal", dx=0.5, T=0.05)
     # the split step: one step from a -0.0 at x = 0 between two negatives,
     # where sigma_lo = 0 makes max(sigma_hi^2 d2, 0 * d2) the -0.0 that would
     # keep the point -0.0 but for that add; and 25,000 steps of the band
-    @example(phi="-x*x", sigma_hi=0.8, band="zero", dx=0.2, cfl=1.0, T=0.05, domain=None)
-    @example(phi="max(1 - abs(x), 0)", sigma_hi=1.0, band="inside", dx=0.01, cfl=0.4, T=1.0,
-             domain=None)
-    def test_matches_reference_loop_byte_for_byte(self, phi, sigma_hi, band, dx, cfl, T, domain):
+    @example(phi="-x*x", sigma_hi=0.8, band="zero", dx=0.2, T=0.02)
+    @example(phi="max(1 - abs(x), 0)", sigma_hi=1.0, band="inside", dx=0.01, T=1.0)
+    def test_matches_reference_loop_byte_for_byte(self, phi, sigma_hi, band, dx, T):
         sigma_lo = {"zero": 0.0, "inside": 0.4 * sigma_hi, "equal": sigma_hi}[band]
         params = GParams(sigma_lo, sigma_hi)
-        config = GridConfig(dx=dx, cfl=cfl, domain=domain)
-        if domain == 0.0 and T > 0:  # a solve that would step a grid of one point
+        config = GridConfig(dx=dx)
+        if dx == 17.0 and T > 0:  # a solve that would step a grid of one point
             with pytest.raises(ModelError, match="no interior point"):
                 solve_g_heat(parse_phi(phi), params, T=T, config=config)
             return
@@ -228,7 +221,7 @@ class TestInPlaceStepping:
 
     @pytest.mark.parametrize("phi", ["max(1 - abs(x), 0)", "0*x", "x*x", "max(x, 0)"])
     def test_linear_step_above_unit_sigma(self, phi):
-        params, config = GParams(1.5, 1.5), GridConfig(dx=0.05, domain=4.0)
+        params, config = GParams(1.5, 1.5), GridConfig(dx=0.05)
         got = solve_g_heat(parse_phi(phi), params, T=0.5, config=config)
         want = _reference_heat(parse_phi(phi), params, 0.5, config)
         assert got.values.tobytes() == want.tobytes()
@@ -246,19 +239,17 @@ class TestExactSchemeOracle:
            sig2_hi=st.fractions(F(1, 20), 1, max_denominator=20),
            band=st.fractions(0, 1, max_denominator=4),
            dx=st.fractions(F(1, 20), F(1, 4), max_denominator=40),
-           cfl=st.fractions(F(1, 4), 1, max_denominator=10),
            steps=st.integers(1, 30))
     # 100 steps against a half-width of 160 cells
-    @example(phi="min(abs(x-1/3),1/2)", sig2_hi=F(1), band=F(1, 4), dx=F(1, 20), cfl=F(2, 5),
-             steps=100)
-    def test_solver_is_the_exact_dp_up_to_rounding(self, phi, sig2_hi, band, dx, cfl, steps):
+    @example(phi="min(abs(x-1/3),1/2)", sig2_hi=F(1), band=F(1, 4), dx=F(1, 20), steps=100)
+    def test_solver_is_the_exact_dp_up_to_rounding(self, phi, sig2_hi, band, dx, steps):
         # fewer steps than half-width cells: u(T, 0) never reads the boundary, and
         # one step is the robust DP step over the laws (p, 1 - 2p, p) on {-dx, 0, dx}
         phi = parse_phi(phi)
         sig2 = (band * sig2_hi, sig2_hi)
-        T = steps * cfl * dx * dx / sig2_hi
+        T = steps * F(str(CFL)) * dx * dx / sig2_hi
         params = GParams(math.sqrt(sig2[0]), math.sqrt(sig2[1]))
-        config = GridConfig(dx=float(dx), cfl=float(cfl))
+        config = GridConfig(dx=float(dx))
         got = solve_g_heat(phi, params, T=float(T), config=config)
         u0 = solve_g_heat(phi, params, T=0.0, config=config).values
         # rounding may add a step to the solver's count
@@ -287,12 +278,12 @@ class TestTimeArgument:
 class TestWorkCap:
     @pytest.mark.parametrize("params,T,config", [
         (GParams(1.0, 1.0), 1.0, GridConfig(dx=1e-5)),
-        (GParams(0.5, 1.0), 1.0, GridConfig(domain=1e12)),
-        (GParams(0.5, 1.0), 1.0, GridConfig(domain=math.inf)),
-        (GParams(0.0, 0.0), 1.0, GridConfig(domain=1e12)),  # no steps, still too many points
-        (GParams(0.5, 1.0), 0.0, GridConfig(domain=1e12)),
+        (GParams(0.5, 1.0), 1.0, GridConfig(dx=1e-4)),
+        (GParams(0.5, 1.0), 1.0, GridConfig(dx=5e-324)),  # L/dx is inf
+        (GParams(0.0, 0.0), 1.0, GridConfig(dx=1e-9)),  # no steps, still too many points
+        (GParams(0.5, 1.0), 0.0, GridConfig(dx=1e-9)),
         (GParams(0.0, 1e6), 1.0, GridConfig()),  # the default domain grows with sigma_hi
-    ], ids=["small-dx", "huge-domain", "infinite-domain", "degenerate-band", "T0", "huge-sigma"])
+    ], ids=["small-dx", "split-band", "infinite-domain", "degenerate-band", "T0", "huge-sigma"])
     def test_refused_before_the_grid_is_built(self, params, T, config):
         def phi(x):
             raise AssertionError("phi evaluated on a grid past the cap")
@@ -306,16 +297,18 @@ class TestWorkCap:
         (GParams(0.5, 1.0), 1e-9),  # one step
     ], ids=["degenerate-band", "T0", "one-step"])
     def test_points_past_the_array_bound_are_refused_before_phi(self, params, T, monkeypatch):
-        # each grid is far below MAX_POINT_STEPS; at dx=0.01 a half-width
-        # of 5 has 1,001 points, one of 4.99 has 999
+        # each grid is far below MAX_POINT_STEPS; on the half-width L = 8,
+        # dx=0.016 gives 1,001 points and so does dx=16/999, where L/dx = 499.5
+        # rounds to 500 though 2 L/dx + 1 is 1,000; dx=8/499 gives 999
         monkeypatch.setattr("sublin.gheat.MAX_WINDOW_STATES", 1000)
 
         def phi(x):
             raise AssertionError("phi evaluated on a grid past the bound")
 
-        with pytest.raises(ModelTooLarge, match="1001 points exceeds the bound of 1000"):
-            solve_g_heat(phi, params, T=T, config=GridConfig(domain=5.0))
-        grid = solve_g_heat(lambda x: 0 * x, params, T=T, config=GridConfig(domain=4.99))
+        for dx in (0.016, 16 / 999):
+            with pytest.raises(ModelTooLarge, match="1001 points exceeds the bound of 1000"):
+                solve_g_heat(phi, params, T=T, config=GridConfig(dx=dx))
+        grid = solve_g_heat(lambda x: 0 * x, params, T=T, config=GridConfig(dx=8 / 499))
         assert len(grid.xs) == 999
 
 

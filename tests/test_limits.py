@@ -376,7 +376,7 @@ class TestCLT:
             two_variance_rademacher,
             phi,
             [64, 256],
-            grid=__import__("sublin").GridConfig(dx=0.02, cfl=0.4),
+            grid=__import__("sublin").GridConfig(dx=0.02),
         )
         assert abs(table.rows[-1].gap) < abs(table.rows[0].gap) + 1e-6
         assert abs(table.rows[-1].gap) < 0.05
