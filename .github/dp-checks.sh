@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # The pinned DP and G-heat checks of both CI jobs: each command's stdout
-# must equal its expected line byte for byte, within 60 s, and the last two
-# commands must be refused with exit code 4 within 60 s.  Run from the
+# must equal its expected line byte for byte, within 60 s (the classical
+# G-normal value, whose last bits are numpy's FFT's, within its rounding
+# bound), and the last two commands must be refused with exit code 4 within
+# 60 s.  Run from the
 # repository root with `sublin` on PATH, under the warning filter CI sets,
 # so that a numpy overflow or invalid-value warning fails the check:
 #
@@ -55,6 +57,16 @@ echo "G-normal band at dx=0.005"
 # points; the property tests stop at T = 0.3
 out=$(timeout 60 sublin gnormal --sigma-lo 0.5 --sigma-hi 1 --phi "1-abs(x)" --dx 0.005)
 test "$out" = "value=0.60106220777371466" || { echo "got: $out"; exit 1; }
+
+echo "Classical G-normal at dx=0.005"
+# sigma_lo = sigma_hi: the 100,000 steps on 3,201 points in closed form, by
+# two real FFTs.  solve_g_heat's bound on this grid (|u(0, x)| <= 7) is
+# 2.07e-11; the pinned value and this one are each within it of the exact
+# scheme, so within 4.13e-11 of each other
+out=$(timeout 60 sublin gnormal --sigma-lo 1 --sigma-hi 1 --phi "1-abs(x)" --dx 0.005)
+value=$(printf '%s\n' "$out" | sed -n 's/^value=//p')
+python -c 'import sys; sys.exit(not abs(float(sys.argv[1]) - 0.20211693523240282) <= 4.13e-11)' \
+  "$value" || { echo "got: $out"; exit 1; }
 
 echo "G-heat grid of 10,000,001 points is refused"
 # L/dx = 4,999,999.5 rounds up to 5,000,000 cells a side: one point past the

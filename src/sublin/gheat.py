@@ -13,6 +13,14 @@ dx is its one setting.  The equation is translation-invariant: u(T, x) for x
 past L is u(T, 0) from the initial data phi(. + x).  The boundary
 forces the second difference to zero at +-L (linear extrapolation), which
 is the right condition for Lipschitz, asymptotically affine initial data.
+
+When sigma_lo == sigma_hi the scheme is one constant tridiagonal map with
+fixed ends, and its n steps are taken at once in closed form: the line
+through the two end values is a fixed point, and the deviation from it is
+diagonal in the discrete sine basis, where n steps multiply mode k by
+mu_k**n.  A DST-I each way, a real FFT of the odd extension, costs
+O(P log P) on P grid points, where stepping costs n P.  Its rounding bound
+reads the whole grid (see ``solve_g_heat``).
 """
 
 from __future__ import annotations
@@ -36,6 +44,14 @@ MAX_POINT_STEPS = 10**9
 CFL = 0.4
 
 
+def _finite_square(sigma: float) -> bool:
+    """Whether sigma**2 is a finite float."""
+    try:
+        return math.isfinite(sigma * sigma)
+    except OverflowError:  # an int square past the float range
+        return False
+
+
 @dataclass(frozen=True)
 class GParams:
     """Volatility band (sigma_lo, sigma_hi) of N(0, [lo^2, hi^2])."""
@@ -45,11 +61,7 @@ class GParams:
 
     def __post_init__(self):
         # sigma_hi**2 sets the time step, so it must be a finite float
-        try:
-            finite_square = math.isfinite(self.sigma_hi * self.sigma_hi)
-        except OverflowError:  # an int square past the float range
-            finite_square = False
-        if not (0 <= self.sigma_lo <= self.sigma_hi and finite_square):
+        if not (0 <= self.sigma_lo <= self.sigma_hi and _finite_square(self.sigma_hi)):
             raise ModelError(
                 f"need 0 <= sigma_lo <= sigma_hi with a finite sigma_hi**2, got "
                 f"({self.sigma_lo}, {self.sigma_hi})"
@@ -102,9 +114,13 @@ def solve_g_heat(
     sigma_lo^2 >= 0 and rounding is monotone.  Every zero of the grid is
     made +0.0 once, before the first step, so the bits are those of
     sigma_hi^2 d2+ - sigma_lo^2 d2-.  In the linear case sigma_lo ==
-    sigma_hi (the classical heat equation) 2 G(d2) is the one product
-    sigma^2 d2, with the same bits.
-    The grid has 2 round(L/dx) + 1 points, L = default_domain(params), and
+    sigma_hi (the classical heat equation) the n steps u_j += p (u_{j+1} -
+    2 u_j + u_{j-1}), p = dt sigma^2 / (2 dx^2), are solved in closed form:
+    subtract the line through the two ends, apply a DST-I to the m = P - 2
+    interior deviations, multiply mode k by mu_k**n = exp(n log1p(-4 p
+    sin^2(k pi / (2 (m + 1))))), transform back, scale by 2 / (m + 1) and
+    add the line back.
+    The grid has P = 2 round(L/dx) + 1 points, L = default_domain(params), and
     the time step is dt <= CFL dx^2 / sigma_hi^2.
     Raises ModelError unless T >= 0 or when the solve would step (T > 0
     and sigma_hi > 0) on a grid with no interior point (round(L/dx) < 1),
@@ -112,9 +128,14 @@ def solve_g_heat(
     points x max(steps, 1) exceeds MAX_POINT_STEPS, the time budget, or the
     points alone exceed MAX_WINDOW_STATES, which bounds the grid's arrays
     (a grid that never steps, when T == 0 or sigma_hi == 0, included).
+    Raises NumericalFailure when a value comes out non-finite, which can
+    happen once |u| passes about 4e307, where the split step's sums may
+    leave the float range, or about 4e307 / P, where the closed form's sine
+    sums may.
 
-    Rounding: with p_s = dt / (2 dx^2) * s^2 <= CFL / 2 = 0.2, a step sets u_j to
-    the max over s in {sigma_lo, sigma_hi} of p_s u_{j-1} + (1 - 2 p_s) u_j
+    Rounding when sigma_lo < sigma_hi: with p_s = dt / (2 dx^2) * s^2 <=
+    CFL / 2 = 0.2, a step sets u_j to the max over s in {sigma_lo,
+    sigma_hi} of p_s u_{j-1} + (1 - 2 p_s) u_j
     + p_s u_{j+1}: one step of the robust DP over the laws (p_s, 1 - 2 p_s,
     p_s) on {-dx, 0, dx}.  While the n steps are fewer than round(L/dx),
     u(T, 0) reads no boundary point, so the exact DP gives the scheme's
@@ -130,6 +151,29 @@ def solve_g_heat(
     within 29 n U eps of the exact DP from the same float initial data,
     and within that plus the initial data's own error of the exact DP from
     phi itself.
+
+    Rounding when sigma_lo == sigma_hi: the closed form reads every grid
+    point, so U is the largest |u(0, x)| over the whole grid of P points.
+    To first order every grid value is within (32 log2(2P) + 64) sqrt(P)
+    (U eps + eta), eta = 2**-1074, of the exact scheme (the same n steps
+    with fixed ends and exact p, from the same float initial data).  The
+    line errs by 3 U eps and the deviations by 2 U eps more, which the
+    exact map passes on without growing them (its weights are >= 0 and sum
+    to at most 1); the line again, the scale 2 / (m + 1) on values up to
+    2 U and the final add cost 8 U eps.  Each mu_k**n is within 24 eps of
+    the exact one, since n (1 - mu) mu**(n - 1) <= 1 for mu in [0.2, 1]: 21
+    eps from the relative error of 4 p sin^2 (6 from dt / dx^2 and 4 from
+    sigma^2 as above, 9 from sin^2, 2 from the products) and 3 from log1p,
+    the product with n and exp, each within an ulp.  With an FFT whose
+    2-norm relative error is at most 8 log2(2P) eps (about 7 log2 for a
+    radix-2 FFT, Higham, Accuracy and Stability of Numerical Algorithms,
+    Thm 24.2; numpy's measures under 1.5 log2 at these lengths), the two
+    transforms and the product with mu_k**n err by at most (16 log2(2P) +
+    25) eps |u - line|_2 <= (16 log2(2P) + 25) eps 2 sqrt(P) U in 2-norm,
+    and so in every value.  A rounding that underflows errs by eta / 2
+    absolutely, in place of a relative eps; the term in eta allows for that
+    at the same count.  Measured errors are far smaller: under 7 (U eps +
+    eta) on grids of up to 3,201 points.
     """
     if not T >= 0:  # also catches nan
         raise ModelError(f"need T >= 0, got {T}")
@@ -168,29 +212,54 @@ def solve_g_heat(
     dt = T / n_steps
     lam = dt / config.dx**2
     half_lam = lam * 0.5
-    # max(sig2_hi*d2, sig2_lo*d2) (sig2_hi*d2 when linear) is the value of
-    # sig2_hi*max(d2,0) + sig2_lo*min(d2,0), whose steps leave no -0.0 in u
-    # (x + y is -0.0 only when x and y are); a zero's sign then changes no
-    # mid + addend, so one add of 0.0 here gives the split form's bits
+    # max(sig2_hi*d2, sig2_lo*d2) is the value of sig2_hi*max(d2,0) +
+    # sig2_lo*min(d2,0), whose steps leave no -0.0 in u (x + y is -0.0 only
+    # when x and y are); a zero's sign then changes no mid + addend, so one
+    # add of 0.0 here gives the split form's bits
     u += 0.0
-    left, mid, right = u[:-2], u[1:-1], u[2:]
-    linear = sig2_lo == sig2_hi
-    d2, up = np.empty_like(mid), np.empty_like(mid)
     # overflow to inf, inf - inf and 0 * inf are left to the finiteness check below
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(n_steps):
-            np.multiply(2.0, mid, out=d2)
-            np.subtract(right, d2, out=d2)
-            np.add(d2, left, out=d2)
-            np.multiply(sig2_hi, d2, out=up)
-            if not linear:
-                np.multiply(sig2_lo, d2, out=d2)
+        if sig2_lo == sig2_hi:
+            _linear_steps(u, n_steps, half_lam * sig2_hi)
+        else:
+            left, mid, right = u[:-2], u[1:-1], u[2:]
+            d2, up = np.empty_like(mid), np.empty_like(mid)
+            # 0-d arrays, made once: no step converts a Python float
+            hi, lo, h = np.array(sig2_hi), np.array(sig2_lo), np.array(half_lam)
+            for _ in range(n_steps):
+                np.add(mid, mid, out=d2)
+                np.subtract(right, d2, out=d2)
+                np.add(d2, left, out=d2)
+                np.multiply(hi, d2, out=up)
+                np.multiply(lo, d2, out=d2)
                 np.maximum(up, d2, out=up)
-            np.multiply(half_lam, up, out=up)
-            np.add(mid, up, out=mid)
+                np.multiply(h, up, out=up)
+                np.add(mid, up, out=mid)
     if not np.all(np.isfinite(u)):
         raise NumericalFailure("non-finite values during time stepping")
     return GridFunction(xs, u, T, dt=dt)
+
+
+def _dst1(v: np.ndarray) -> np.ndarray:
+    """The DST-I of v, sum_j v_j sin(j k pi / (m + 1)) for k = 1..m, as one
+    real FFT of its odd extension (0, v, 0, -reversed v)."""
+    m = len(v)
+    z = np.zeros(2 * (m + 1))
+    z[1:m + 1] = v
+    z[m + 2:] = -v[::-1]
+    return -0.5 * np.fft.rfft(z).imag[1:m + 1]
+
+
+def _linear_steps(u: np.ndarray, n: int, p: float) -> None:
+    """n steps of u_j += p (u_{j+1} - 2 u_j + u_{j-1}) on u's interior, its
+    ends fixed, in place and in closed form (see ``solve_g_heat``)."""
+    m = len(u) - 2
+    k = np.arange(1, m + 1)
+    # a weighted mean of the ends, which overflows only where they do
+    line = u[0] * ((m + 1 - k) / (m + 1)) + u[-1] * (k / (m + 1))
+    # mu_k**n as exp(n log mu_k), so that mu_k's rounding does not grow n-fold
+    decay = np.exp(n * np.log1p(-4 * p * np.sin(k * (math.pi / (2 * (m + 1)))) ** 2))
+    u[1:-1] = _dst1(_dst1(u[1:-1] - line) * decay) * (2 / (m + 1)) + line
 
 
 def g_normal_expectation(
@@ -208,10 +277,11 @@ def gaussian_quadrature(phi: Callable, sigma: float) -> float:
     """Classical E[phi(sigma Z)], Z standard normal; the PDE oracle.
 
     Adaptive quadrature over z in [-10, 10]; accurate to well below 1e-10
-    for Lipschitz phi.
+    for Lipschitz phi.  Raises ModelError unless sigma >= 0 and sigma**2
+    is a finite float, as GParams requires of sigma_hi.
     """
-    if sigma < 0:
-        raise ModelError("sigma must be >= 0")
+    if not (sigma >= 0 and _finite_square(sigma)):  # "not >=" also catches nan
+        raise ModelError(f"need sigma >= 0 with a finite sigma**2, got {sigma}")
     if sigma == 0:
         return float(phi(0.0))
     value, _ = integrate.quad(

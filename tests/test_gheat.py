@@ -67,6 +67,14 @@ class TestQuadratureOracle:
     def test_degenerate_sigma(self):
         assert gaussian_quadrature(lambda x: x * x + 3, 0.0) == pytest.approx(3.0)
 
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf, 1e308])
+    def test_refuses_what_gparams_refuses(self, sigma):
+        # each once returned nan or -inf; 1e308**2 overflows
+        with pytest.raises(ModelError, match="finite sigma"):
+            GParams(sigma, sigma)
+        with pytest.raises(ModelError, match="finite sigma"):
+            gaussian_quadrature(parse_phi("1-abs(x)"), sigma)
+
 
 class TestSolver:
     def test_classical_limit_matches_quadrature(self):
@@ -191,24 +199,16 @@ _HEAT_PHIS = st.one_of(
 
 class TestInPlaceStepping:
     @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(phi=_HEAT_PHIS, sigma_hi=st.floats(0.1, 1.0), band=st.sampled_from(["zero", "inside", "equal"]),
+    @given(phi=_HEAT_PHIS, sigma_hi=st.floats(0.1, 1.0), band=st.sampled_from(["zero", "inside"]),
            dx=st.one_of(st.floats(0.02, 0.2), st.sampled_from([8.0, 17.0])),
            T=st.sampled_from([0.0, 0.05, 0.3]))
-    # the linear step: the README gnormal grid, where sigma^2 is exactly 1.0,
-    # an all-zero start with -0.0 at every x < 0, and a start of -0.0 between
-    # a 0.0 and the least subnormal, where sigma^2 * d2 underflows to -0.0 and
-    # only the 0.0 added once before the steps makes the point +0.0, as the
-    # max/min split does
-    @example(phi="1-abs(x)", sigma_hi=1.0, band="equal", dx=0.01, T=1.0)
-    @example(phi="0*x", sigma_hi=0.3, band="equal", dx=0.05, T=0.3)
-    @example(phi=f"min(x, 0)*0.{'0' * 323}5", sigma_hi=0.3, band="equal", dx=0.5, T=0.05)
-    # the split step: one step from a -0.0 at x = 0 between two negatives,
-    # where sigma_lo = 0 makes max(sigma_hi^2 d2, 0 * d2) the -0.0 that would
-    # keep the point -0.0 but for that add; and 25,000 steps of the band
+    # one step from a -0.0 at x = 0 between two negatives, where sigma_lo = 0
+    # makes max(sigma_hi^2 d2, 0 * d2) the -0.0 that would keep the point
+    # -0.0 but for the add of 0.0 before the steps; and 25,000 steps of the band
     @example(phi="-x*x", sigma_hi=0.8, band="zero", dx=0.2, T=0.02)
     @example(phi="max(1 - abs(x), 0)", sigma_hi=1.0, band="inside", dx=0.01, T=1.0)
     def test_matches_reference_loop_byte_for_byte(self, phi, sigma_hi, band, dx, T):
-        sigma_lo = {"zero": 0.0, "inside": 0.4 * sigma_hi, "equal": sigma_hi}[band]
+        sigma_lo = {"zero": 0.0, "inside": 0.4 * sigma_hi}[band]
         params = GParams(sigma_lo, sigma_hi)
         config = GridConfig(dx=dx)
         if dx == 17.0 and T > 0:  # a solve that would step a grid of one point
@@ -219,12 +219,59 @@ class TestInPlaceStepping:
         want = _reference_heat(parse_phi(phi), params, T, config)
         assert got.values.tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("phi", ["max(1 - abs(x), 0)", "0*x", "x*x", "max(x, 0)"])
-    def test_linear_step_above_unit_sigma(self, phi):
-        params, config = GParams(1.5, 1.5), GridConfig(dx=0.05)
-        got = solve_g_heat(parse_phi(phi), params, T=0.5, config=config)
-        want = _reference_heat(parse_phi(phi), params, 0.5, config)
-        assert got.values.tobytes() == want.tobytes()
+
+def _exact_scheme(u0, p, n):
+    """n steps of u_j += p (u_{j+1} - 2 u_j + u_{j-1}) on the interior of
+    u0, its ends fixed, in exact arithmetic: the reference for the linear
+    solve.  Steps integer numerators over a common denominator."""
+    den = max(F(x).denominator for x in u0)
+    u = [int(F(x) * den) for x in u0]
+    a, b = p.numerator, p.denominator
+    for _ in range(n):
+        u = [b * u[0]] + [b * u[j] + a * (u[j - 1] - 2 * u[j] + u[j + 1])
+                          for j in range(1, len(u) - 1)] + [b * u[-1]]
+    return [F(x, den * b**n) for x in u]
+
+
+def _linear_bound(points, top):
+    """solve_g_heat's rounding bound for sigma_lo == sigma_hi on a grid of
+    `points` values whose initial data reach `top` in absolute value."""
+    eps, eta = F(1, 2**53), F(1, 2**1074)
+    return F((32 * math.log2(2 * points) + 64) * math.sqrt(points)) * (top * eps + eta)
+
+
+class TestLinearClosedForm:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(phi=_HEAT_PHIS, sig2=st.fractions(F(1, 20), 1, max_denominator=20),
+           dx=st.fractions(F(1, 20), 8, max_denominator=40), steps=st.integers(1, 40))
+    # one step of x*x, whose largest values sit at the ends, far from x = 0
+    @example(phi="x*x", sig2=F(1), dx=F(1, 20), steps=1)
+    # an all-zero start with -0.0 at every x < 0, and a start of subnormals,
+    # where roundings underflow
+    @example(phi="0*x", sig2=F(9, 100), dx=F(1, 20), steps=27)
+    @example(phi=f"min(x, 0)*0.{'0' * 323}5", sig2=F(9, 100), dx=F(1, 2), steps=30)
+    # the README gnormal grid, where sigma^2 is exactly 1.0, at 100 steps
+    @example(phi="1-abs(x)", sig2=F(1), dx=F(1, 100), steps=100)
+    # sigma = 1.5 to T = 0.5: the half-width 12, 481 points, 1,125 steps
+    @example(phi="max(1 - abs(x), 0)", sig2=F(9, 4), dx=F(1, 20), steps=1125)
+    @example(phi="0*x", sig2=F(9, 4), dx=F(1, 20), steps=1125)
+    @example(phi="x*x", sig2=F(9, 4), dx=F(1, 20), steps=1125)
+    @example(phi="max(x, 0)", sig2=F(9, 4), dx=F(1, 20), steps=1125)
+    # more steps than half-width cells: x = 0 reads the fixed ends
+    @example(phi="max(x, 0)", sig2=F(1), dx=F(2), steps=9)
+    def test_within_the_bound_of_the_exact_scheme(self, phi, sig2, dx, steps):
+        # grids of 3 to 321 points; the exact scheme includes the fixed ends
+        T = steps * F(str(CFL)) * dx * dx / sig2
+        params = GParams(math.sqrt(sig2), math.sqrt(sig2))
+        config = GridConfig(dx=float(dx))
+        u0 = solve_g_heat(parse_phi(phi), params, T=0.0, config=config).values
+        got = solve_g_heat(parse_phi(phi), params, T=float(T), config=config)
+        # rounding may add a step to the solver's count
+        n = round(float(T) / got.dt)
+        assert steps <= n <= steps + 1
+        want = _exact_scheme(u0.tolist(), T / n / (2 * dx * dx) * sig2, n)
+        bound = _linear_bound(len(u0), max(abs(F(x)) for x in u0.tolist()))
+        assert max(abs(F(g) - w) for g, w in zip(got.values.tolist(), want)) <= bound
 
 
 _EXACT_KINKS = st.tuples(st.fractions(-1, 1, max_denominator=4),
@@ -258,11 +305,15 @@ class TestExactSchemeOracle:
         laws = [DiscreteDistribution([-dx, 0, dx], [p, 1 - 2 * p, p])
                 for p in (T / n / (2 * dx * dx) * s for s in sig2)]
         want = sublinear_eval_sum(StepSequence.iid(AmbiguitySet(laws), n, NumericMode.EXACT), phi)
-        # solve_g_heat's rounding bound, over the cone of points that reach x = 0
+        # solve_g_heat's rounding bounds: over the cone of points that reach
+        # x = 0 for a split band, over the whole grid for the closed form
         cone = range(mid - n, mid + n + 1)
         start_error = max(abs(F(u0[j]) - phi((j - mid) * dx)) for j in cone)
-        top = max(abs(F(u0[j])) for j in cone)
-        assert abs(F(got.value_at(0.0)) - want) <= start_error + 29 * n * top / 2**53
+        if band == 1:
+            bound = _linear_bound(len(u0), max(abs(F(x)) for x in u0.tolist()))
+        else:
+            bound = 29 * n * max(abs(F(u0[j])) for j in cone) / 2**53
+        assert abs(F(got.value_at(0.0)) - want) <= start_error + bound
 
 
 class TestTimeArgument:
