@@ -1,11 +1,11 @@
 #!/usr/bin/env bash
 # The pinned DP and G-heat checks of both CI jobs: each command's stdout
-# must equal its expected line byte for byte, within 60 s (the classical
-# G-normal value, whose last bits are numpy's FFT's, within its rounding
-# bound), and the last two commands must be refused with exit code 4 within
-# 60 s.  Run from the
-# repository root with `sublin` on PATH, under the warning filter CI sets,
-# so that a numpy overflow or invalid-value warning fails the check:
+# must equal its expected line byte for byte, within 60 s (the two G-normal
+# values that the closed form takes, whose last bits are numpy's FFT's,
+# within their rounding bounds), and the last two commands must be refused
+# with exit code 4 within 60 s.  Run from the repository root with `sublin`
+# on PATH, under the warning filter CI sets, so that a numpy overflow or
+# invalid-value warning fails the check:
 #
 #   PYTHONWARNINGS=error::RuntimeWarning bash .github/dp-checks.sh
 set -eo pipefail
@@ -53,10 +53,20 @@ want="value=37/40 lower-bound=37/40 classical-reference=0.20211543919713459 robu
 test "$out" = "$want" || { echo "got: $out"; exit 1; }
 
 echo "G-normal band at dx=0.005"
-# 100,000 steps of the split step max(sigma_hi^2 d2, sigma_lo^2 d2) on 3,201
-# points; the property tests stop at T = 0.3
+# concave data: the 100,000 split steps on 3,201 points are within
+# solve_g_heat's bound, 1.16e-10 here, of 100,000 linear steps at sigma_lo,
+# which the closed form takes; the pinned value and this one are each within
+# it of the exact split scheme, so within 2.32e-10 of each other
 out=$(timeout 60 sublin gnormal --sigma-lo 0.5 --sigma-hi 1 --phi "1-abs(x)" --dx 0.005)
-test "$out" = "value=0.60106220777371466" || { echo "got: $out"; exit 1; }
+value=$(printf '%s\n' "$out" | sed -n 's/^value=//p')
+python -c 'import sys; sys.exit(not abs(float(sys.argv[1]) - 0.60106220777371622) <= 2.32e-10)' \
+  "$value" || { echo "got: $out"; exit 1; }
+
+echo "G-normal band on mixed data at dx=0.005"
+# 100,000 steps of the split step max(sigma_hi^2 d2, sigma_lo^2 d2) on 3,201
+# points, byte for byte; the property tests stop at T = 0.3
+out=$(timeout 60 sublin gnormal --sigma-lo 0.5 --sigma-hi 1 --phi "max(1-abs(x),0)" --dx 0.005)
+test "$out" = "value=0.63637938458105714" || { echo "got: $out"; exit 1; }
 
 echo "Classical G-normal at dx=0.005"
 # sigma_lo = sigma_hi: the 100,000 steps on 3,201 points in closed form, by

@@ -21,6 +21,12 @@ diagonal in the discrete sine basis, where n steps multiply mode k by
 mu_k**n.  A DST-I each way, a real FFT of the odd extension, costs
 O(P log P) on P grid points, where stepping costs n P.  Its rounding bound
 reads the whole grid (see ``solve_g_heat``).
+
+When sigma_lo < sigma_hi the n steps of concave data are within a bound of n
+linear steps at sigma_lo, and those of convex data of n at sigma_hi (the
+G-normal law's classical values for such phi).  The solver takes that
+closed form when the bound, with the closed form's own, is within the
+stepping loop's rounding bound, and steps mixed data.
 """
 
 from __future__ import annotations
@@ -119,7 +125,8 @@ def solve_g_heat(
     subtract the line through the two ends, apply a DST-I to the m = P - 2
     interior deviations, multiply mode k by mu_k**n = exp(n log1p(-4 p
     sin^2(k pi / (2 (m + 1))))), transform back, scale by 2 / (m + 1) and
-    add the line back.
+    add the line back.  So are a split band's steps on concave data, at
+    p = p_lo, or convex data, at p = p_hi, up to a bound (below).
     The grid has P = 2 round(L/dx) + 1 points, L = default_domain(params), and
     the time step is dt <= CFL dx^2 / sigma_hi^2.
     Raises ModelError unless T >= 0 or when the solve would step (T > 0
@@ -130,8 +137,9 @@ def solve_g_heat(
     (a grid that never steps, when T == 0 or sigma_hi == 0, included).
     Raises NumericalFailure when a value comes out non-finite, which can
     happen once |u| passes about 4e307, where the split step's sums may
-    leave the float range, or about 4e307 / P, where the closed form's sine
-    sums may.
+    leave the float range.  The closed form works on u over a power of two
+    where its sine sums, below 4 P^2 max|u|, could pass that range, so it
+    stays finite on finite data below about 1e308.
 
     Rounding when sigma_lo < sigma_hi: with p_s = dt / (2 dx^2) * s^2 <=
     CFL / 2 = 0.2, a step sets u_j to the max over s in {sigma_lo,
@@ -151,6 +159,25 @@ def solve_g_heat(
     within 29 n U eps of the exact DP from the same float initial data,
     and within that plus the initial data's own error of the exact DP from
     phi itself.
+
+    Convex or concave data when sigma_lo < sigma_hi: the interior second
+    differences w evolve by a monotone scheme, since p_hi <= 0.2, whose
+    boundary values are 0, since the ends are fixed; so max(w, 0) and
+    max(-w, 0) never grow.  A split step differs from a linear step at p_lo
+    by (p_hi - p_lo) max(w, 0) at each point, and from one at p_hi by (p_hi
+    - p_lo) max(-w, 0), and a linear step does not grow a difference.  So
+    in exact arithmetic n split steps are within n (p_hi - p_lo) max(w0, 0)
+    of n linear steps at p_lo, and within n (p_hi - p_lo) max(-w0, 0) of n
+    at p_hi, w0 being the first second differences.  The solver computes w0
+    once, by the first step's operations, so within 7 U eps for U the
+    largest |u(0, x)| over the grid, and takes the closed form at p_lo when
+    B + n (p_hi - p_lo) (max(w0, 0) + 7 U eps) <= 29 n U_c eps, for B the
+    closed form's bound below (0 when p_lo = 0, where the n steps are the
+    identity and no transform runs) and U_c the U of the stepped bound;
+    else at p_hi by the same test with max(-w0, 0); else it steps.  So
+    ``value_at(0)`` keeps the stepped bound on every path.  A w0 or a bound
+    that is not finite fails the test.  Short horizons on wide grids step,
+    because the stepped bound, over 2n + 1 points, is the tighter one.
 
     Rounding when sigma_lo == sigma_hi: the closed form reads every grid
     point, so U is the largest |u(0, x)| over the whole grid of P points.
@@ -172,8 +199,11 @@ def solve_g_heat(
     25) eps |u - line|_2 <= (16 log2(2P) + 25) eps 2 sqrt(P) U in 2-norm,
     and so in every value.  A rounding that underflows errs by eta / 2
     absolutely, in place of a relative eps; the term in eta allows for that
-    at the same count.  Measured errors are far smaller: under 7 (U eps +
-    eta) on grids of up to 3,201 points.
+    at the same count.  The scaling by 2**-s for large |u| is exact but for
+    values below 2**(s - 1022), whose error, under 2**s eta, is far below U
+    eps once s > 0.  Measured errors are far smaller: under 7 (U eps + eta)
+    on grids of up to 3,201 points.  The bound holds as well at p_lo or p_hi
+    when the split scheme takes the closed form.
     """
     if not T >= 0:  # also catches nan
         raise ModelError(f"need T >= 0, got {T}")
@@ -221,7 +251,8 @@ def solve_g_heat(
     with np.errstate(over="ignore", invalid="ignore"):
         if sig2_lo == sig2_hi:
             _linear_steps(u, n_steps, half_lam * sig2_hi)
-        else:
+        elif not _split_in_closed_form(u, n_steps, half_lam * sig2_lo, half_lam * sig2_hi,
+                                       n_half):
             left, mid, right = u[:-2], u[1:-1], u[2:]
             d2, up = np.empty_like(mid), np.empty_like(mid)
             # 0-d arrays, made once: no step converts a Python float
@@ -240,6 +271,29 @@ def solve_g_heat(
     return GridFunction(xs, u, T, dt=dt)
 
 
+def _split_in_closed_form(u: np.ndarray, n: int, p_lo: float, p_hi: float, n_half: int) -> bool:
+    """Take the n split steps of u in place as n linear steps at p_lo or
+    p_hi when their bound is within the split scheme's own, 29 n eps times
+    the largest |u| at the 2n + 1 points nearest x = 0; return whether it
+    did (see ``solve_g_heat``)."""
+    eps, eta = 2.0**-53, 2.0**-1074
+    # the first step's d2, by the same operations
+    w0 = (u[2:] - 2 * u[1:-1]) + u[:-2]
+    size = np.abs(u)
+    u_eps = float(np.max(size)) * eps
+    budget = 29 * n * (float(np.max(size[max(n_half - n, 0):n_half + n + 1])) * eps)
+    P = len(u)
+    for p, excess in ((p_lo, np.max(w0)), (p_hi, -np.min(w0))):
+        # n steps at p = 0 are the identity, with no transform to round
+        linear = (32 * math.log2(2 * P) + 64) * math.sqrt(P) * (u_eps + eta) if p else 0.0
+        bound = linear + n * (p_hi - p_lo) * (float(np.maximum(excess, 0.0)) + 7 * u_eps)
+        if math.isfinite(bound) and bound <= budget:
+            if p:
+                _linear_steps(u, n, p)
+            return True
+    return False
+
+
 def _dst1(v: np.ndarray) -> np.ndarray:
     """The DST-I of v, sum_j v_j sin(j k pi / (m + 1)) for k = 1..m, as one
     real FFT of its odd extension (0, v, 0, -reversed v)."""
@@ -255,11 +309,16 @@ def _linear_steps(u: np.ndarray, n: int, p: float) -> None:
     ends fixed, in place and in closed form (see ``solve_g_heat``)."""
     m = len(u) - 2
     k = np.arange(1, m + 1)
+    # the transforms' sums stay below 4 m^2 max|u|: where that could pass the
+    # float range, work on u / 2**s, which is exact barring underflow
+    s = max(0, math.frexp(float(np.max(np.abs(u))))[1] + 2 * m.bit_length() - 1019)
+    v = np.ldexp(u, -s)
     # a weighted mean of the ends, which overflows only where they do
-    line = u[0] * ((m + 1 - k) / (m + 1)) + u[-1] * (k / (m + 1))
+    line = v[0] * ((m + 1 - k) / (m + 1)) + v[-1] * (k / (m + 1))
     # mu_k**n as exp(n log mu_k), so that mu_k's rounding does not grow n-fold
     decay = np.exp(n * np.log1p(-4 * p * np.sin(k * (math.pi / (2 * (m + 1)))) ** 2))
-    u[1:-1] = _dst1(_dst1(u[1:-1] - line) * decay) * (2 / (m + 1)) + line
+    w = _dst1(_dst1(v[1:-1] - line) * decay) * (2 / (m + 1)) + line
+    u[1:-1] = np.ldexp(w, s)
 
 
 def g_normal_expectation(

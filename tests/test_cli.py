@@ -252,6 +252,17 @@ class TestGNormal:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "no interior point" in err
 
+    def test_classical_data_near_the_float_limit(self, capsys):
+        # phi up to 1e306 on 1,601 points: the closed form's sine sums would
+        # pass the float range but for its scaling by a power of two
+        code, out, _ = run(
+            capsys, "gnormal", "--sigma-lo", "1", "--sigma-hi", "1",
+            "--phi", f"{10**306}*min(abs(x),1)",
+        )
+        assert code == 0
+        value = float(out.splitlines()[0].removeprefix("value="))
+        assert value == pytest.approx(6.3125166831261168e305, rel=1e-9)
+
     def test_failure_after_the_value_prints_nothing(self, capsys):
         # the PDE value is finite; the quadrature oracle meets sqrt of a
         # negative number out on the domain and fails

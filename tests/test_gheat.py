@@ -22,7 +22,7 @@ from sublin import (
     solve_g_heat,
     sublinear_eval_sum,
 )
-from sublin.gheat import CFL, default_domain
+from sublin.gheat import CFL, _linear_steps, default_domain
 from sublin.phi import evaluate_array
 
 from test_phi import _EXACT_OPS, _NUMBERS, _phi_texts
@@ -190,16 +190,21 @@ def _reference_heat(phi, params, T, config):
 
 
 _KINKS = st.integers(-8, 8).map(lambda i: f"{i / 4}")
+_HATS = _KINKS.map(lambda k: f"max(1 - abs(x - {k}), 0)")
 _HEAT_PHIS = st.one_of(
-    _KINKS.map(lambda k: f"max(1 - abs(x - {k}), 0)"),  # hat
+    _HATS,
     _KINKS.map(lambda k: f"1 - abs(x - {k})"),  # tent
     st.sampled_from(["x*x", "max(x, 0)", "0*x"]),  # 0*x is -0.0 at -L
 )
 
 
 class TestInPlaceStepping:
+    # data that step: hats are mixed data, and 0*x steps but at sigma_lo = 0,
+    # where the closed form's identity gives the loop's bytes; convex and
+    # concave data may take the closed form, and TestSplitClosedForm draws them
     @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(phi=_HEAT_PHIS, sigma_hi=st.floats(0.1, 1.0), band=st.sampled_from(["zero", "inside"]),
+    @given(phi=st.one_of(_HATS, st.just("0*x")), sigma_hi=st.floats(0.1, 1.0),
+           band=st.sampled_from(["zero", "inside"]),
            dx=st.one_of(st.floats(0.02, 0.2), st.sampled_from([8.0, 17.0])),
            T=st.sampled_from([0.0, 0.05, 0.3]))
     # one step from a -0.0 at x = 0 between two negatives, where sigma_lo = 0
@@ -226,17 +231,27 @@ class TestInPlaceStepping:
         _assert_within_the_bound_of_the_exact_scheme(phi, F(9, 4), F(1, 20), 1125)
 
 
+def _exact_split_scheme(u0, p_lo, p_hi, n):
+    """n steps of u_j += max(p_hi d2, p_lo d2), d2 = u_{j+1} - 2 u_j +
+    u_{j-1}, on the interior of u0, its ends fixed, in exact arithmetic: the
+    reference for the split solve.  Steps integer numerators over a common
+    denominator."""
+    den = max(F(x).denominator for x in u0)
+    u = [int(F(x) * den) for x in u0]
+    b = math.lcm(p_lo.denominator, p_hi.denominator)
+    a_lo, a_hi = int(p_lo * b), int(p_hi * b)
+    for _ in range(n):
+        d2 = [u[j - 1] - 2 * u[j] + u[j + 1] for j in range(1, len(u) - 1)]
+        u = [b * u[0]] + [b * x + (a_hi if d >= 0 else a_lo) * d
+                          for x, d in zip(u[1:-1], d2)] + [b * u[-1]]
+    return [F(x, den * b**n) for x in u]
+
+
 def _exact_scheme(u0, p, n):
     """n steps of u_j += p (u_{j+1} - 2 u_j + u_{j-1}) on the interior of
     u0, its ends fixed, in exact arithmetic: the reference for the linear
-    solve.  Steps integer numerators over a common denominator."""
-    den = max(F(x).denominator for x in u0)
-    u = [int(F(x) * den) for x in u0]
-    a, b = p.numerator, p.denominator
-    for _ in range(n):
-        u = [b * u[0]] + [b * u[j] + a * (u[j - 1] - 2 * u[j] + u[j + 1])
-                          for j in range(1, len(u) - 1)] + [b * u[-1]]
-    return [F(x, den * b**n) for x in u]
+    solve."""
+    return _exact_split_scheme(u0, p, p, n)
 
 
 def _linear_bound(points, top):
@@ -280,6 +295,71 @@ class TestLinearClosedForm:
     def test_within_the_bound_of_the_exact_scheme(self, phi, sig2, dx, steps):
         # grids of 3 to 321 points; the exact scheme includes the fixed ends
         _assert_within_the_bound_of_the_exact_scheme(phi, sig2, dx, steps)
+
+
+_CURVES = st.tuples(st.sampled_from(["+", "-"]),
+                    st.sampled_from(["abs(x - {})", "x*x", "max(x - {}, 0)"]), _KINKS)
+# sums of one to three curves: convex when every sign is +, concave when every
+# sign is -, mixed data otherwise
+_CURVED_PHIS = st.lists(_CURVES, min_size=1, max_size=3).map(
+    lambda terms: "0" + "".join(f" {sign} {term.format(k)}" for sign, term, k in terms))
+
+
+class TestSplitClosedForm:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(phi=_CURVED_PHIS, sig2_hi=st.fractions(F(1, 20), 1, max_denominator=20),
+           band=st.fractions(0, F(3, 4), max_denominator=4),
+           dx=st.fractions(F(1, 4), 4, max_denominator=8), steps=st.integers(1, 40))
+    # concave data at sigma_lo, and convex data at sigma_hi, past the half-width;
+    # at sigma_lo = 0 concave steps are the identity
+    @example(phi="1-abs(x)", sig2_hi=F(1), band=F(1, 4), dx=F(1, 4), steps=100)
+    @example(phi="x*x", sig2_hi=F(1), band=F(1, 4), dx=F(1, 2), steps=40)
+    @example(phi="-x*x", sig2_hi=F(1), band=F(0), dx=F(1, 2), steps=40)
+    @example(phi="max(x, 0)", sig2_hi=F(1), band=F(0), dx=F(1, 2), steps=40)
+    # fewer steps than half-width cells: the stepped bound is the tighter one
+    @example(phi="1-abs(x)", sig2_hi=F(1), band=F(1, 4), dx=F(1, 4), steps=20)
+    def test_within_the_bound_of_the_path_taken(self, phi, sig2_hi, band, dx, steps):
+        # grids of 5 to 65 points, and steps on either side of their half-width
+        sig2 = (band * sig2_hi, sig2_hi)
+        T = steps * F(str(CFL)) * dx * dx / sig2_hi
+        params = GParams(math.sqrt(sig2[0]), math.sqrt(sig2[1]))
+        config = GridConfig(dx=float(dx))
+        got = solve_g_heat(parse_phi(phi), params, T=float(T), config=config)
+        u0 = solve_g_heat(parse_phi(phi), params, T=0.0, config=config).values + 0.0
+        # rounding may add a step to the solver's count
+        n, mid = round(float(T) / got.dt), len(u0) // 2
+        assert steps <= n <= steps + 1
+        p_lo, p_hi = (T / n / (2 * dx * dx) * s for s in sig2)
+        want = _exact_split_scheme(u0.tolist(), p_lo, p_hi, n)
+        error = max(abs(F(g) - w) for g, w in zip(got.values.tolist(), want))
+        top = max(abs(F(x)) for x in u0.tolist())
+        cone = max(abs(F(x)) for x in u0[max(mid - n, 0):mid + n + 1].tolist())
+        # the path taken is one whose bytes the solve has: the stepping loop,
+        # within 29 U eps a step (U over the 2n + 1 points nearest x = 0 for
+        # u(T, 0)), or n linear steps at sigma_lo or sigma_hi, within the
+        # closed form's bound plus the offending part of w0 a step; where two
+        # paths give the same bytes, both bounds hold
+        w0 = [F(a) - 2 * F(b) + F(c) for a, b, c in zip(u0[2:], u0[1:-1], u0[:-2])]
+        half_lam = got.dt / config.dx**2 * 0.5
+        paths = [(_reference_heat(parse_phi(phi), params, float(T), config),
+                  29 * n * top / 2**53, 29 * n * cone / 2**53)]
+        for s, excess in ((params.sigma_lo, max(w0)), (params.sigma_hi, -min(w0))):
+            linear = u0.copy()
+            if s:
+                _linear_steps(linear, n, half_lam * s**2)
+            bound = ((_linear_bound(len(u0), top) if s else 0)
+                     + n * (p_hi - p_lo) * max(excess, 0))
+            paths.append((linear, bound, bound))
+        taken = [bounds for values, *bounds in paths if values.tobytes() == got.values.tobytes()]
+        assert taken
+        everywhere, at_zero = (min(b) for b in zip(*taken))
+        assert error <= everywhere and abs(F(got.value_at(0.0)) - want[mid]) <= at_zero
+        # a closed form is taken only within the stepping loop's bound at x = 0
+        assert at_zero <= 29 * n * cone / 2**53
+
+    def test_concave_data_at_zero_sigma_lo_come_back_exactly(self):
+        # n steps at sigma_lo = 0 are the identity: no transform runs
+        assert g_normal_expectation(parse_phi("1-abs(x)"), GParams(0.0, 1.0)) == 1.0
 
 
 _EXACT_KINKS = st.tuples(st.fractions(-1, 1, max_denominator=4),
@@ -373,10 +453,32 @@ class TestWorkCap:
 
 class TestOverflow:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("sigma_lo", [0.0, 0.5, 1.0], ids=["zero", "split", "linear"])
+    @pytest.mark.parametrize("sigma_lo", [0.0, 0.5], ids=["zero", "split"])
     def test_overflow_is_a_numerical_failure(self, sigma_lo):
-        # 1.7e308 next to 0: the first second difference overflows to inf, then inf - inf
-        # (and 0 * inf when sigma_lo = 0)
+        # 1.7e308 next to 0, mixed data that step: the first second difference
+        # overflows to inf, then inf - inf (and 0 * inf when sigma_lo = 0)
         phi = parse_phi(f"{17 * 10**307}*min(abs(x),1)")
         with pytest.raises(NumericalFailure, match="non-finite values during time stepping"):
             solve_g_heat(phi, GParams(sigma_lo, 1.0), T=1.0, config=GridConfig(dx=0.5))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_linear_solve_near_the_float_limit_is_the_exact_scheme(self):
+        # the same data at sigma = 1: the closed form works on the grid over
+        # a power of two, so its sine sums stay finite (T = 1 is 10 steps)
+        _assert_within_the_bound_of_the_exact_scheme(f"{17 * 10**307}*min(abs(x),1)",
+                                                     F(1), F(1, 2), 10)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("phi,stepped", [
+        (f"-{10**306}*abs(x)", -3.989377922262877e305),
+        (f"{10**305}*x*x", 9.999999999969356e304),
+    ], ids=["concave", "convex"])
+    def test_split_solve_of_large_curved_data(self, phi, stepped):
+        # the stepping loop's values, which the closed form at sigma_lo
+        # (concave) or sigma_hi (convex) replaces; both are within 29 n U eps
+        # of the exact split scheme, for U the largest |u(0, x)|
+        config = GridConfig(dx=0.005)
+        u0 = solve_g_heat(parse_phi(phi), GParams(0.5, 1.0), T=0.0, config=config).values
+        grid = solve_g_heat(parse_phi(phi), GParams(0.5, 1.0), config=config)
+        n = round(1 / grid.dt)
+        assert abs(grid.value_at(0.0) - stepped) <= 2 * 29 * n * np.max(np.abs(u0)) * 2.0**-53
