@@ -6,6 +6,8 @@ The scheme
 
     u_{m+1,j} = u_{m,j} + dt * G((u_{m,j+1} - 2 u_{m,j} + u_{m,j-1}) / dx^2)
 
+steps by max(p_hi d2, p_lo d2), for d2 the second difference u_{m,j+1} -
+2 u_{m,j} + u_{m,j-1} and the weights p_s = dt sigma_s^2 / (2 dx^2).  It
 is monotone when ``dt <= CFL * dx^2 / sigma_hi^2`` with ``CFL <= 1`` and
 therefore converges to the viscosity solution.  The solver steps at the fixed
 CFL number 0.4 on the grid from -L to L, L = ``default_domain(params)``, so
@@ -115,11 +117,11 @@ def solve_g_heat(
     """Evolve the G-heat equation from initial data phi up to time T.
 
     The end points +-L stay fixed, since their second difference is zero;
-    the interior is stepped in place by dt / (2 dx^2) * 2 G(d2), with
-    2 G(d2) = max(sigma_hi^2 d2, sigma_lo^2 d2), since sigma_hi^2 >=
-    sigma_lo^2 >= 0 and rounding is monotone.  Every zero of the grid is
-    made +0.0 once, before the first step, so the bits are those of
-    sigma_hi^2 d2+ - sigma_lo^2 d2-.  In the linear case sigma_lo ==
+    the interior is stepped in place by dt G(d2 / dx^2) = max(p_hi d2, p_lo
+    d2), with the weights p_s = dt / (2 dx^2) * sigma_s^2, each computed
+    once, since p_hi >= p_lo >= 0 and rounding is monotone.  Every zero of
+    the grid is made +0.0 once, before the first step, so the bits are those
+    of p_hi d2+ - p_lo d2-.  In the linear case sigma_lo ==
     sigma_hi (the classical heat equation) the n steps u_j += p (u_{j+1} -
     2 u_j + u_{j-1}), p = dt sigma^2 / (2 dx^2), are solved in closed form:
     subtract the line through the two ends, apply a DST-I to the m = P - 2
@@ -155,10 +157,10 @@ def solve_g_heat(
     the relative error of p_s d2, |d2| <= 4 U, which is at most 12 eps: 6
     from dt / dx^2 when T and dx are rationals rounded to floats, 4 from
     sigma^2 when sigma is the float root of a rounded rational, 2 from the
-    two products; and U eps from the final add.  So ``value_at(0)`` is
-    within 29 n U eps of the exact DP from the same float initial data,
-    and within that plus the initial data's own error of the exact DP from
-    phi itself.
+    two products, dt / (2 dx^2) * sigma^2 = p_s and then p_s d2; and U eps
+    from the final add.  So ``value_at(0)`` is within 29 n U eps of the
+    exact DP from the same float initial data, and within that plus the
+    initial data's own error of the exact DP from phi itself.
 
     Convex or concave data when sigma_lo < sigma_hi: the interior second
     differences w evolve by a monotone scheme, since p_hi <= 0.2, whose
@@ -240,23 +242,22 @@ def solve_g_heat(
 
     n_steps = max(1, int(math.ceil(steps)))
     dt = T / n_steps
-    lam = dt / config.dx**2
-    half_lam = lam * 0.5
-    # max(sig2_hi*d2, sig2_lo*d2) is the value of sig2_hi*max(d2,0) +
-    # sig2_lo*min(d2,0), whose steps leave no -0.0 in u (x + y is -0.0 only
-    # when x and y are); a zero's sign then changes no mid + addend, so one
-    # add of 0.0 here gives the split form's bits
+    half_lam = dt / config.dx**2 * 0.5
+    p_lo, p_hi = half_lam * sig2_lo, half_lam * sig2_hi
+    # max(p_hi*d2, p_lo*d2) is the value of p_hi*max(d2,0) + p_lo*min(d2,0),
+    # whose steps leave no -0.0 in u (x + y is -0.0 only when x and y are); a
+    # zero's sign then changes no mid + addend, so one add of 0.0 here gives
+    # the split form's bits
     u += 0.0
     # overflow to inf, inf - inf and 0 * inf are left to the finiteness check below
     with np.errstate(over="ignore", invalid="ignore"):
         if sig2_lo == sig2_hi:
-            _linear_steps(u, n_steps, half_lam * sig2_hi)
-        elif not _split_in_closed_form(u, n_steps, half_lam * sig2_lo, half_lam * sig2_hi,
-                                       n_half):
+            _linear_steps(u, n_steps, p_hi)
+        elif not _split_in_closed_form(u, n_steps, p_lo, p_hi, n_half):
             left, mid, right = u[:-2], u[1:-1], u[2:]
             d2, up = np.empty_like(mid), np.empty_like(mid)
             # 0-d arrays, made once: no step converts a Python float
-            hi, lo, h = np.array(sig2_hi), np.array(sig2_lo), np.array(half_lam)
+            hi, lo = np.array(p_hi), np.array(p_lo)
             for _ in range(n_steps):
                 np.add(mid, mid, out=d2)
                 np.subtract(right, d2, out=d2)
@@ -264,7 +265,6 @@ def solve_g_heat(
                 np.multiply(hi, d2, out=up)
                 np.multiply(lo, d2, out=d2)
                 np.maximum(up, d2, out=up)
-                np.multiply(h, up, out=up)
                 np.add(mid, up, out=mid)
     if not np.all(np.isfinite(u)):
         raise NumericalFailure("non-finite values during time stepping")

@@ -327,7 +327,8 @@ def lln_experiment(
                                   "grid_spacing": spacing})
 
 
-# largest |E[X]| or |E[-X]| that clt_experiment accepts as centered
+# largest |E[X]| or |E[-X]| that clt_experiment accepts as centered on a set
+# with a float weight or atom; a rational set must be centered exactly
 CLT_MEAN_TOL = 1e-12
 
 
@@ -342,14 +343,16 @@ def clt_experiment(
     """E[phi(S_n/sqrt(n))] per n against the G-normal PDE prediction, with
     sigma^2 spanning the second-moment envelope [-E[-X^2], E[X^2]].
 
-    Requires E[X] = E[-X] = 0 per step.  ``truncate_sqrt_n`` clips each
+    Requires E[X] = E[-X] = 0 per step: exactly when every weight and atom
+    is rational, within CLT_MEAN_TOL otherwise.  ``truncate_sqrt_n`` clips each
     step's atoms to [-sqrt(n), sqrt(n)] before running (the triangular
     truncation device); default off.
     """
     schedule = _check_schedule(sorted(set(n_schedule)))
     mu_hi = upper_expectation(aset, lambda x: x).value
     mu_lo = lower_expectation(aset, lambda x: x).value
-    if abs(float(mu_hi)) > CLT_MEAN_TOL or abs(float(mu_lo)) > CLT_MEAN_TOL:
+    tol = 0 if aset.exact() else CLT_MEAN_TOL
+    if abs(mu_hi) > tol or abs(mu_lo) > tol:
         raise NumericalFailure(
             f"CLT experiment requires centered steps; got mean envelope "
             f"[{_fmt(mu_lo)}, {_fmt(mu_hi)}]"

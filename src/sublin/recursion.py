@@ -137,8 +137,7 @@ def lattice_embed(seq: StepSequence) -> LatticeEmbedding:
             pruned[id(aset)] = measures
 
     rationals = [p for measures in pruned.values() for pts, _ in measures for p in pts]
-    denom_lcm = math.lcm(*(r.denominator for r in rationals))
-    ints = [r.numerator * (denom_lcm // r.denominator) for r in rationals]
+    ints, denom_lcm = _integer_row(rationals)
     g = math.gcd(*ints)
     h = Fraction(g, denom_lcm) if g else Fraction(1)
 

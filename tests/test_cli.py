@@ -829,3 +829,10 @@ class TestReadmeGolden:
 class TestMisc:
     def test_parser_builds(self):
         assert build_parser().prog == "sublin"
+
+
+def test_bad_schedule_entry_refused(capsys):
+    code, out, err = run(capsys, "lln", "--model", cfg("bernoulli-band.json"),
+                         "--phi", "x", "--n-schedule", "16,x")
+    assert (code, out) == (1, "")
+    assert err == "error: bad n-schedule '16,x'\n"

@@ -185,7 +185,8 @@ def _reference_heat(phi, params, T, config):
         d2[1:-1] = u[2:] - 2.0 * u[1:-1] + u[:-2]
         d2[0] = 0.0
         d2[-1] = 0.0
-        u = u + lam * 0.5 * (sig2_hi * np.maximum(d2, 0.0) + sig2_lo * np.minimum(d2, 0.0))
+        u = u + ((lam * 0.5 * sig2_hi) * np.maximum(d2, 0.0)
+                 + (lam * 0.5 * sig2_lo) * np.minimum(d2, 0.0))
     return u
 
 
@@ -485,3 +486,10 @@ class TestOverflow:
         bound = 2 * 29 * n * (float(np.max(np.abs(u0))) * 2.0**-53)
         assert np.isfinite(bound)
         assert abs(grid.value_at(0.0) - stepped) <= bound
+
+
+def test_value_off_the_grid_refused():
+    grid = solve_g_heat(parse_phi("x"), GParams(1.0, 1.0), T=0.0, config=GridConfig(dx=1.0))
+    assert (grid.xs[0], grid.xs[-1]) == (-8.0, 8.0)
+    with pytest.raises(ModelError, match=r"^x=8\.5 outside the grid domain$"):
+        grid.value_at(8.5)

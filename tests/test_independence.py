@@ -439,3 +439,24 @@ class TestPositiveHistories:
         assert positive_histories(m, 0, 2) == [(0,)]
         # pseudo-independence must then only look at history X=0
         assert check_pseudo_independence(m, 2).verdict
+
+
+_BIT = [F(1, 2), F(1, 2)]
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: JointModel(["X", "Y"], [[0, 1]], [_BIT]), "need one support per variable"),
+    (lambda: JointModel(["X"], [[0, 0]], [_BIT]), "supports must be nonempty without duplicates"),
+    (lambda: JointModel(["X"], [[0, 1]], []), "need at least one joint table"),
+    (lambda: JointModel(["X"], [[0, 1]], [[1]]), "table has 1 cells, grid has 2"),
+    (lambda: joint_model_from_dict({"variables": ["X"], "supports": [[0, 1]], "measures": [{}]}),
+     "invalid model file: each measure needs a table"),
+    (lambda: check_pseudo_independence(JointModel(["X"], [[0, 1]], [_BIT]), 0),
+     "step 0 out of range"),
+    (lambda: check_peng_independence(JointModel(["X"], [[0, 1]], [_BIT]), 2),
+     "step 2 out of range"),
+], ids=["supports-per-variable", "duplicate-support", "no-table", "table-size",
+        "measure-without-table", "pseudo-step", "peng-step"])
+def test_refusals(build, message):
+    with pytest.raises(ModelError, match=f"^{re.escape(message)}$"):
+        build()

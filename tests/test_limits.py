@@ -33,7 +33,8 @@ from sublin import (
     upper_expectation,
     upper_probability,
 )
-from sublin.limits import ExperimentRow, ExperimentTable, _fmt, default_diagnostic_schedule
+from sublin.limits import (CLT_MEAN_TOL, ExperimentRow, ExperimentTable, _fmt,
+                           default_diagnostic_schedule)
 from sublin.measures import is_exact
 
 F = Fraction
@@ -392,6 +393,20 @@ class TestCLT:
         with pytest.raises(NumericalFailure):
             clt_experiment(bernoulli_band, lambda x: x, [4])
 
+    def test_exact_mean_must_be_zero(self):
+        # a rational mean of 1e-13 is within CLT_MEAN_TOL but not 0
+        tilt = F(1, 2 * 10**13)
+        aset = AmbiguitySet([DiscreteDistribution([-1, 1], [F(1, 2) - tilt, F(1, 2) + tilt])])
+        with pytest.raises(NumericalFailure, match="centered steps"):
+            clt_experiment(aset, _never_called, [4], mode=NumericMode.EXACT)
+
+    def test_float_mean_within_tolerance(self):
+        # a float mean of about 1e-13 is centered within CLT_MEAN_TOL
+        aset = AmbiguitySet([DiscreteDistribution([-1.0, 1.0 + 2e-13], [0.5, 0.5])])
+        assert 0 < upper_expectation(aset, lambda x: x).value <= CLT_MEAN_TOL
+        table = clt_experiment(aset, parse_phi("abs(x)"), [4], grid=GridConfig(dx=0.1))
+        assert [r.n for r in table.rows] == [4]
+
     def test_classical_special_case(self):
         # single fair coin: CLT limit is the standard normal value
         aset = AmbiguitySet([bernoulli(0.5).map(lambda x: 2.0 * x - 1.0)])
@@ -465,3 +480,13 @@ class TestProp63:
     def test_exact_requires_square_n(self):
         with pytest.raises(UsageError):
             prop63_experiment(4, 3, mode=NumericMode.EXACT)
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: moment_summary(StepSequence.iid(AmbiguitySet([bernoulli(0.5)]), 1), 0),
+     "n_max must be >= 1"),
+    (lambda: lln_bounds(parse_phi("x"), 1, 0), "need mu_lo <= mu_bar"),
+], ids=["moment-horizon", "lln-interval"])
+def test_refusals(build, message):
+    with pytest.raises(UsageError, match=f"^{message}$"):
+        build()

@@ -209,3 +209,8 @@ def test_hull_gap_matches_the_fraction_tableau(points):
         mp.setattr(linprog, "simplex_max", _reference_simplex_max)
         want = hull_gap(point, hull)
     _assert_same_outcome(hull_gap(point, hull), want)
+
+
+def test_hull_gap_refuses_an_empty_hull():
+    with pytest.raises(ValueError, match="^hull_points must be nonempty$"):
+        hull_gap([Fraction(1, 2)], [])

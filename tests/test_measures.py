@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from fractions import Fraction
@@ -227,3 +228,14 @@ class TestModelFile:
     def test_mismatched_lengths(self):
         with pytest.raises(ModelError):
             ambiguity_set_from_dict({"measures": [{"atoms": [0, 1], "probs": [1]}]})
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: ambiguity_set_from_dict(
+        json.loads('{"measures": [{"atoms": [Infinity], "probs": [1]}]}')), "non-finite number inf"),
+    (lambda: AmbiguitySet([]), "ambiguity set must be nonempty"),
+    (lambda: AmbiguitySet([dirac(0), {0: 1}]), "members must be DiscreteDistribution"),
+], ids=["infinite-atom", "empty-set", "not-a-law"])
+def test_refusals(build, message):
+    with pytest.raises(ModelError, match=f"^{message}$"):
+        build()

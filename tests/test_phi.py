@@ -245,3 +245,8 @@ class TestCompiledClosures:
         want = (min(vals), max(vals))
         for f in (phi, lambda x: phi(x)):
             assert _bits(lln_bounds(f, -1, 1)) == _bits(want)
+
+
+def test_unknown_name_refused():
+    with pytest.raises(UsageError, match="^unknown name 'y'$"):
+        parse_phi("y")

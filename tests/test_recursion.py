@@ -772,3 +772,17 @@ class TestGuards:
         seq = StepSequence.iid(AmbiguitySet([rademacher()]), 2, NumericMode.EXACT)
         with pytest.raises(NumericalFailure):
             sublinear_eval_sum(seq, lambda s: float(s))
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: StepSequence([]), "a step sequence needs at least one step"),
+    (lambda: StepSequence.iid(AmbiguitySet([rademacher()]), 0), "n must be >= 1"),
+    (lambda: lattice_embed(StepSequence([AmbiguitySet([DiscreteDistribution([0.0, math.inf],
+                                                                            [0.5, 0.5])])])),
+     "non-finite atom inf"),
+    (lambda: lattice_embed(StepSequence([AmbiguitySet([DiscreteDistribution(["1"], [1])])])),
+     "not a number: '1'"),
+], ids=["empty-sequence", "iid-zero", "infinite-atom", "not-a-number-atom"])
+def test_refusals(build, message):
+    with pytest.raises(ModelError, match=f"^{message}$"):
+        build()
