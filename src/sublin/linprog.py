@@ -6,6 +6,9 @@ pivot is an integer Gauss-Jordan step followed by one gcd reduction per
 row.  Float inputs are converted to exact rationals (every float is a
 rational), so every feasibility decision here is exact; callers apply
 their own numeric tolerance to the returned gap when working in float mode.
+The hull LP is set up in integers too: its coordinates are scaled by one
+common denominator, so the simplex receives integer rows, and the gap is
+the one Fraction that the set-up builds.
 
 Problem sizes are tiny throughout the package (a few dozen variables),
 so exact pivoting is fast enough and removes all conditioning worries.
@@ -20,7 +23,6 @@ from typing import Sequence
 from .errors import NumericalFailure
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def _rational(v):
@@ -124,20 +126,32 @@ def hull_gap(point: Sequence, hull_points: Sequence[Sequence]):
     The LP substitutes ``y = 2u - 1`` with ``0 <= u <= 1``, and
     ``t + low = s+ - s-`` with ``low = min_i sum(p_i)``, so that every
     right-hand side is >= 0: m + 2 columns and k + m rows for k points in R^m.
+    It is built in integers: with ``D`` the lcm of every coordinate's
+    denominator, ``Q = D q`` and ``P_i = D p_i``, the objective is
+    ``2Q.u - D s+ + D s-`` and row i is ``2P_i.u - D s+ + D s- <= sum(P_i) -
+    min_j sum(P_j)``, the rational LP's objective and rows times ``D``.
+    Scaling a row or the objective by a positive number rescales only that
+    row's slack and the optimum: no sign that Bland's rule reads and no ratio
+    test changes, so the pivots and ``u`` are the rational LP's, and the gap
+    is the optimum plus ``min_j sum(P_j) - sum(Q)``, over ``D``.
     """
     if not hull_points:
         raise ValueError("hull_points must be nonempty")
-    q = [Fraction(v) for v in point]
-    ps = [[Fraction(v) for v in p] for p in hull_points]
-    m = len(q)
-    low = min(sum(p) for p in ps)
-    c = [2 * v for v in q] + [-_ONE, _ONE]
-    A = [[2 * v for v in p] + [-_ONE, _ONE] for p in ps]
-    b = [sum(p) - low for p in ps]
-    A += [[_ONE if k == j else _ZERO for k in range(m + 2)] for j in range(m)]
-    b += [_ONE] * m
+    q = [_rational(v) for v in point]
+    ps = [[_rational(v) for v in p] for p in hull_points]
+    den = math.lcm(*(v.denominator for v in q), *(v.denominator for p in ps for v in p))
+    Q = [v.numerator * (den // v.denominator) for v in q]
+    P = [[v.numerator * (den // v.denominator) for v in p] for p in ps]
+    m = len(Q)
+    sums = [sum(p) for p in P]
+    low = min(sums)
+    c = [2 * v for v in Q] + [-den, den]
+    A = [[2 * v for v in p] + [-den, den] for p in P]
+    b = [s - low for s in sums]
+    A += [[1 if k == j else 0 for k in range(m + 2)] for j in range(m)]
+    b += [1] * m
     value, x = simplex_max(c, A, b)
-    return value + low - sum(q), [2 * u - 1 for u in x[:m]]
+    return Fraction(value + low - sum(Q), den), [2 * u - 1 for u in x[:m]]
 
 
 def in_hull(point: Sequence, hull_points: Sequence[Sequence], tol=0) -> bool:

@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
 
 from .errors import ModelError, NumericalFailure
-from .linprog import in_hull
+from .linprog import _integer_row, in_hull
 
 WEIGHT_TOL = 1e-12
 HULL_TOL = 1e-9
@@ -70,22 +70,28 @@ def is_exact(x) -> bool:
 def check_weights(weights: Sequence):
     """The one rule for the weights of a law: all finite, none negative
     (below -WEIGHT_TOL for floats) and a total of 1, exactly when every
-    weight is rational and within WEIGHT_TOL otherwise.  Raises ModelError."""
+    weight is rational and within WEIGHT_TOL otherwise.  Raises ModelError.
+
+    A rational total is taken on integer numerators over the weights' lcm
+    denominator; the Fraction total is built only for the error message."""
     for w in weights:
         if not (is_exact(w) or math.isfinite(w)):
             raise ModelError(f"non-finite weight {w!r}")
         if w < 0 if is_exact(w) else w < -WEIGHT_TOL:
             raise ModelError(f"negative weight {w!r}")
+    if all(is_exact(w) for w in weights):
+        nums, den = _integer_row(weights)
+        if sum(nums) != den:
+            total = Fraction(sum(nums), den)
+            # a total over several long denominators may be too long to print
+            raise ModelError(f"weights sum to {total}, not 1" if total.denominator < 10**50
+                             else "weights do not sum to 1")
+        return
     try:
         total = sum(weights)
     except OverflowError as e:  # an int or Fraction beyond float range met a float
         raise ModelError("weights sum beyond the float range, not 1") from e
-    if all(is_exact(w) for w in weights):
-        if total != 1:
-            # a total over several long denominators may be too long to print
-            raise ModelError(f"weights sum to {total}, not 1" if total.denominator < 10**50
-                             else "weights do not sum to 1")
-    elif abs(total - 1.0) > WEIGHT_TOL:
+    if abs(total - 1.0) > WEIGHT_TOL:
         raise ModelError(f"weights sum to {total!r}, not 1")
 
 
@@ -101,7 +107,8 @@ class DiscreteDistribution:
 
     ``atoms`` is a tuple of ``(point, weight)`` pairs with strictly
     increasing points.  Duplicate points are merged at construction;
-    zero-weight atoms are kept (they change nothing).
+    zero-weight atoms are kept (they change nothing).  A point must be an
+    int, a Fraction or a float (not a bool); anything else raises ModelError.
     """
 
     atoms: tuple
@@ -112,7 +119,12 @@ class DiscreteDistribution:
         check_weights(weights)
         merged: dict = {}
         for x, w in zip(points, weights):
-            merged[x] = merged.get(x, 0) + w
+            if isinstance(x, bool) or not isinstance(x, (int, Fraction, float)):
+                raise ModelError(f"not a number: {x!r}")
+            if x in merged:
+                merged[x] += w
+            else:  # 0 + w turns a bool into an int and -0.0 into 0.0
+                merged[x] = w if type(w) is int or type(w) is Fraction else 0 + w
         pairs = tuple(sorted(merged.items(), key=lambda kv: kv[0]))
         object.__setattr__(self, "atoms", pairs)
 

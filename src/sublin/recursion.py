@@ -102,19 +102,18 @@ class LatticeEmbedding(NamedTuple):
 
 
 def _rationalize(x):
+    """An atom, a number by construction of its law, as a rational."""
     if is_exact(x):
         return Fraction(x)
-    if isinstance(x, float):
-        if not math.isfinite(x):
-            raise ModelError(f"non-finite atom {x!r}")
-        approx = Fraction(x).limit_denominator(MAX_LATTICE_DENOMINATOR)
-        if abs(float(approx) - x) <= LATTICE_TOL * max(1.0, abs(x)):
-            return approx
-        raise NoCommonLattice(
-            f"atom {x!r} is not within {LATTICE_TOL:g} of a rational with "
-            f"denominator <= {MAX_LATTICE_DENOMINATOR}"
-        )
-    raise ModelError(f"not a number: {x!r}")
+    if not math.isfinite(x):
+        raise ModelError(f"non-finite atom {x!r}")
+    approx = Fraction(x).limit_denominator(MAX_LATTICE_DENOMINATOR)
+    if abs(float(approx) - x) <= LATTICE_TOL * max(1.0, abs(x)):
+        return approx
+    raise NoCommonLattice(
+        f"atom {x!r} is not within {LATTICE_TOL:g} of a rational with "
+        f"denominator <= {MAX_LATTICE_DENOMINATOR}"
+    )
 
 
 def lattice_embed(seq: StepSequence) -> LatticeEmbedding:

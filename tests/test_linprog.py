@@ -211,6 +211,42 @@ def test_hull_gap_matches_the_fraction_tableau(points):
     _assert_same_outcome(hull_gap(point, hull), want)
 
 
+def _reference_hull_gap(point, hull_points):
+    """The `Fraction`-built hull LP that the integer set-up replaced, verbatim."""
+    if not hull_points:
+        raise ValueError("hull_points must be nonempty")
+    q = [Fraction(v) for v in point]
+    ps = [[Fraction(v) for v in p] for p in hull_points]
+    m = len(q)
+    low = min(sum(p) for p in ps)
+    c = [2 * v for v in q] + [-_ONE, _ONE]
+    A = [[2 * v for v in p] + [-_ONE, _ONE] for p in ps]
+    b = [sum(p) - low for p in ps]
+    A += [[_ONE if k == j else _ZERO for k in range(m + 2)] for j in range(m)]
+    b += [_ONE] * m
+    value, x = simplex_max(c, A, b)
+    return value + low - sum(q), [2 * u - 1 for u in x[:m]]
+
+
+@st.composite
+def _hull_problems(draw):
+    """A point and a hull of 1-8 points in R^1..R^4 over ``_ENTRY``; hull
+    points may repeat, and the point may be one of them."""
+    d = draw(st.integers(1, 4))
+    coords = st.lists(_ENTRY, min_size=d, max_size=d)
+    hull = draw(st.lists(coords, min_size=1, max_size=6))
+    hull += draw(st.lists(st.sampled_from(hull), max_size=2))
+    point = draw(st.one_of(coords, st.sampled_from(hull)))
+    return point, draw(st.permutations(hull))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_hull_problems())
+def test_integer_hull_lp_matches_the_fraction_built_lp(problem):
+    # scaling the LP by the common denominator moves no pivot: same gap, same direction
+    _assert_same_outcome(_outcome(hull_gap, *problem), _outcome(_reference_hull_gap, *problem))
+
+
 def test_hull_gap_refuses_an_empty_hull():
     with pytest.raises(ValueError, match="^hull_points must be nonempty$"):
         hull_gap([Fraction(1, 2)], [])

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sublin import (
     AmbiguitySet,
@@ -12,16 +14,19 @@ from sublin import (
     ModelError,
     NumericalFailure,
     NumericMode,
+    StepSequence,
     ambiguity_set_from_dict,
     bernoulli,
     dirac,
     lower_expectation,
     lower_probability,
+    parse_phi,
     same_distribution,
     upper_expectation,
     upper_probability,
 )
-from sublin.limits import counterexample_family
+from sublin.limits import counterexample_family, moment_summary
+from sublin.measures import WEIGHT_TOL, is_exact
 
 from conftest import random_ambiguity_set
 
@@ -77,6 +82,81 @@ class TestDiscreteDistribution:
         d = DiscreteDistribution([-1, 0, 1], [F(1, 4), F(1, 2), F(1, 4)])
         sq = d.map(lambda x: x * x)
         assert sq.atoms == ((0, F(1, 2)), (1, F(1, 2)))
+
+
+def _reference_law(points, weights):
+    """The atoms that the `Fraction`-summing constructor built, verbatim: its
+    weight check, then ``merged.get(x, 0) + w`` per atom."""
+    if len(points) != len(weights) or not points:
+        raise ModelError("points and weights must be nonempty and equal length")
+    for w in weights:
+        if not (is_exact(w) or math.isfinite(w)):
+            raise ModelError(f"non-finite weight {w!r}")
+        if w < 0 if is_exact(w) else w < -WEIGHT_TOL:
+            raise ModelError(f"negative weight {w!r}")
+    try:
+        total = sum(weights)
+    except OverflowError as e:
+        raise ModelError("weights sum beyond the float range, not 1") from e
+    if all(is_exact(w) for w in weights):
+        if total != 1:
+            raise ModelError(f"weights sum to {total}, not 1" if total.denominator < 10**50
+                             else "weights do not sum to 1")
+    elif abs(total - 1.0) > WEIGHT_TOL:
+        raise ModelError(f"weights sum to {total!r}, not 1")
+    merged = {}
+    for x, w in zip(points, weights):
+        merged[x] = merged.get(x, 0) + w
+    return tuple(sorted(merged.items(), key=lambda kv: kv[0]))
+
+
+_WEIGHT = st.one_of(
+    st.builds(F, st.integers(0, 2), st.integers(3, 9)),
+    st.sampled_from([0, 0, False, False, 1, True]),
+    st.sampled_from([0.1, 0.25, 1 / 3, 0.0, -0.0, -1e-13]),
+    st.sampled_from([F(-1, 7), -0.25, math.nan, math.inf, 10**400, F(1, 3**110)]),
+)
+# how far the last weight misses a total of 1
+_MISS = st.sampled_from([0, 0, 0, F(1, 7), F(-1, 7), 1e-13, -1e-13, 1e-11, F(1, 3**111)])
+
+
+@st.composite
+def _laws(draw):
+    """Points with repeats (1, 1.0 and F(1) are one key) and weights mixing
+    int, Fraction, float and bool, whose last weight makes the total 1 up to
+    a miss, in its own type or as a float or a bool."""
+    n = draw(st.integers(1, 5))
+    points = draw(st.lists(st.sampled_from([0, 1, 2, -1, F(1, 2), 0.5, 1.0, F(1)]),
+                           min_size=n, max_size=n))
+    weights = draw(st.lists(_WEIGHT, min_size=n - 1, max_size=n - 1))
+    try:
+        last = 1 - sum(weights) + draw(_MISS)
+    except OverflowError:  # 10**400 met a float
+        last = 0.5
+    kind = draw(st.sampled_from(["own", "float", "bool"]))
+    if kind == "float" and abs(last) < 1e300:
+        last = float(last)
+    elif kind == "bool" and last in (0, 1):
+        last = bool(last)
+    return points, weights + [last]
+
+
+def _built_law(build, points, weights):
+    try:
+        return build(points, weights)
+    except Exception as exc:  # the exception type and message are the outcome compared
+        return type(exc), str(exc)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_laws())
+def test_law_construction_matches_the_fraction_sums(law):
+    got = _built_law(lambda p, w: DiscreteDistribution(p, w).atoms, *law)
+    want = _built_law(_reference_law, *law)
+    assert got == want
+    if isinstance(want, tuple) and want and not isinstance(want[0], type):
+        assert repr(got) == repr(want)  # repr tells int from Fraction, -0.0 from 0.0
+        assert [tuple(map(type, a)) for a in got] == [tuple(map(type, a)) for a in want]
 
 
 class TestEnvelopes:
@@ -235,7 +315,19 @@ class TestModelFile:
         json.loads('{"measures": [{"atoms": [Infinity], "probs": [1]}]}')), "non-finite number inf"),
     (lambda: AmbiguitySet([]), "ambiguity set must be nonempty"),
     (lambda: AmbiguitySet([dirac(0), {0: 1}]), "members must be DiscreteDistribution"),
-], ids=["infinite-atom", "empty-set", "not-a-law"])
+    (lambda: DiscreteDistribution(["1"], [1]), "not a number: '1'"),
+    (lambda: DiscreteDistribution([0, True], [F(1, 2), F(1, 2)]), "not a number: True"),
+    (lambda: upper_expectation(AmbiguitySet([DiscreteDistribution(["1"], [1])]),
+                               parse_phi("x*x")), "not a number: '1'"),
+], ids=["infinite-atom", "empty-set", "not-a-law", "string-atom", "bool-atom",
+        "envelope-of-a-string-atom"])
 def test_refusals(build, message):
     with pytest.raises(ModelError, match=f"^{message}$"):
         build()
+
+
+def test_a_non_finite_atom_is_a_number():
+    # the law builds; the layers that need a finite atom refuse it
+    aset = AmbiguitySet([DiscreteDistribution([0.0, math.inf], [0.5, 0.5])])
+    with pytest.raises(NumericalFailure, match="^a law has a non-finite atom or weight$"):
+        moment_summary(StepSequence.iid(aset, 1), 1)
