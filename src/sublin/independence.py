@@ -2,7 +2,7 @@
 
 On a finite support of size m the bounded-Lipschitz test functions span
 all of R^m, so the quantified conditions reduce to convex-hull
-membership of law vectors, one linear program per history:
+membership of law vectors, at most one linear program per history:
 
 * pseudo-independence at step n: every positive-probability conditional
   law of X_n lies in the hull of the marginal laws of X_n;
@@ -11,8 +11,13 @@ membership of law vectors, one linear program per history:
   marginal-hull choice per history (Peng, Nonlinear Expectations and
   Stochastic Calculus under Uncertainty, 2019).  The joints lie in R exactly
   when X_n is pseudo-independent; R then lies in their hull exactly when its
-  vertices are all joints, so on exact inputs at most T' + 1 vertex LPs
-  follow the pseudo check, T' the number of distinct tables.
+  vertices are all joints.
+
+A law equal to one of the hull's own points (a conditional law equal to a
+marginal, a vertex equal to a joint) is inside with gap 0 and gets no LP.
+So on exact inputs the vertex walk solves at most one LP, for the first
+vertex that is not a joint: it lies outside, and its LP gives the witness
+its gap and direction.
 
 Zero-probability histories are skipped, matching the P-a.s. quantifier.
 """
@@ -180,17 +185,21 @@ def positive_histories(model: JointModel, table_index: int, n: int):
 def check_pseudo_independence(model: JointModel, n: int) -> IndependenceReport:
     """Def-style check: each conditional law of X_n lies in the hull of the
     marginal laws of X_n, for every measure and positive-probability history,
-    exactly on exact models and within HULL_TOL otherwise.  The reported gap
-    is a Fraction on an exact model and a float on a float one."""
+    exactly on exact models and within HULL_TOL otherwise.  A conditional law
+    equal to a marginal law is inside with gap 0 and gets no LP.  The reported
+    gap is a Fraction on an exact model and a float on a float one."""
     if not 1 <= n <= model.n_variables:
         raise ModelError(f"step {n} out of range")
     marginals = [model.marginal_law(ti, n) for ti in range(len(model.tables))]
+    members = set(marginals)
     exact = model.exact()
     effective = _tolerance(exact)
     worst = 0
     for ti in range(len(model.tables)):
         for hist in positive_histories(model, ti, n):
             cond = model.conditional_law(ti, n, hist)
+            if cond in members:  # a hull point: gap 0, as the LP finds
+                continue
             gap, direction = hull_gap(cond, marginals)
             if gap > effective:
                 return IndependenceReport(
@@ -292,10 +301,12 @@ def check_peng_independence(model: JointModel, n: int, mode: str = "probe") -> I
     ``exact`` mode decides outright: :func:`check_pseudo_independence` (its witness
     gains ``side="joint-outside"``), then a walk over the step-n polytope's
     vertices that stops at the first outside the hull of the joints (witness
-    ``side="polytope-outside"`` and its ``vertex`` index), after at most
-    T' + 1 LPs on exact inputs.  DEFAULT_ENUM_CAP bounds the support grid and
-    the walk.  Gaps are compared exactly on exact models and within HULL_TOL
-    otherwise, and reported as floats on a float model.
+    ``side="polytope-outside"`` and its ``vertex`` index).  A vertex equal to
+    a joint is inside with gap 0 and gets no LP; on exact inputs every other
+    vertex is outside, so the walk solves at most one LP, the witness's.
+    DEFAULT_ENUM_CAP bounds the support grid and the walk.  Gaps are compared
+    exactly on exact models and within HULL_TOL otherwise, and reported as
+    floats on a float model.
     """
     if not 1 <= n <= model.n_variables:
         raise ModelError(f"step {n} out of range")
@@ -326,11 +337,14 @@ def check_peng_independence(model: JointModel, n: int, mode: str = "probe") -> I
         if not pseudo:
             return replace(pseudo, witness={**pseudo.witness, "side": "joint-outside"})
         joints = [model.prefix_law(ti, n) for ti in range(len(model.tables))]
+        members = {tuple(j) for j in joints}
         prefixes = [model.prefix_law(ti, n - 1) for ti in range(len(model.tables))]
         vertices = _assemble([prefixes[i] for i in hull_vertices(prefixes, effective)],
                              _marginal_vertices(model, n), len(model.supports[n - 1]),
                              DEFAULT_ENUM_CAP, "step polytope")
         for vi, v in enumerate(vertices):
+            if tuple(v) in members:  # a joint: gap 0, as the LP finds
+                continue
             gap, direction = hull_gap(v, joints)
             if gap > effective:
                 witness = {"vertex": vi, "side": "polytope-outside", "direction": direction}

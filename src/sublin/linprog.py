@@ -155,8 +155,18 @@ def hull_gap(point: Sequence, hull_points: Sequence[Sequence]):
 
 
 def in_hull(point: Sequence, hull_points: Sequence[Sequence], tol=0) -> bool:
-    """True when ``point`` lies in ``conv(hull_points)`` up to ``tol``."""
-    gap, _ = hull_gap(point, hull_points)
+    """True when ``point`` lies in ``conv(hull_points)`` up to ``tol``.
+
+    A point equal to one of the hull points is inside with gap 0, the LP's
+    optimum for it, so it is answered ``0 <= tol`` without an LP.  Equality
+    is tested on the exact rationals the LP would read, so a non-finite
+    coordinate is refused as :func:`hull_gap` refuses it.
+    """
+    q = tuple(_rational(v) for v in point)
+    ps = [tuple(_rational(v) for v in p) for p in hull_points]
+    if q in ps:
+        return 0 <= tol
+    gap, _ = hull_gap(q, ps)
     return gap <= tol
 
 

@@ -74,12 +74,18 @@ def check_weights(weights: Sequence):
 
     A rational total is taken on integer numerators over the weights' lcm
     denominator; the Fraction total is built only for the error message."""
+    exact = True
     for w in weights:
-        if not (is_exact(w) or math.isfinite(w)):
-            raise ModelError(f"non-finite weight {w!r}")
-        if w < 0 if is_exact(w) else w < -WEIGHT_TOL:
+        if is_exact(w):
+            negative = w < 0
+        else:
+            exact = False
+            if not math.isfinite(w):
+                raise ModelError(f"non-finite weight {w!r}")
+            negative = w < -WEIGHT_TOL
+        if negative:
             raise ModelError(f"negative weight {w!r}")
-    if all(is_exact(w) for w in weights):
+    if exact:
         nums, den = _integer_row(weights)
         if sum(nums) != den:
             total = Fraction(sum(nums), den)

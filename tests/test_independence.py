@@ -66,6 +66,24 @@ def _reference_peng_exact(model, n):
     return IndependenceReport(True)
 
 
+def _reference_pseudo(model, n):
+    """The pseudo-independence check with one hull LP for every conditional
+    law, a law equal to a marginal law included."""
+    exact = model.exact()
+    effective = _tolerance(exact)
+    marginals = [model.marginal_law(ti, n) for ti in range(len(model.tables))]
+    worst = 0
+    for ti in range(len(model.tables)):
+        for hist in positive_histories(model, ti, n):
+            gap, direction = hull_gap(model.conditional_law(ti, n, hist), marginals)
+            if gap > effective:
+                history = tuple(model.supports[j][i] for j, i in enumerate(hist))
+                witness = {"measure": ti, "history": history, "direction": direction}
+                return IndependenceReport(False, witness, gap if exact else float(gap))
+            worst = max(worst, gap)
+    return IndependenceReport(True, gap=worst if exact else float(worst))
+
+
 def _normalized(raw):
     return [F(w, sum(raw)) for w in raw]
 
@@ -99,12 +117,20 @@ def small_models(draw, max_tables=2):
 
 
 def _walk(model, n):
-    """Every vertex the exact check walks, in order, with pseudo-independence
-    and every membership test forced to pass."""
+    """Every vertex the exact check walks, in order, as ``_assemble`` yields
+    them, with pseudo-independence and every membership test forced to pass."""
     seen = []
+    real_assemble = independence._assemble
+
+    def assemble(*args):
+        for v in real_assemble(*args):
+            seen.append(v)
+            yield v
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(independence, "check_pseudo_independence", lambda *a: IndependenceReport(True))
-        mp.setattr(independence, "hull_gap", lambda v, hull: seen.append(v) or (0, None))
+        mp.setattr(independence, "hull_gap", lambda v, hull: (0, None))
+        mp.setattr(independence, "_assemble", assemble)
         assert check_peng_independence(model, n, mode="exact").verdict
     return seen
 
@@ -194,6 +220,20 @@ class TestPseudoIndependence:
             ],
         )
         assert check_pseudo_independence(m, 2).verdict
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(case=small_models(max_tables=3), repeat=st.booleans())
+    def test_matches_an_lp_for_every_law(self, case, repeat):
+        # a conditional law equal to a marginal law gets no LP; every verdict,
+        # gap (value and type) and witness is still the LP's
+        model, n = case
+        if repeat:
+            model = JointModel(model.variable_names, model.supports,
+                               model.tables + model.tables[:1])
+        got = check_pseudo_independence(model, n)
+        want = _reference_pseudo(model, n)
+        assert got.verdict is want.verdict and got.witness == want.witness
+        assert got.gap == want.gap and type(got.gap) is type(want.gap)
 
 
 class TestPengIndependence:
@@ -288,8 +328,9 @@ class TestPengIndependence:
             # the check reports a float model's gap as a float
             assert got.gap == (want.gap if model.exact() else float(want.gap))
         if model.exact():
-            # a vertex of the polytope inside the hull of the joints is a joint
-            assert lps[0] <= len(set(model.tables)) + 1
+            # a vertex of the polytope inside the hull of the joints is a joint,
+            # which gets no LP, so only an outside vertex is solved
+            assert lps[0] <= (0 if got.verdict else 1)
 
     def test_joint_outside_returns_the_pseudo_witness(self):
         m = JointModel(["X", "Y"], [[0, 1], [0, 1]], [[F(1, 2), 0, 0, F(1, 2)]])

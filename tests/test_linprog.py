@@ -45,6 +45,27 @@ def test_hull_membership_midpoint_of_segment():
     assert not in_hull([Fraction(1, 2), Fraction(1, 4)], pts)
 
 
+@pytest.mark.parametrize("tol", [0, 1, 1e-9, -1e-9, Fraction(-1, 3)])
+def test_in_hull_answers_a_hull_point_without_an_lp(tol, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("simplex_max called")
+
+    monkeypatch.setattr(linprog, "simplex_max", refuse)
+    exact = [[Fraction(1, 3), Fraction(2, 3)], [1, 0], [Fraction(1, 2), Fraction(1, 2)]]
+    floats = [[0.3, 0.7], [1.0, 0.0]]
+    for point, hull in [(exact[0], exact), ([0, 1], [[1, 0], [0, 1]]),
+                        ((0.3, 0.7), floats), ([0.5, 0.5], exact), ([1, 0], floats)]:
+        assert in_hull(point, hull, tol) is (0 <= tol)
+
+
+def test_in_hull_refuses_a_non_finite_point_it_matches():
+    with pytest.raises(OverflowError):
+        in_hull([float("inf"), 0.0], [[float("inf"), 0.0]])
+    nan = float("nan")
+    with pytest.raises(ValueError):
+        in_hull([nan, 0.0], [[nan, 0.0]])
+
+
 def test_hull_vertices_drops_interior_and_duplicates():
     pts = [[0, 0], [1, 0], [0, 1], [Fraction(1, 4), Fraction(1, 4)], [0, 0]]
     assert hull_vertices(pts) == [0, 1, 2]
