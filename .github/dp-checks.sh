@@ -39,6 +39,12 @@ out=$(timeout 60 sublin counterexample --which clt --K 400 --n 25)
 want="value=0.99984376757672211 lower-bound=0.99984376171818845 classical-reference=0.20211543919713459 robust-limit=1"
 test "$out" = "$want" || { echo "got: $out"; exit 1; }
 
+echo "Lower Rademacher DP at n=400"
+# the lower direction sweeps the negated terminal, whose zeros are -0.0;
+# every other DP pin here is an upper value
+out=$(timeout 60 sublin eval --model configs/rademacher.json --phi "max(1-abs(x),0)" --n 400 --normalize sqrt-n --lower)
+test "$out" = "value=0.30545228865175422" || { echo "got: $out"; exit 1; }
+
 echo "Exact LLN counterexample at K=10, n=10"
 # 968 of the 5,511 window states are unreachable; the sweep computes 190
 # states, fills the rest from the flat ends, and reduces only the 190

@@ -187,7 +187,8 @@ def check_pseudo_independence(model: JointModel, n: int) -> IndependenceReport:
     marginal laws of X_n, for every measure and positive-probability history,
     exactly on exact models and within HULL_TOL otherwise.  A conditional law
     equal to a marginal law is inside with gap 0 and gets no LP.  The reported
-    gap is a Fraction on an exact model and a float on a float one."""
+    gap and the witness's separating direction are exact (Fractions or ints)
+    on an exact model and floats on a float one."""
     if not 1 <= n <= model.n_variables:
         raise ModelError(f"step {n} out of range")
     marginals = [model.marginal_law(ti, n) for ti in range(len(model.tables))]
@@ -209,7 +210,7 @@ def check_pseudo_independence(model: JointModel, n: int) -> IndependenceReport:
                         "history": tuple(
                             model.supports[j][i] for j, i in enumerate(hist)
                         ),
-                        "direction": direction,
+                        "direction": [_reported(y, exact) for y in direction],
                     },
                     gap=_reported(gap, exact),
                 )
@@ -217,10 +218,11 @@ def check_pseudo_independence(model: JointModel, n: int) -> IndependenceReport:
     return IndependenceReport(True, gap=_reported(worst, exact))
 
 
-def _reported(gap, exact):
-    """A hull gap as reported: the exact Fraction on an exact model, a float
-    on a float one, as the probe mode's gaps are."""
-    return gap if exact else float(gap)
+def _reported(value, exact):
+    """A hull gap or an entry of its separating direction as reported: the
+    exact Fraction or int on an exact model, a float on a float one, as the
+    probe mode's gaps are."""
+    return value if exact else float(value)
 
 
 def default_probes(model: JointModel, n: int):
@@ -305,8 +307,8 @@ def check_peng_independence(model: JointModel, n: int, mode: str = "probe") -> I
     a joint is inside with gap 0 and gets no LP; on exact inputs every other
     vertex is outside, so the walk solves at most one LP, the witness's.
     DEFAULT_ENUM_CAP bounds the support grid and the walk.  Gaps are compared
-    exactly on exact models and within HULL_TOL otherwise, and reported as
-    floats on a float model.
+    exactly on exact models and within HULL_TOL otherwise, and reported, with
+    the witness's direction, as floats on a float model.
     """
     if not 1 <= n <= model.n_variables:
         raise ModelError(f"step {n} out of range")
@@ -347,7 +349,8 @@ def check_peng_independence(model: JointModel, n: int, mode: str = "probe") -> I
                 continue
             gap, direction = hull_gap(v, joints)
             if gap > effective:
-                witness = {"vertex": vi, "side": "polytope-outside", "direction": direction}
+                witness = {"vertex": vi, "side": "polytope-outside",
+                           "direction": [_reported(y, exact) for y in direction]}
                 return IndependenceReport(False, witness, _reported(gap, exact))
         return IndependenceReport(True)
 

@@ -198,13 +198,25 @@ def _sweep(seq, emb, f, scale=1, sign=1):
 
     Each step walks its window in blocks of ``_BLOCK`` states and runs the
     whole per-measure loop on one block before the next, so the block's
-    accumulator, running max and slices of ``v`` stay in L2 instead of
-    streaming all the swept states from L3 once per atom.  Every element
-    sees the same operations in the same order as in one unblocked pass,
-    so values are bit-identical for any block size.  A sweep between flat
-    ends is often one block: ``prop62_experiment(100, 20)`` computes 41 of
-    up to 190,001 window states a step, ``prop63_experiment(400, 25)`` at
-    most 9,611.
+    sums, running max and slices of ``v`` stay in L2 instead of streaming
+    all the swept states from L3 once per atom.  Every product lands in a
+    buffer allocated once a step: the first measure sums straight into the
+    block of ``best``, each later one into ``acc``, and the block then
+    takes ``max(best, acc)`` in place.  A measure's sum is its first
+    product, ``w * v[...]`` written into the sum, plus each later product,
+    written into ``tmp`` and added in place: about 2 * atoms array calls a
+    measure, with no zero fill and no temporary array.  The offsets and
+    weights come from ``_step_weights``, once per distinct step.  Every
+    element sees the same operations in the same order as in one unblocked
+    pass, so values are bit-identical for any block size.  A sweep between
+    flat ends is often one block: ``prop62_experiment(100, 20)`` computes
+    41 of up to 190,001 window states a step, ``prop63_experiment(400, 25)``
+    at most 9,611.
+
+    A sum that starts at its first product is -0.0 when all its products
+    are; float mode adds +0.0 to the swept states after each step, so every
+    zero is +0.0, as a sum that started at +0.0 would give.  The sign of a
+    zero shows: the lower value of a zero ``f`` is -(+0.0) = -0.0.
 
     The blocks cover only the states between the window's flat ends.  State
     i of step k reads v_{k+1}[i .. i + span], span = max atom - min atom.
@@ -213,13 +225,13 @@ def _sweep(seq, emb, f, scale=1, sign=1):
     equal inputs; likewise every state at or above tail - 1 if v[tail:] all
     equal v[tail - 1].  The step sweeps the states from max(head - span, 0)
     up to min(tail, width) and copies the first and the last of them across
-    the ends, bit for bit (an entry -0.0 adds +0.0 to an accumulator that
-    starts at +0.0).  Its fill is the next step's (head, tail), so
-    ``_flat_ends`` measures the ends once, on the terminal, and every step
-    of either mode takes this one path, whatever its atom count.  The
-    finiteness check and ``_reduce`` read the swept states before the fill,
-    and the int64 test reads v[head:tail], which holds every distinct value
-    of v.  The clamped counterexample terminals make nearly every state of
+    the ends, bit for bit (after the add of +0.0 above, a state's value
+    does not depend on the signs of the zeros it reads).  Its fill is the
+    next step's (head, tail), so ``_flat_ends`` measures the ends once, on
+    the terminal, and every step of either mode takes this one path,
+    whatever its atom count.  The finiteness check and ``_reduce`` read the
+    swept states before the fill, and the int64 test reads v[head:tail],
+    which holds every distinct value of v.  The clamped counterexample terminals make nearly every state of
     ``prop62_experiment`` flat.
 
     Work: one tally per sweep against MAX_STATE_ATOMS; the first charge
@@ -227,14 +239,19 @@ def _sweep(seq, emb, f, scale=1, sign=1):
     terminal, at most MAX_WINDOW_STATES points, takes every step's
     [head, tail) from the terminal's flat ends by the recurrence above, and
     charges the whole sweep before its first step: each swept state its
-    atoms, each copied state 1, each step ``_STEP_COST``.  That is about
-    what float mode costs (1.2 ns per state-atom on the wide steps of
-    ``prop63_experiment(400, 25)``, 11-13 us per step of a one-atom law, on
-    a shared 2-vCPU x86 host), though sweeps that mostly copy, such as
-    ``prop62_experiment`` at (100, 101) to (300, 100), took 1.4-3.4 ns a
-    unit.  Every step costs at least ``_STEP_COST``, so ``StepSequence.iid``
-    refuses more than MAX_STATE_ATOMS // _STEP_COST = 800,000 steps before
-    it builds them.  Exact mode is metered as it runs.
+    atoms, each copied state 1, each step ``_STEP_COST``.  The meter was
+    fitted on a shared 2-vCPU x86 host at 1.2 ns a unit, what the wide
+    steps of ``prop63_experiment(400, 25)`` took per state-atom there (and
+    a one-atom law 11-13 us per step).  With each product written in place,
+    those steps take 0.80-0.82 ns per state-atom and a one-atom law 8.4-8.7
+    us per step on another 2-vCPU x86 host, where sums into a zero-filled
+    accumulator took 0.97-1.03 ns and 8.8-9.7 us.  Sweeps that mostly copy
+    cost more a unit: ``prop62_experiment`` at (100, 101) and (300, 100)
+    take 1.24-1.30 and 1.83-1.86 ns there (1.51-1.60 and 1.94-1.95 ns with
+    the zero-filled accumulator).  Every step costs at least
+    ``_STEP_COST``, so ``StepSequence.iid`` refuses more than
+    MAX_STATE_ATOMS // _STEP_COST = 800,000 steps before it builds them.
+    Exact mode is metered as it runs.
     Before its states are listed it charges ``_TERMINAL_COST`` per terminal
     state, for the call of f and the conversion of its value to a numerator
     (6-10 us on the counterexample terminals, 16 us on the band's x*x).
@@ -245,11 +262,11 @@ def _sweep(seq, emb, f, scale=1, sign=1):
     ``_STEP_COST``.  The cost is 3 on an int64 step and
     10 * (w + 10) + w**2 // 32 on a Python-int step, for w 64-bit words of
     the int64 test's bound; the square stands for the gcd reduction, which
-    grows faster than w.  Timed on that host at 1.2 ns a unit, exact
-    ``prop63_experiment`` at (10, 400), (20, 225), (20, 100), (30, 81) and
-    (40, 121), ``prop62_experiment`` at (30, 100), (50, 50) and (100, 50)
-    and the Bernoulli band at n = 5,000 each took 0.57-1.01 times its
-    charge.  So the budget stops an exact sweep within about as long as
+    grows faster than w.  Timed on the host the meter was fitted on, at
+    1.2 ns a unit, exact ``prop63_experiment`` at (10, 400), (20, 225),
+    (20, 100), (30, 81) and (40, 121), ``prop62_experiment`` at (30, 100),
+    (50, 50) and (100, 50) and the Bernoulli band at n = 5,000 each took
+    0.57-1.01 times its charge.  So the budget stops an exact sweep within about as long as
     10**10 float state-atoms take: exact ``prop63_experiment(40, 121)``,
     which takes 41-58 s to finish, is refused after 10-15 s.
 
@@ -293,8 +310,8 @@ def _sweep(seq, emb, f, scale=1, sign=1):
 
     weight_cache = {}
     for k in range(len(seq) - 1, -1, -1):
-        (lo_k, width), (lo_next, _) = windows[k : k + 2]
-        step_lcm, weights, weight_sum = _step_weights(emb.steps[k], exact, weight_cache)
+        width = windows[k][1]
+        step_lcm, terms, weight_sum = _step_weights(emb.steps[k], exact, weight_cache)
         head, tail = ends[k]
         if exact:
             denom *= step_lcm
@@ -307,22 +324,26 @@ def _sweep(seq, emb, f, scale=1, sign=1):
             spent = _charge(spent, (tail - head) * (atoms[k] + 2) * cost
                             + 4 * width + _STEP_COST, ", exact steps charged by numerator size")
         best = np.empty(width, dtype=v.dtype)
+        acc_buf = np.empty(min(_BLOCK, tail - head), dtype=v.dtype)
+        tmp_buf = np.empty_like(acc_buf)
         for b0 in range(head, tail, _BLOCK):
             b1 = min(b0 + _BLOCK, tail)
-            blk = best[b0:b1]
-            for mi, ((ints, _), ws) in enumerate(zip(emb.steps[k], weights)):
-                acc = np.zeros(b1 - b0, dtype=v.dtype)
-                for a, w in zip(ints, ws):
-                    start = lo_k + a - lo_next + b0
-                    acc += w * v[start : start + b1 - b0]
-                if mi == 0:
-                    blk[:] = acc
-                else:
-                    np.maximum(blk, acc, out=blk)
+            blk, acc, tmp = best[b0:b1], acc_buf[: b1 - b0], tmp_buf[: b1 - b0]
+            for mi, ((a, w), rest) in enumerate(terms):
+                out = acc if mi else blk
+                np.multiply(w, v[b0 + a : b1 + a], out=out)
+                for a, w in rest:
+                    np.multiply(w, v[b0 + a : b1 + a], out=tmp)
+                    np.add(out, tmp, out=out)
+                if mi:
+                    np.maximum(blk, out, out=blk)
         if exact:
             denom = _reduce(best[head:tail], denom)
-        elif not np.all(np.isfinite(best[head:tail])):
-            raise NumericalFailure("non-finite value during backward sweep")
+        else:
+            # -0.0 products sum to -0.0: make every zero +0.0 (see above)
+            best[head:tail] += 0.0
+            if not np.isfinite(best[head:tail]).all():
+                raise NumericalFailure("non-finite value during backward sweep")
         best[:head] = best[head]
         best[tail:] = best[tail - 1]
         v = best
@@ -330,11 +351,13 @@ def _sweep(seq, emb, f, scale=1, sign=1):
 
 
 def _step_weights(measures, exact, cache):
-    """A step's weights in the sweep's arithmetic, computed once per
-    distinct step and keyed by ``id`` as in ``lattice_embed``: (lcm,
-    weights per measure, largest per-measure sum of |weight|).  Float mode
-    has float64 weights, lcm 1 and sum 1.  Exact mode has integer weights
-    over the lcm of their denominators."""
+    """A step's terms in the sweep's arithmetic, built once per distinct
+    step and keyed by ``id`` as in ``lattice_embed``: (lcm, per measure its
+    first (offset, weight) pair and a list of the others, largest
+    per-measure sum of |weight|).  An atom's offset is its distance from
+    the step's least atom, where state 0 of the step reads v_{k+1}.  Float
+    mode has float64 weights, lcm 1 and sum 1.  Exact mode has integer
+    weights over the lcm of their denominators."""
     key = id(measures)
     if key not in cache:
         if exact:
@@ -345,7 +368,12 @@ def _step_weights(measures, exact, cache):
         else:
             weights = [[float(w) for w in ws] for _, ws in measures]
             step_lcm = weight_sum = 1
-        cache[key] = step_lcm, weights, weight_sum
+        least = min(a for ints, _ in measures for a in ints)
+        terms = []
+        for (ints, _), ws in zip(measures, weights):
+            pairs = [(a - least, w) for a, w in zip(ints, ws)]
+            terms.append((pairs[0], pairs[1:]))
+        cache[key] = step_lcm, terms, weight_sum
     return cache[key]
 
 

@@ -78,6 +78,7 @@ def _reference_pseudo(model, n):
             gap, direction = hull_gap(model.conditional_law(ti, n, hist), marginals)
             if gap > effective:
                 history = tuple(model.supports[j][i] for j, i in enumerate(hist))
+                direction = direction if exact else [float(y) for y in direction]
                 witness = {"measure": ti, "history": history, "direction": direction}
                 return IndependenceReport(False, witness, gap if exact else float(gap))
             worst = max(worst, gap)
@@ -324,9 +325,11 @@ class TestPengIndependence:
         if not want.verdict:
             assert got.witness["side"] == want.witness["side"]
         if not want.verdict and want.witness["side"] == "polytope-outside":
-            assert got.witness == want.witness
-            # the check reports a float model's gap as a float
-            assert got.gap == (want.gap if model.exact() else float(want.gap))
+            # the check reports a float model's gap and direction as floats
+            reported = (lambda x: x) if model.exact() else float
+            direction = [reported(y) for y in want.witness["direction"]]
+            assert got.witness == {**want.witness, "direction": direction}
+            assert got.gap == reported(want.gap)
         if model.exact():
             # a vertex of the polytope inside the hull of the joints is a joint,
             # which gets no LP, so only an outside vertex is solved
@@ -338,6 +341,29 @@ class TestPengIndependence:
         rep = check_peng_independence(m, 2, mode="exact")
         assert not rep.verdict and rep.gap == pseudo.gap
         assert rep.witness == {**pseudo.witness, "side": "joint-outside"}
+
+    @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+    def test_witness_direction_has_the_model_s_number_type(self, exact):
+        # the LP solves in rationals either way; a float model reports its
+        # direction as floats, as it does its gap.  On the (3, 2) model
+        # sharing X's law, the float LP's direction has an entry
+        # -34587645138205407/34587645138205408, reported as -1.0
+        num = F if exact else float
+        dependent = JointModel(["X", "Y"], [[0, 1], [0, 1]],
+                               [[num(F(1, 2)), 0, 0, num(F(1, 2))]])
+        common_x = JointModel(["X", "Y"], [[0, 1, 2], [0, 1]], [
+            [num(F(w)) for w in row] for row in (
+                ["0.02", "0.18", "0.03", "0.27", "0.05", "0.45"],
+                ["0.1", "0.1", "0.15", "0.15", "0.25", "0.25"],
+                ["0.14", "0.06", "0.21", "0.09", "0.35", "0.15"])])
+        reports = [check_pseudo_independence(dependent, 2),
+                   check_peng_independence(dependent, 2, mode="exact"),
+                   check_peng_independence(common_x, 2, mode="exact")]
+        assert reports[2].witness["direction"] == [-1, 1, -1, 1, 1, -1]
+        for rep in reports:
+            assert not rep.verdict
+            types = {type(y) for y in rep.witness["direction"]}
+            assert types <= ({int, F} if exact else {float}), types
 
 
 def _random_model(seed, variables, size, n_tables, product):

@@ -30,6 +30,7 @@ from sublin import limits, recursion
 from sublin.limits import (
     counterexample_family,
     prop62_experiment,
+    prop63_experiment,
     squared_counterexample_family,
 )
 
@@ -341,10 +342,11 @@ def _reachable(emb):
 
 def _reference_sweep(seq, emb, f):
     """The backward sweep as one unblocked pass per measure over the whole
-    window: the reference that the blocked ``recursion._sweep`` must match
-    bit for bit (same operations on each element, in the same order).  It
-    evaluates ``f`` at the reachable states only and zeroes the others after
-    every step, so it checks that their values never reach v_0(0)."""
+    window, each measure summed into an accumulator started at +0.0: the
+    reference that the blocked, in-place ``recursion._sweep`` must match
+    bit for bit after its add of +0.0.  It evaluates ``f`` at the reachable
+    states only and zeroes the others after every step, so it checks that
+    their values never reach v_0(0)."""
     exact = seq.mode is NumericMode.EXACT
     reach = _reachable(emb)
     lo_n, mask_n = reach[-1]
@@ -403,6 +405,20 @@ class TestBlockedSweep:
     def test_prop62_value_pinned(self):
         # a 200,001-state window: seven blocks, the last one ragged
         assert prop62_experiment(100, 20)[0].hex() == "0x1.fdf435b3ce857p-1"
+
+    def test_prop63_value_pinned(self):
+        # 400 three-atom laws a step: each measure's sum and the running max
+        # in place, over up to 9,611 swept states
+        assert prop63_experiment(400, 25)[0].hex() == "0x1.ffeb85b5b3f0dp-1"
+
+    @pytest.mark.parametrize("phi", [parse_phi("0*x"), lambda x: 0 * x],
+                             ids=["parsed", "opaque"])
+    def test_zero_phi_keeps_the_sign_of_its_zero(self, phi):
+        # the lower direction sweeps the terminal -0.0; each step's zeros
+        # are +0.0, as a sum started at +0.0 gives, and the result is -(+0.0)
+        seq = StepSequence.iid(AmbiguitySet([rademacher()]), 3)
+        assert repr(sublinear_eval_sum(seq, phi, "lower")) == "-0.0"
+        assert repr(sublinear_eval_sum(seq, phi, "upper")) == "0.0"
 
 
 @st.composite
