@@ -360,7 +360,9 @@ def check_peng_independence(model: JointModel, n: int, mode: str = "probe") -> I
 def enlarge_vertices(model: JointModel) -> JointModel:
     """Extreme points of the enlargement: all joints assembled from a
     marginal-1 hull vertex and one marginal-k hull vertex per positive
-    history, for every step k, capped at DEFAULT_ENUM_CAP products.
+    history, for every step k, capped at DEFAULT_ENUM_CAP products: a step
+    whose products the bases' positive cells count past the cap is refused
+    before any of them is built.
 
     The upper expectation over the result equals the full nested recursion
     value for every test function.  The tables are pairwise distinct: a
@@ -369,7 +371,11 @@ def enlarge_vertices(model: JointModel) -> JointModel:
     """
     partials = [[1]]
     for k in range(1, model.n_variables + 1):
-        partials = list(_assemble(partials, _marginal_vertices(model, k),
-                                  len(model.supports[k - 1]), DEFAULT_ENUM_CAP,
-                                  "enlargement"))
+        vertices = _marginal_vertices(model, k)
+        # every product is built, so count them first and refuse before any is
+        count = sum(len(vertices) ** sum(w != 0 for w in base) for base in partials)
+        if count > DEFAULT_ENUM_CAP:
+            raise ModelTooLarge(f"enlargement enumeration exceeds the cap ({DEFAULT_ENUM_CAP})")
+        partials = list(_assemble(partials, vertices, len(model.supports[k - 1]),
+                                  DEFAULT_ENUM_CAP, "enlargement"))
     return JointModel(model.variable_names, model.supports, [tuple(v) for v in partials])

@@ -12,7 +12,9 @@ NUMBER is a decimal literal; rationals are written ``p/q`` and fold to an
 exact Fraction at parse time.  The exact subset, {+,-,*,abs,min,max,clamp}
 plus division by a constant, keeps evaluation closed over the rationals: an
 expression in it evaluates an int or Fraction argument exactly, and any other
-argument in float.
+argument in float.  Interval evaluation of an expression in the subset,
+with float or Fraction endpoints, bounds its float or exact values over a
+box of points, which can prove it constant there (:func:`constant_prover`).
 
 The text is parsed by Python's own parser (:func:`ast.parse`), which has this
 grammar's precedence and associativity, restricted to the grammar above: any
@@ -113,6 +115,70 @@ _ARRAY_OPS = {"const": float, "/": _array_div, "abs": np.abs, "min": _array_min,
 _EXACT_OPS = {"const": Fraction, "abs": abs, "min": min, "max": max}
 
 
+class _Unbounded(Exception):
+    """An interval endpoint that is not finite: the box proves nothing."""
+
+
+class _Interval:
+    """A closed interval [lo, hi] of floats or of Fractions (R. E. Moore,
+    *Interval Analysis*, 1966).  Each operation's endpoints are the extremes
+    of the operation applied to its operands' endpoints, in the operands'
+    own arithmetic.  Round-to-nearest is monotone, so float endpoints bound
+    what the float closures compute anywhere in the operands' intervals, as
+    exact ones bound the exact values.  An endpoint that is not finite
+    raises _Unbounded: past an infinity, a NaN (inf - inf, 0 * inf) would
+    escape every bound."""
+
+    __slots__ = ("lo", "hi")
+
+    def __init__(self, lo, hi):
+        if not -math.inf < lo <= hi < math.inf:
+            raise _Unbounded
+        self.lo, self.hi = lo, hi
+
+    def __add__(self, other):
+        return _Interval(self.lo + other.lo, self.hi + other.hi)
+
+    def __sub__(self, other):
+        return _Interval(self.lo - other.hi, self.hi - other.lo)
+
+    def __mul__(self, other):
+        ends = (self.lo * other.lo, self.lo * other.hi, self.hi * other.lo, self.hi * other.hi)
+        return _Interval(min(ends), max(ends))
+
+    def __neg__(self):
+        return _Interval(-self.hi, -self.lo)
+
+    def __truediv__(self, other):  # by a constant, a point interval
+        if not other.lo:  # a nonzero Fraction that is 0.0 as a float
+            raise _Unbounded
+        ends = (self.lo / other.lo, self.hi / other.lo)
+        return _Interval(min(ends), max(ends))
+
+
+def _interval_abs(a):
+    if a.lo >= 0:
+        return a
+    if a.hi <= 0:
+        return -a
+    return _Interval(0 * a.hi, max(-a.lo, a.hi))
+
+
+def _interval_min(a, b):
+    return _Interval(min(a.lo, b.lo), min(a.hi, b.hi))
+
+
+def _interval_max(a, b):
+    return _Interval(max(a.lo, b.lo), max(a.hi, b.hi))
+
+
+# Interval tables for _compile, over the exact subset: float endpoints bound
+# the float closures, Fraction endpoints the exact one.
+_BOX_OPS = {"abs": _interval_abs, "min": _interval_min, "max": _interval_max}
+_FLOAT_BOX_OPS = {**_BOX_OPS, "const": lambda c: _Interval(float(c), float(c))}
+_EXACT_BOX_OPS = {**_BOX_OPS, "const": lambda c: _Interval(c, c)}
+
+
 def _compile(root, ops, source):
     """``root``, a tree parsed from ``source``, as nested closures of x over
     the primitives in ``ops``.
@@ -204,9 +270,11 @@ class PhiExpression:
     The Python expression tree of ``text`` is compiled once into three
     closures: a float scalar one, a float64 array one (see
     :func:`evaluate_array`) and, when the expression lies in the exact
-    subset, a Fraction one.  A call takes the Fraction closure on an int or
-    Fraction argument when there is one, and the float closure otherwise;
-    ``exact=True`` forces the Fraction closure (UsageError outside the subset).
+    subset, a Fraction one and two interval ones (see
+    :func:`constant_prover`).  A call takes the Fraction closure on an int
+    or Fraction argument when there is one, and the float closure
+    otherwise; ``exact=True`` forces the Fraction closure (UsageError
+    outside the subset).
     """
 
     def __init__(self, text: str):
@@ -234,6 +302,10 @@ class PhiExpression:
             self._exact = _compile(root, _EXACT_OPS, source)
         except KeyError:
             self._exact = None
+        else:
+            # interval closures, float and exact (see constant_prover)
+            self._boxes = (_compile(root, _FLOAT_BOX_OPS, source),
+                           _compile(root, _EXACT_BOX_OPS, source))
 
     def __call__(self, x, exact: bool = False):
         if exact or (self._exact is not None and isinstance(x, (int, Fraction))):
@@ -273,6 +345,32 @@ def evaluate_array(f: Callable, xs: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(out)):
         raise NumericalFailure("test function produced non-finite values")
     return out
+
+
+def constant_prover(f: Callable, exact: bool):
+    """For a PhiExpression in the exact subset, a function of the ends of a
+    box [lo, hi] (floats, or Fractions when ``exact``) that is True when
+    interval evaluation proves ``f`` one finite constant on the box; None
+    for any other ``f``.
+
+    The proof holds for what ``f`` computes: its float closures, which
+    :func:`evaluate_array` runs, at every float in the box, or its exact
+    closure at every rational there.  A box's proof holds for every box
+    inside it (interval evaluation is inclusion-monotone).  A proven float
+    constant may be a zero of either sign, as ``==`` has it.
+    """
+    if not isinstance(f, PhiExpression) or f._exact is None:
+        return None
+    box = f._boxes[exact]
+
+    def prove(lo, hi):
+        try:
+            out = box(_Interval(lo, hi))
+        except _Unbounded:
+            return False
+        return out.lo == out.hi
+
+    return prove
 
 
 def parse_phi(text: str) -> PhiExpression:

@@ -358,6 +358,44 @@ class TestCounterexample:
         assert code == 1
 
 
+# DP lines of .github/dp-checks.sh, byte for byte, in process
+_BIG_LLN = (
+    "495012230423008828280716926282093154400976174424346225695393814077260661"
+    "483867438415462364191034790783942699125543830147121950705312199558971462"
+    "09915828840276319986866171890488126302980400122499500001"
+    "/5" + "0" * 199)
+
+
+class TestDpPins:
+    @pytest.mark.parametrize("argv,want", [
+        (["eval", "--model", cfg("bernoulli-band.json"), "--phi", "x*x", "--n", "2000",
+          "--normalize", "n", "--exact"],
+         "value=9003/25000"),
+        (["counterexample", "--which", "lln", "--K", "100", "--n", "50"],
+         "value=0.99002446084601858 lower-bound=0.9900244608460177 classical-reference=0 "
+         "robust-limit=1"),
+        (["counterexample", "--which", "lln", "--K", "100", "--n", "200"],
+         "value=0.96039538608644459 lower-bound=0.96039538608644137 classical-reference=0 "
+         "robust-limit=1"),
+        (["counterexample", "--which", "clt", "--K", "400", "--n", "25"],
+         "value=0.99984376757672211 lower-bound=0.99984376171818845 "
+         "classical-reference=0.20211543919713459 robust-limit=1"),
+        (["eval", "--model", cfg("rademacher.json"), "--phi", "max(1-abs(x),0)", "--n", "400",
+          "--normalize", "sqrt-n", "--lower"],
+         "value=0.30545228865175422"),
+        (["counterexample", "--which", "lln", "--K", "10", "--n", "10", "--exact"],
+         "value=40438207500880449001/50000000000000000000 "
+         "lower-bound=40438207500880449001/50000000000000000000 classical-reference=0 "
+         "robust-limit=1"),
+        (["counterexample", "--which", "lln", "--K", "100", "--n", "50", "--exact"],
+         f"value={_BIG_LLN} lower-bound={_BIG_LLN} classical-reference=0 robust-limit=1"),
+    ], ids=["band-n2000-exact", "lln-K100-n50", "lln-K100-n200", "clt-K400-n25",
+            "rademacher-lower-n400", "lln-K10-n10-exact", "lln-K100-n50-exact"])
+    def test_output_bytes(self, capsys, argv, want):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (0, want + "\n", "")
+
+
 class TestIndependence:
     def test_pseudo_true(self, capsys):
         code, out, _ = run(

@@ -443,6 +443,20 @@ class TestEnlargement:
         with pytest.raises(ModelTooLarge):
             enlarge_vertices(example36)
 
+    def test_cap_refuses_before_building_a_product(self, example36, monkeypatch):
+        # step 1 builds its 2 products over X; step 2's 2 bases with 2
+        # positive cells each count 2 * 2**2 = 8 products over (X, Y), past a
+        # cap of 7, and the step is refused before any of them is built
+        built = []
+        assemble = independence._assemble
+        monkeypatch.setattr(independence, "_assemble", lambda *args: (
+            built.append(len(vec)) or vec for vec in assemble(*args)))
+        monkeypatch.setattr(independence, "DEFAULT_ENUM_CAP", 7)
+        with pytest.raises(ModelTooLarge,
+                           match=r"^enlargement enumeration exceeds the cap \(7\)$"):
+            enlarge_vertices(example36)
+        assert built == [2, 2]
+
     def test_step_polytope_walk_fits_cap(self, example36, monkeypatch):
         # the step polytope has 2 prefix vertices times 2**2 marginal choices
         # = 8 vertices, but the walk stops at the second, which no joint is

@@ -20,6 +20,7 @@ from sublin import (
     NumericMode,
     StateExplosion,
     StepSequence,
+    UsageError,
     bernoulli,
     lattice_embed,
     parse_phi,
@@ -35,6 +36,7 @@ from sublin.limits import (
 )
 
 from conftest import random_ambiguity_set
+from sublin.phi import evaluate_array
 from test_phi import _EXACT_OPS, _NUMBERS, _phi_texts
 
 F = Fraction
@@ -532,6 +534,170 @@ class TestFlatEnds:
         got = sublinear_eval_sum(seq, f)
         assert swept == [12, 12, 12, 11, 9, 7, 5, 3, 1]
         assert got == _reference_sweep(seq, lattice_embed(seq), f) == brute_force_upper(seq, f)
+
+
+# exact-subset phi texts, wrapped so that a window's ends are often flat
+_WRAPS = st.sampled_from(["{}", "clamp({}, -1, 1)", "max({}, 0)", "min(1/2, {})",
+                          "max(1-abs({}), 0)"])
+
+
+def _subset_phi(drawn):
+    (text, _), wrap = drawn
+    try:
+        return parse_phi(wrap.format(text))
+    except UsageError:  # a folded constant past the float range
+        return None
+
+
+def _subset_phis(leaves):
+    return st.tuples(_phi_texts(_EXACT_OPS, leaves), _WRAPS).map(_subset_phi).filter(
+        lambda phi: phi is not None)
+
+
+# with constants past 10**300 as a product, so that float evaluation
+# overflows on part of a window
+_OVERFLOWING_PHIS = _subset_phis(_NUMBERS | st.just(("1" + "0" * 160, "F(10**160)")))
+
+
+def _whole_window(f, lo, width, point, exact):
+    """``recursion._unproven`` with no proof: the terminal on every state."""
+    return 0, width
+
+
+class TestMargins:
+    """Each step fills only the states past the flat ends of v_{k+1} that
+    the next step reads, in two buffers allocated once a sweep.  Float
+    buffers that start as NaN give ``_reference_sweep``'s value bit for
+    bit, so no step reads a state that was neither swept nor filled."""
+
+    @pytest.mark.parametrize("block", [1, 7])
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(steps=gappy_steps(), left=st.sampled_from(_ENDS), right=st.sampled_from(_ENDS),
+           cuts=st.tuples(st.integers(-20, 70), st.integers(-20, 70)),
+           middle=st.lists(st.sampled_from(_TERMINALS), min_size=1, max_size=9),
+           phi=_subset_phis(_NUMBERS))
+    @example(steps=[_COIN] * 5, left=(0.0, -0.0), right=(1 / 3,), cuts=(-2, 2),
+             middle=[0.5, 2.5], phi=parse_phi("max(1-abs(x/2),0)"))
+    def test_nan_buffers_match_reference_sweep(self, block, steps, left, right, cuts,
+                                               middle, phi):
+        def table(x):
+            i = round(float(x))
+            if i < cuts[0]:
+                return left[i % len(left)]
+            if i > cuts[1]:
+                return right[i % len(right)]
+            return middle[i % len(middle)]
+
+        buffers = recursion._buffers
+
+        def nan_buffers(dtype, width):
+            out = buffers(dtype, width)
+            for buf in out:
+                buf.fill(np.nan)
+            return out
+
+        seq = StepSequence(_float_steps(steps))
+        emb = lattice_embed(seq)
+        # an opaque terminal, on the whole window, and a parsed one, on its
+        # core; in both directions
+        for f, sign in itertools.product([table, phi], [1, -1]):
+            want = _reference_sweep(seq, emb, lambda x: sign * f(x))
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(recursion, "_BLOCK", block)
+                mp.setattr(recursion, "_buffers", nan_buffers)
+                got = recursion._sweep(seq, emb, f, 1, sign)
+            assert repr(got) == repr(want)
+
+
+class TestProvenTerminal:
+    """Interval evaluation proves the runs at a window's ends constant for
+    a PhiExpression in the exact subset, and the terminal is evaluated on
+    the states between them: its flat ends, every charge and the value are
+    those of the terminal evaluated on the whole window."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(phi=_OVERFLOWING_PHIS, lo=st.integers(-80, 0),
+           width=st.integers(1, 160), den=st.integers(1, 6),
+           unit=st.sampled_from([1, 3, 5]), picks=st.lists(st.integers(0, 10**6), max_size=8),
+           exact=st.booleans())
+    @example(phi=parse_phi("max(1-abs(x),0)"), lo=-80, width=160, den=4, unit=1,
+             picks=[0, 9, 70, 159], exact=False)
+    @example(phi=parse_phi("min(x, 0)*0"), lo=-80, width=160, den=4, unit=1,
+             picks=[0, 79, 80, 159], exact=False)
+    # the first probe's box is x in [-2, 2], where x*x takes its bounds
+    # from the products of unlike ends
+    @example(phi=parse_phi("x*x"), lo=-2, width=9, den=1, unit=1, picks=[1], exact=True)
+    def test_proven_runs_hold_their_end_value(self, phi, lo, width, den, unit, picks, exact):
+        # the terminal's points as _sweep computes them
+        if exact:
+            step = F(1, den * unit)
+            point = lambda s: s * step
+        else:
+            h, root = 1 / den, math.sqrt(unit)
+            point = lambda s: s * h / root
+        first, stop = recursion._unproven(phi, lo, width, point, exact)
+        assert 0 <= first < stop <= width
+        for s in (pick % width for pick in picks):
+            if first <= s < stop:
+                continue
+            end = first if s < first else stop - 1
+            if exact:
+                got, want = phi(point(lo + s)), phi(point(lo + end))
+                assert type(got) in (int, F) and got == want
+            else:
+                got, want = evaluate_array(phi, np.array([point(lo + s), point(lo + end)]))
+                # the same bits, but for the sign of a zero, which == and
+                # _flat_ends do not see either
+                assert got.hex() == want.hex() or got == want == 0
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(steps=gappy_steps(), phi=_OVERFLOWING_PHIS,
+           scale=st.sampled_from([1, 2, 5]), direction=st.sampled_from(["upper", "lower"]),
+           exact=st.booleans())
+    @example(steps=[squared_counterexample_family(5)] * 3, phi=parse_phi("max(1-x/10, 0)"),
+             scale=1, direction="upper", exact=True)
+    # 0 everywhere, proven so only where 10*x*x >= 1: the states between the
+    # proven runs are one constant, and the ends are those of the window
+    @example(steps=[_COIN] * 5, phi=parse_phi("min(1, max(0, 10*x*x)) - min(1, max(0, 10*x*x))"),
+             scale=1, direction="lower", exact=False)
+    def test_charges_and_value_match_the_whole_window(self, steps, phi, scale, direction,
+                                                      exact):
+        seq = (StepSequence(steps, NumericMode.EXACT) if exact
+               else StepSequence(_float_steps(steps)))
+
+        def run(unproven):
+            charges = []
+            charge = recursion._charge
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(recursion, "_charge", lambda spent, work, note="":
+                           charges.append(work) or charge(spent, work, note))
+                mp.setattr(recursion, "_unproven", unproven)
+                try:
+                    value = repr(sublinear_eval_sum(seq, phi, direction, scale))
+                except NumericalFailure as failed:
+                    value = str(failed)
+            return value, charges
+
+        assert run(recursion._unproven) == run(_whole_window)
+
+    def test_opaque_and_outside_the_subset_take_the_whole_window(self):
+        point = lambda s: s / 4
+        for f in [lambda x: max(1 - abs(x), 0), parse_phi("max(1-abs(x),0)+0*sqrt(x*x)"),
+                  parse_phi("min(1/x, 1)")]:
+            assert recursion._unproven(f, -40, 81, point, False) == (0, 81)
+        # x = s / 4 for s in -40 .. 40: phi is 0 on the first 37 states (x <= -1)
+        # and on the last 37 (x >= 1); one state of each run is kept
+        assert recursion._unproven(parse_phi("max(1-abs(x),0)"), -40, 81, point, False) == (36, 45)
+
+    def test_prop62_terminal_is_evaluated_on_its_core(self, monkeypatch):
+        # 200,001 window states, all but 41 flat; the terminal is evaluated
+        # on the unproven ones, plus one state of each proven run
+        sizes = []
+        evaluate = recursion.evaluate_array
+        monkeypatch.setattr(recursion, "evaluate_array",
+                            lambda f, xs: sizes.append(len(xs)) or evaluate(f, xs))
+        assert prop62_experiment(100, 20)[0].hex() == "0x1.fdf435b3ce857p-1"
+        assert len(sizes) == 1 and sizes[0] < 200_001 // 100
 
 
 @st.composite
